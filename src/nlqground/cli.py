@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,8 +26,8 @@ from .data import (
 )
 from .evaluation import evaluate, report_to_json
 from .inference import (
-    Proposal,
     RerankChannel,
+    json_record,
     predict_dataset,
     read_channel_file,
     read_predictions,
@@ -34,7 +35,6 @@ from .inference import (
     write_predictions,
 )
 from .nn import EncoderConfig, load_checkpoint
-from .core import TimeSpan
 from .trainer import TrainConfig, train
 
 
@@ -81,8 +81,6 @@ def _build_section(cls, payload: dict, section: str):
         raise CliError(f"config section {section!r} has unknown keys: {sorted(unknown)}")
     if "scales" in payload:
         payload = dict(payload, scales=tuple(payload["scales"]))
-    if "span_fraction_range" in payload:
-        payload = dict(payload, span_fraction_range=tuple(payload["span_fraction_range"]))
     try:
         return cls(**payload)
     except (TypeError, ValueError) as e:
@@ -169,7 +167,9 @@ def _cmd_train(args) -> int:
 
     result = train(train_data, val_data, encoder_config, train_config, anchor_config,
                    args.out, topk=infer_opts.top_k, nms_iou=infer_opts.nms_iou)
-    print(f"best checkpoint: {result.best_checkpoint} (val R@1 IoU=0.5: {result.best_r1_iou50:.4f})")
+    score = (f"val R@1 IoU=0.5: {result.best_r1_iou50:.4f}" if val_data is not None
+             else "no validation split given; last epoch kept")
+    print(f"best checkpoint: {result.best_checkpoint} ({score})")
     return 0
 
 
@@ -189,7 +189,7 @@ def _cmd_predict(args) -> int:
             f"predicts {model.config.num_scales}")
     records = predict_dataset(model, dataset, anchor_config, topk=args.topk,
                               nms_iou=args.nms_iou, mode=args.mode)
-    write_predictions(args.out, records)
+    write_predictions(args.out, [json_record(*r) for r in records])
     print(f"wrote predictions for {len(records)} queries to {args.out}")
     return 0
 
@@ -209,20 +209,34 @@ def _cmd_rerank(args) -> int:
 
     out_records = []
     for rec in records:
-        proposals = [
-            Proposal(span_sec=TimeSpan(p["start_sec"], p["end_sec"]),
-                     confidence=float(p["score"]), source="anchor", t=0, k=0, source_index=i)
-            for i, p in enumerate(rec["proposals"])
-        ]
+        qid = rec["query_id"]
+        proposals = [_checked_proposal(qid, rank, p) for rank, p in enumerate(rec["proposals"], 1)]
         per_query = []
         for name, scores_by_query, w in channels:
-            if rec["query_id"] not in scores_by_query:
-                raise CliError(f"channel {name!r} has no scores for query {rec['query_id']!r}")
-            per_query.append(RerankChannel(name=name, scores=scores_by_query[rec["query_id"]], weight=w))
-        out_records.append((rec["query_id"], rec.get("video_id", ""), rerank(proposals, per_query)))
+            if qid not in scores_by_query:
+                raise CliError(f"channel {name!r} has no scores for query {qid!r}")
+            per_query.append(RerankChannel(name=name, scores=scores_by_query[qid], weight=w))
+        order, fused = rerank([score for _, _, score in proposals], per_query)
+        out_records.append({"query_id": qid, "video_id": rec.get("video_id", ""), "proposals": [
+            {"start_sec": proposals[i][0], "end_sec": proposals[i][1], "score": score}
+            for i, score in zip(order, fused)]})
     write_predictions(args.out, out_records)
     print(f"reranked {len(out_records)} queries into {args.out}")
     return 0
+
+
+def _checked_proposal(query_id, rank: int, proposal) -> list:
+    """[start_sec, end_sec, score] of a predictions-file proposal: finite
+    numbers with 0 <= start_sec <= end_sec."""
+    keys = ("start_sec", "end_sec", "score")
+    values = [proposal.get(key) if isinstance(proposal, dict) else None for key in keys]
+    for key, v in zip(keys, values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise CliError(f"query {query_id!r} rank {rank}: {key!r} is missing or not a finite number")
+    if not 0 <= values[0] <= values[1]:
+        raise CliError(f"query {query_id!r} rank {rank}: span {values[:2]} "
+                       "breaks 0 <= 'start_sec' <= 'end_sec'")
+    return values
 
 
 def _cmd_eval(args) -> int:

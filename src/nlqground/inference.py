@@ -6,51 +6,29 @@ regression head stays O(1) across scales:
     start = clamp(anchor_start + d_s * w_k, 0, T)
     end   = clamp(anchor_end   + d_e * w_k, 0, T)
 
-Inverted spans are repaired by endpoint swap.  Greedy NMS (not part of the
-original selection rule, which just takes top-5) is applied before top-k so
-the top-5 are not near-duplicates of the best proposal.  Re-ranking adds
-externally computed per-proposal score channels onto the confidence.
+Inverted spans are repaired by endpoint swap.  Proposals are (N, 2) float64
+spans in seconds plus a score vector, ranked by (-score, start, index).
+Greedy NMS (not part of the original selection rule, which just takes top-5)
+runs before top-k, stopping at k kept, so the top-5 are not near-duplicates
+of the best proposal.  Re-ranking adds external score channels onto the
+confidence.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .anchors import AnchorConfig, AnchorSet, build_lattice
-from .core import FrameGrid, TimeSpan, Units, index_to_sec, iou
+from .core import FrameGrid, iou_batch
 from .nn.model import GroundingModel, ModelOutput
 
 
 class ChannelAlignmentError(ValueError):
     """A re-rank channel's score list does not align with the proposals."""
-
-
-@dataclass
-class Proposal:
-    """A scored candidate span in seconds.
-
-    `source` is "anchor" or "anchor_free"; (t, k) locate the producing cell
-    and `source_index` is the position in the raw decode order (the NMS /
-    top-k tie-breaker).  `final_score` is populated by re-ranking; until
-    then the ranking key is the raw confidence.
-    """
-
-    span_sec: TimeSpan
-    confidence: float
-    source: str
-    t: int
-    k: int
-    source_index: int
-    channel_scores: dict[str, float] = field(default_factory=dict)
-    final_score: float | None = None
-
-    @property
-    def score(self) -> float:
-        return self.confidence if self.final_score is None else self.final_score
 
 
 @dataclass(frozen=True)
@@ -60,8 +38,9 @@ class RerankChannel:
     weight: float = 1.0
 
 
-def _sort_key(p: Proposal):
-    return (-p.score, p.span_sec.start, p.source_index)
+def _rank(spans: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Indices by (-score, start, index): the order every selection step uses."""
+    return np.lexsort((np.arange(len(scores)), spans[:, 0], -scores))
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +81,18 @@ def decode_index_spans(offsets: np.ndarray, anchors: AnchorSet):
     return spans, backward
 
 
-def decode_proposals(output: ModelOutput, anchors: AnchorSet, grid: FrameGrid) -> list[Proposal]:
-    """All K*T anchors decoded to scored seconds-unit proposals."""
+def _index_to_sec(spans: np.ndarray, grid: FrameGrid) -> np.ndarray:
+    """`core.index_to_sec` over an (N, 2) array: the same arithmetic, so the
+    same bits, and the same refusal of non-finite endpoints."""
+    if not np.isfinite(spans).all():
+        raise ValueError("decoded span endpoints must be finite")
+    return np.clip(spans * (grid.duration_sec / grid.num_frames), 0.0, grid.duration_sec)
+
+
+def decode_proposals(output: ModelOutput, anchors: AnchorSet,
+                     grid: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
+    """All K*T anchors decoded to seconds: ((K*T, 2) spans, (K*T,) scores),
+    in t-major / k-minor order."""
     cfg = anchors.config
     T, K = cfg.num_frames, cfg.num_scales
     if output.confidence.shape != (T, K):
@@ -112,22 +101,16 @@ def decode_proposals(output: ModelOutput, anchors: AnchorSet, grid: FrameGrid) -
         raise ValueError(f"grid has {grid.num_frames} frames but anchors expect {T}")
     spans, _ = decode_index_spans(output.offsets, anchors)
     conf = np.asarray(output.confidence, dtype=np.float64).reshape(T * K)
-    proposals = []
-    for i in range(T * K):
-        sec = index_to_sec(TimeSpan(spans[i, 0], spans[i, 1], Units.INDEX), grid)
-        proposals.append(Proposal(
-            span_sec=sec, confidence=float(conf[i]),
-            source="anchor", t=i // K, k=i % K, source_index=i,
-        ))
-    return proposals
+    return _index_to_sec(spans, grid), conf
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def decode_anchor_free(output: ModelOutput, grid: FrameGrid) -> list[Proposal]:
-    """No-manual-anchor variant: one proposal per frame.
+def decode_anchor_free(output: ModelOutput, grid: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
+    """No-manual-anchor variant: one proposal per frame, as ((T, 2) spans in
+    seconds, (T,) scores).
 
     The two raw regression values per frame become nonnegative left/right
     extents via softplus (as fractions of T); the span grows from the frame
@@ -142,17 +125,10 @@ def decode_anchor_free(output: ModelOutput, grid: FrameGrid) -> list[Proposal]:
             f"anchor-free decode expects a single confidence per frame, got {output.confidence.shape}")
     extents = softplus(np.asarray(output.offsets, dtype=np.float64)) * T
     centers = np.arange(T, dtype=np.float64) + 0.5
-    starts = np.clip(centers - extents[:, 0], 0.0, float(T))
-    ends = np.clip(centers + extents[:, 1], 0.0, float(T))
+    spans = np.clip(np.stack([centers - extents[:, 0], centers + extents[:, 1]], axis=1),
+                    0.0, float(T))
     conf = np.asarray(output.confidence, dtype=np.float64).reshape(T)
-    proposals = []
-    for t in range(T):
-        sec = index_to_sec(TimeSpan(starts[t], ends[t], Units.INDEX), grid)
-        proposals.append(Proposal(
-            span_sec=sec, confidence=float(conf[t]),
-            source="anchor_free", t=t, k=0, source_index=t,
-        ))
-    return proposals
+    return _index_to_sec(spans, grid), conf
 
 
 # ---------------------------------------------------------------------------
@@ -160,41 +136,57 @@ def decode_anchor_free(output: ModelOutput, grid: FrameGrid) -> list[Proposal]:
 # ---------------------------------------------------------------------------
 
 
-def nms(proposals: list[Proposal], iou_threshold: float) -> list[Proposal]:
-    """Greedy suppression: walk proposals by descending score and keep one
-    iff its IoU with every kept proposal is <= threshold."""
+def nms(spans: np.ndarray, scores: np.ndarray, iou_threshold: float, k: int) -> np.ndarray:
+    """Greedy suppression, stopped once k proposals are kept: walk proposals
+    in rank order and keep one iff its IoU with every kept proposal is
+    <= threshold.  Greedy never revisits a choice, so the first k kept are
+    exactly full NMS followed by top-k.  Returns kept indices in rank order.
+    """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"NMS threshold must lie in (0, 1], got {iou_threshold}")
-    kept: list[Proposal] = []
-    for p in sorted(proposals, key=_sort_key):
-        if all(iou(p.span_sec, q.span_sec) <= iou_threshold for q in kept):
-            kept.append(p)
-    return kept
-
-
-def top_k(proposals: list[Proposal], k: int) -> list[Proposal]:
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return sorted(proposals, key=_sort_key)[:k]
+    kept: list[int] = []
+    for i in _rank(spans, scores).tolist():
+        if not kept or iou_batch(spans[kept], spans[i, 0], spans[i, 1]).max() <= iou_threshold:
+            kept.append(i)
+            if len(kept) == k:
+                break
+    return np.asarray(kept, dtype=np.intp)
 
 
-def rerank(proposals: list[Proposal], channels: list[RerankChannel]) -> list[Proposal]:
-    """Additive score fusion: final = confidence + sum_c weight_c * score_c.
+def top_k(spans: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k best proposals, in rank order."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return _rank(spans, scores)[:k]
 
-    Proposals are re-sorted by the fused score, stably, so all-tie channels
-    leave the order unchanged.  Channel scores are recorded on each proposal.
+
+def select_proposals(spans: np.ndarray, scores: np.ndarray, k: int, nms_iou: float) -> np.ndarray:
+    """Indices of the ranked top-k after NMS; nms_iou = 0 means no suppression."""
+    keep = nms(spans, scores, nms_iou, k) if nms_iou > 0 else np.arange(len(scores))
+    return keep[top_k(spans[keep], scores[keep], k)]
+
+
+def rerank(scores: list[float], channels: list[RerankChannel]) -> tuple[list[int], list[float]]:
+    """Additive score fusion: final = score + sum_c weight_c * score_c.
+
+    Returns the new rank order (positions into `scores`) and the fused
+    scores in that order.  The sort is stable, so all-tie channels leave the
+    order unchanged.
     """
     for ch in channels:
-        if len(ch.scores) != len(proposals):
+        if len(ch.scores) != len(scores):
             raise ChannelAlignmentError(
-                f"channel {ch.name!r} has {len(ch.scores)} scores for {len(proposals)} proposals")
-    for i, p in enumerate(proposals):
-        final = p.confidence
+                f"channel {ch.name!r} has {len(ch.scores)} scores for {len(scores)} proposals")
+    fused = []
+    for i, score in enumerate(scores):
+        final = float(score)
         for ch in channels:
-            p.channel_scores[ch.name] = float(ch.scores[i])
             final += ch.weight * float(ch.scores[i])
-        p.final_score = final
-    return sorted(proposals, key=lambda p: -p.score)  # sorted() is stable
+        fused.append(final)
+    order = sorted(range(len(fused)), key=lambda i: -fused[i])
+    return order, [fused[i] for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +202,12 @@ def predict_dataset(
     nms_iou: float = 0.5,
     mode: str = "anchor",
     batch_size: int = 32,
-) -> list[tuple[str, str, list[Proposal]]]:
+) -> list[tuple[str, str, np.ndarray, np.ndarray]]:
     """Ranked top-k proposals for every query in a dataset (eval mode).
 
     nms_iou = 0 is the sentinel for "no suppression".  Returns
-    (query_id, video_id, proposals) in annotation order.
+    (query_id, video_id, spans (k, 2) in seconds, scores (k,)) in
+    annotation order.
     """
     from .data import make_batches  # local import; data is I/O-layer, no cycle
 
@@ -233,14 +226,12 @@ def predict_dataset(
         for j, qid in enumerate(batch.query_ids):
             out = ModelOutput(confidence=conf[j], offsets=offs[j], fused=fused[j])
             if mode == "anchor":
-                proposals = decode_proposals(out, anchor_set, batch.grids[j])
+                spans, scores = decode_proposals(out, anchor_set, batch.grids[j])
             else:
-                proposals = decode_anchor_free(out, batch.grids[j])
-            if nms_iou > 0:
-                proposals = nms(proposals, nms_iou)
-            results[qid] = (batch.video_ids[j], top_k(proposals, topk))
-    return [(qid, results[qid][0], results[qid][1])
-            for qid in (a.query_id for a in dataset.annotations)]
+                spans, scores = decode_anchor_free(out, batch.grids[j])
+            keep = select_proposals(spans, scores, topk, nms_iou)
+            results[qid] = (batch.video_ids[j], spans[keep], scores[keep])
+    return [(qid, *results[qid]) for qid in (a.query_id for a in dataset.annotations)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +239,18 @@ def predict_dataset(
 # ---------------------------------------------------------------------------
 
 
-def write_predictions(path, records: list[tuple[str, str, list[Proposal]]]) -> None:
-    """JSON-lines, one object per query, proposals in rank order."""
+def json_record(query_id: str, video_id: str, spans: np.ndarray, scores: np.ndarray) -> dict:
+    """One predictions-file object; `.tolist()` keeps each float's exact repr."""
+    return {"query_id": query_id, "video_id": video_id,
+            "proposals": [{"start_sec": s, "end_sec": e, "score": c}
+                          for (s, e), c in zip(spans.tolist(), scores.tolist())]}
+
+
+def write_predictions(path, records: list[dict]) -> None:
+    """JSON-lines, one `json_record`-shaped object per query."""
     with open(path, "w", encoding="utf-8") as f:
-        for query_id, video_id, proposals in records:
-            f.write(json.dumps({
-                "query_id": query_id,
-                "video_id": video_id,
-                "proposals": [
-                    {"start_sec": p.span_sec.start, "end_sec": p.span_sec.end, "score": p.score}
-                    for p in proposals
-                ],
-            }) + "\n")
+        for rec in records:
+            f.write(json.dumps(rec) + "\n")
 
 
 def read_predictions(path) -> list[dict]:

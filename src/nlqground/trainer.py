@@ -23,7 +23,7 @@ from .anchors import AnchorConfig, AnchorSet, build_lattice, label_anchors
 from .core import TimeSpan, Units
 from .data import Batch, Dataset, make_batches
 from .evaluation import MetricReport, evaluate
-from .inference import decode_index_spans, predict_dataset
+from .inference import decode_index_spans, json_record, predict_dataset
 from .nn import EncoderConfig, GroundingModel, init_model, save_checkpoint
 
 
@@ -190,13 +190,7 @@ class TrainResult:
 def _evaluate_split(model, dataset, anchor_config, topk, nms_iou, batch_size) -> MetricReport:
     records = predict_dataset(
         model, dataset, anchor_config, topk=topk, nms_iou=nms_iou, batch_size=batch_size)
-    predictions = [
-        {"query_id": qid, "video_id": vid,
-         "proposals": [{"start_sec": p.span_sec.start, "end_sec": p.span_sec.end, "score": p.score}
-                       for p in props]}
-        for qid, vid, props in records
-    ]
-    return evaluate(predictions, dataset.annotations)
+    return evaluate([json_record(*r) for r in records], dataset.annotations)
 
 
 def train(

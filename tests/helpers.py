@@ -1,8 +1,9 @@
-"""Shared fixtures for the encoder gradient checks."""
+"""Shared fixtures for the encoder gradient checks, and scalar oracles for
+the array-native proposal path."""
 
 import numpy as np
 
-from nlqground.core import FrameGrid
+from nlqground.core import FrameGrid, TimeSpan, Units, index_to_sec, iou
 from nlqground.data import Batch
 from nlqground.trainer import batch_loss_and_grads
 
@@ -29,3 +30,27 @@ def tiny_training_batch(T=8, L=4, seed=9):
         query_ids=["a", "b"],
         video_ids=["va", "vb"],
     )
+
+
+def brute_force_decode(index_spans, grid):
+    """Index-unit spans mapped to seconds one validated TimeSpan at a time,
+    as (start, end) pairs."""
+    secs = [index_to_sec(TimeSpan(s, e, Units.INDEX), grid) for s, e in index_spans]
+    return [(t.start, t.end) for t in secs]
+
+
+def brute_force_selection(spans, scores, k, nms_iou):
+    """The object path's selection rule from scalars: sort every proposal by
+    (-score, start, index), run greedy NMS with scalar `core.iou` over the
+    full list (none when nms_iou is 0), then take the first k.  Returns the
+    selected indices."""
+    props = [(TimeSpan(float(s), float(e)), float(c), i)
+             for i, ((s, e), c) in enumerate(zip(spans, scores))]
+    ranked = sorted(props, key=lambda p: (-p[1], p[0].start, p[2]))
+    if nms_iou > 0:
+        kept = []
+        for p in ranked:
+            if all(iou(p[0], q[0]) <= nms_iou for q in kept):
+                kept.append(p)
+        ranked = kept
+    return [p[2] for p in ranked[:k]]

@@ -186,12 +186,13 @@ def e2e(tmp_path_factory):
 def _evaluate_records(records, annotations):
     predictions = [
         {"query_id": qid, "video_id": vid,
-         "proposals": [{"start_sec": p.span_sec.start, "end_sec": p.span_sec.end,
-                        "score": p.score} for p in props]}
-        for qid, vid, props in records
+         "proposals": [{"start_sec": start, "end_sec": end, "score": score}
+                       for start, end, score in zip(spans[:, 0], spans[:, 1], scores)]}
+        for qid, vid, spans, scores in records
     ]
     return evaluate(predictions, annotations)
 
+@pytest.mark.slow
 def test_criterion_6_end_to_end_learning(e2e):
     rep = _evaluate_records(e2e["records"], e2e["val"].annotations)
     r1 = rep.recalls[(1, 0.5)]
@@ -201,17 +202,20 @@ def test_criterion_6_end_to_end_learning(e2e):
                   f"(>= 0.90), trained in {e2e['elapsed']:.0f}s (< 900s)")
 
 
+@pytest.mark.slow
 def test_criterion_7_rerank_with_iou_channel(e2e):
     baseline = _evaluate_records(e2e["records"], e2e["val"].annotations)
     gt_by_query = {a.query_id: TimeSpan(a.start_sec, a.end_sec)
                    for a in e2e["val"].annotations}
     reranked_records = []
-    for qid, vid, props in e2e["records"]:
+    for qid, vid, spans, scores in e2e["records"]:
         channel = RerankChannel(
             name="true_iou",
-            scores=[iou(p.span_sec, gt_by_query[qid]) for p in props],
+            scores=[iou(TimeSpan(start, end), gt_by_query[qid])
+                    for start, end in zip(spans[:, 0], spans[:, 1])],
             weight=1.0)
-        reranked_records.append((qid, vid, rerank(list(props), [channel])))
+        order, fused = rerank(scores.tolist(), [channel])
+        reranked_records.append((qid, vid, spans[order], np.array(fused)))
     fused = _evaluate_records(reranked_records, e2e["val"].annotations)
     ok = (fused.recalls[(1, 0.3)] >= baseline.recalls[(1, 0.3)]
           and fused.recalls[(1, 0.5)] >= baseline.recalls[(1, 0.5)])

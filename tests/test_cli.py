@@ -3,8 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from nlqground.anchors import AnchorConfig, build_lattice
 from nlqground.cli import run
-from nlqground.data import read_annotations
+from nlqground.data import load_dataset, make_batches, read_annotations
+from nlqground.inference import decode_index_spans, decode_proposals, select_proposals
+from nlqground.nn import load_checkpoint
+from nlqground.nn.model import ModelOutput
+from helpers import brute_force_decode, brute_force_selection
 
 
 def files_snapshot(root: Path) -> dict[str, bytes]:
@@ -72,6 +77,13 @@ class TestTrainCommand:
                     "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_no_val_message(self, pipeline, tmp_path, capsys):
+        assert run(["train", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")]) == 0
+        out = capsys.readouterr().out
+        assert "no validation split given" in out
+        assert "-inf" not in out
+
     def test_missing_data_dir_rejected(self, pipeline, tmp_path):
         code = run(["train", "--config", str(pipeline["cfg"]),
                     "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -120,6 +132,34 @@ class TestPredictCommand:
                     "--data", str(pipeline["data"]), "--out", str(tmp_path / "p.jsonl"),
                     "--frames", "20", "--scales", "0.15,0.4", "--mode", "anchor_free"])
         assert code == 1
+
+
+class TestSelectionIdentity:
+    def test_trained_model_matches_object_path(self, pipeline):
+        """Decode and selection of the trained model pick the same proposals,
+        bitwise, as the scalar TimeSpan / core.iou path; so does the file
+        `predict` wrote."""
+        model = load_checkpoint(pipeline["out"] / "checkpoint_best.nlqc")
+        anchors = build_lattice(AnchorConfig(scales=(0.15, 0.4), num_frames=20))
+        written = {r["query_id"]: r for r in map(json.loads, pipeline["preds"].read_text().splitlines())}
+        checked = 0
+        for batch in make_batches(load_dataset(pipeline["data"]), 32, 20, shuffle_seed=0, shuffle=False):
+            conf, offs, fused, _ = model.forward_batch(
+                batch.video, batch.video_mask, batch.text, batch.text_mask, train=False)
+            for j, qid in enumerate(batch.query_ids):
+                out = ModelOutput(confidence=conf[j], offsets=offs[j], fused=fused[j])
+                spans, scores = decode_proposals(out, anchors, batch.grids[j])
+                expect_spans = brute_force_decode(decode_index_spans(offs[j], anchors)[0], batch.grids[j])
+                assert spans.tolist() == [list(p) for p in expect_spans]
+                for k, nms_iou in ((5, 0.5), (5, 0.0), (len(scores) + 3, 0.5), (1, 0.3)):
+                    expect = brute_force_selection(expect_spans, scores.tolist(), k, nms_iou)
+                    assert select_proposals(spans, scores, k, nms_iou).tolist() == expect
+                expect = brute_force_selection(expect_spans, scores.tolist(), 5, 0.5)
+                assert written[qid]["proposals"] == [
+                    {"start_sec": expect_spans[i][0], "end_sec": expect_spans[i][1],
+                     "score": float(scores[i])} for i in expect]
+                checked += 1
+        assert checked == len(written) > 0
 
 
 class TestEvalCommand:
@@ -175,6 +215,34 @@ class TestRerankCommand:
         for b, a in zip(before, after):
             assert [p["start_sec"] for p in b["proposals"]] == \
                    [p["start_sec"] for p in a["proposals"]]
+
+    def _rerank_one(self, tmp_path, proposals):
+        preds = tmp_path / "bad.jsonl"
+        preds.write_text(json.dumps({"query_id": "q7", "video_id": "v", "proposals": proposals}) + "\n")
+        channel = tmp_path / "chan.jsonl"
+        channel.write_text(json.dumps({"query_id": "q7", "channel": "c",
+                                       "scores": [0.0] * len(proposals)}) + "\n")
+        return run(["rerank", "--preds", str(preds), "--channel", str(channel),
+                    "--out", str(tmp_path / "o.jsonl")])
+
+    def test_missing_score_names_query_rank_and_key(self, tmp_path, capsys):
+        code = self._rerank_one(tmp_path, [{"start_sec": 0.0, "end_sec": 1.0, "score": 0.5},
+                                           {"start_sec": 1.0, "end_sec": 2.0}])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'q7'" in err and "rank 2" in err and "'score'" in err
+
+    def test_inverted_span_names_query_rank_and_key(self, tmp_path, capsys):
+        code = self._rerank_one(tmp_path, [{"start_sec": 5.0, "end_sec": 3.0, "score": 0.5}])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'q7'" in err and "rank 1" in err and "'start_sec'" in err
+
+    def test_non_finite_endpoint_rejected(self, tmp_path, capsys):
+        code = self._rerank_one(tmp_path, [{"start_sec": 0.0, "end_sec": float("inf"), "score": 0.5}])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'q7'" in err and "rank 1" in err and "'end_sec'" in err
 
     def test_missing_channel_file(self, pipeline, tmp_path):
         code = run(["rerank", "--preds", str(pipeline["preds"]),

@@ -6,23 +6,26 @@ from nlqground.anchors import AnchorConfig, build_lattice
 from nlqground.core import FrameGrid, TimeSpan, iou
 from nlqground.inference import (
     ChannelAlignmentError,
-    Proposal,
     RerankChannel,
     decode_anchor_free,
     decode_index_spans,
     decode_proposals,
+    json_record,
     nms,
     read_predictions,
     rerank,
+    select_proposals,
     top_k,
     write_predictions,
 )
 from nlqground.nn.model import ModelOutput
+from helpers import brute_force_decode, brute_force_selection
 
 
-def prop(start, end, conf, idx=0):
-    return Proposal(span_sec=TimeSpan(start, end), confidence=conf,
-                    source="anchor", t=idx, k=0, source_index=idx)
+def props(*rows):
+    """(start, end, conf) rows as (spans (N, 2), scores (N,)) arrays."""
+    arr = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    return arr[:, :2], arr[:, 2]
 
 
 class TestDecode:
@@ -35,12 +38,12 @@ class TestDecode:
         return ModelOutput(confidence=conf, offsets=offsets, fused=None)
 
     def test_zero_offsets_reproduce_anchors(self):
-        proposals = decode_proposals(self._output(np.zeros((10, 2))), self.aset, self.grid)
-        assert len(proposals) == 10
-        for i, p in enumerate(proposals):
+        spans, _ = decode_proposals(self._output(np.zeros((10, 2))), self.aset, self.grid)
+        assert len(spans) == 10
+        for i in range(10):
             # duration == T so seconds equal index units here
-            assert p.span_sec.start == pytest.approx(self.aset.spans[i, 0])
-            assert p.span_sec.end == pytest.approx(self.aset.spans[i, 1])
+            assert spans[i, 0] == pytest.approx(self.aset.spans[i, 0])
+            assert spans[i, 1] == pytest.approx(self.aset.spans[i, 1])
 
     def test_window_scaled_offsets(self):
         # anchor (t=4) is [4-1+0.5, ...] => [3.5, 5.5], w=2; shift by (-0.5, +0.5)*w
@@ -75,9 +78,24 @@ class TestDecode:
     def test_decoded_spans_inside_video(self):
         rng = np.random.default_rng(0)
         offsets = rng.normal(scale=3.0, size=(10, 2))
-        proposals = decode_proposals(self._output(offsets), self.aset, self.grid)
-        for p in proposals:
-            assert 0.0 <= p.span_sec.start <= p.span_sec.end <= 10.0
+        spans, _ = decode_proposals(self._output(offsets), self.aset, self.grid)
+        for start, end in spans:
+            assert 0.0 <= start <= end <= 10.0
+
+    def test_seconds_bitwise_equal_to_scalar_map(self):
+        aset = build_lattice(AnchorConfig(scales=(0.2, 0.5), num_frames=10))
+        grid = FrameGrid(num_frames=10, duration_sec=37.3)
+        offsets = np.random.default_rng(5).normal(scale=2.0, size=(10, 4))
+        out = ModelOutput(confidence=np.full((10, 2), 0.5), offsets=offsets, fused=None)
+        spans, _ = decode_proposals(out, aset, grid)
+        index_spans, _ = decode_index_spans(offsets, aset)
+        assert spans.tolist() == [list(p) for p in brute_force_decode(index_spans, grid)]
+
+    def test_non_finite_offsets_rejected(self):
+        offsets = np.zeros((10, 2))
+        offsets[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            decode_proposals(self._output(offsets), self.aset, self.grid)
 
     def test_backward_routes_through_swap_and_clamp(self):
         aset = build_lattice(AnchorConfig(scales=(0.25,), num_frames=8))
@@ -126,148 +144,166 @@ class TestAnchorFree:
         offsets = np.full((100, 2), -40.0)
         offsets[5] = [self._raw(0.02), self._raw(0.03)]
         out = ModelOutput(confidence=np.full((100, 1), 0.5), offsets=offsets, fused=None)
-        proposals = decode_anchor_free(out, self.grid)
-        assert proposals[5].span_sec.start == pytest.approx(3.5, abs=1e-6)
-        assert proposals[5].span_sec.end == pytest.approx(8.5, abs=1e-6)
+        spans, _ = decode_anchor_free(out, self.grid)
+        assert spans[5, 0] == pytest.approx(3.5, abs=1e-6)
+        assert spans[5, 1] == pytest.approx(8.5, abs=1e-6)
 
     def test_zero_extents_degenerate_at_center(self):
         offsets = np.full((100, 2), -40.0)  # softplus(-40) ~ 4e-18
         out = ModelOutput(confidence=np.full((100, 1), 0.5), offsets=offsets, fused=None)
-        proposals = decode_anchor_free(out, self.grid)
-        assert proposals[7].span_sec.start == pytest.approx(7.5, abs=1e-9)
-        assert proposals[7].span_sec.end == pytest.approx(7.5, abs=1e-9)
+        spans, _ = decode_anchor_free(out, self.grid)
+        assert spans[7, 0] == pytest.approx(7.5, abs=1e-9)
+        assert spans[7, 1] == pytest.approx(7.5, abs=1e-9)
 
     def test_output_length_is_t(self):
         out = ModelOutput(confidence=np.full((100, 1), 0.5),
                           offsets=np.zeros((100, 2)), fused=None)
-        assert len(decode_anchor_free(out, self.grid)) == 100
+        spans, scores = decode_anchor_free(out, self.grid)
+        assert len(spans) == len(scores) == 100
 
     def test_extents_are_nonnegative(self):
         rng = np.random.default_rng(1)
         out = ModelOutput(confidence=np.full((100, 1), 0.5),
                           offsets=rng.normal(scale=5, size=(100, 2)), fused=None)
-        for p in decode_anchor_free(out, self.grid):
-            assert 0.0 <= p.span_sec.start <= p.span_sec.end <= 100.0
+        spans, _ = decode_anchor_free(out, self.grid)
+        for start, end in spans:
+            assert 0.0 <= start <= end <= 100.0
 
 
 class TestNms:
     def test_hand_example(self):
-        proposals = [prop(0, 10, 0.9, 0), prop(1, 11, 0.8, 1), prop(20, 30, 0.7, 2)]
-        kept = nms(proposals, 0.5)
-        assert [(p.span_sec.start, p.span_sec.end) for p in kept] == [(0, 10), (20, 30)]
+        spans, scores = props((0, 10, 0.9), (1, 11, 0.8), (20, 30, 0.7))
+        kept = nms(spans, scores, 0.5, 3)
+        assert [tuple(spans[i]) for i in kept] == [(0, 10), (20, 30)]
 
     def test_disjoint_all_kept(self):
-        proposals = [prop(i * 10, i * 10 + 5, 0.5 + i * 0.01, i) for i in range(5)]
-        assert len(nms(proposals, 0.3)) == 5
+        spans, scores = props(*[(i * 10, i * 10 + 5, 0.5 + i * 0.01) for i in range(5)])
+        assert len(nms(spans, scores, 0.3, 5)) == 5
 
     def test_threshold_one_keeps_everything(self):
-        proposals = [prop(0, 10, 0.9, 0), prop(0, 10, 0.8, 1), prop(1, 9, 0.7, 2)]
-        assert len(nms(proposals, 1.0)) == 3
+        spans, scores = props((0, 10, 0.9), (0, 10, 0.8), (1, 9, 0.7))
+        assert len(nms(spans, scores, 1.0, 3)) == 3
 
     def test_kept_in_confidence_order(self):
         rng = np.random.default_rng(0)
-        proposals = [prop(float(s), float(s + w), float(c), i)
-                     for i, (s, w, c) in enumerate(zip(
-                         rng.uniform(0, 80, 30), rng.uniform(1, 20, 30), rng.uniform(0, 1, 30)))]
-        kept = nms(proposals, 0.5)
-        confs = [p.confidence for p in kept]
+        spans, scores = props(*zip(rng.uniform(0, 80, 30), rng.uniform(1, 20, 30), rng.uniform(0, 1, 30)))
+        spans[:, 1] += spans[:, 0]
+        kept = nms(spans, scores, 0.5, 30)
+        confs = scores[kept].tolist()
         assert confs == sorted(confs, reverse=True)
 
     def test_no_kept_pair_exceeds_threshold(self):
         rng = np.random.default_rng(1)
-        proposals = [prop(float(s), float(s + w), float(c), i)
-                     for i, (s, w, c) in enumerate(zip(
-                         rng.uniform(0, 50, 40), rng.uniform(1, 30, 40), rng.uniform(0, 1, 40)))]
-        kept = nms(proposals, 0.4)
+        spans, scores = props(*zip(rng.uniform(0, 50, 40), rng.uniform(1, 30, 40), rng.uniform(0, 1, 40)))
+        spans[:, 1] += spans[:, 0]
+        kept = nms(spans, scores, 0.4, 40)
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
-                assert iou(a.span_sec, b.span_sec) <= 0.4
+                assert iou(TimeSpan(*spans[a]), TimeSpan(*spans[b])) <= 0.4
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
-            nms([], 0.0)
+            nms(np.empty((0, 2)), np.empty(0), 0.0, 5)
 
     @given(st.lists(
         st.tuples(st.floats(0, 50), st.floats(0.5, 20), st.floats(0, 1)),
         min_size=0, max_size=20))
     @settings(max_examples=60)
     def test_matches_brute_force_greedy(self, raw):
-        proposals = [prop(s, s + w, c, i) for i, (s, w, c) in enumerate(raw)]
-        kept = nms(proposals, 0.5)
+        spans, scores = props(*[(s, s + w, c) for s, w, c in raw])
+        kept = nms(spans, scores, 0.5, max(1, len(raw)))
         # independent re-derivation: sort, then scan keeping non-conflicting
-        order = sorted(proposals, key=lambda p: (-p.confidence, p.span_sec.start, p.source_index))
+        proposals = [(TimeSpan(s, s + w), c, i) for i, (s, w, c) in enumerate(raw)]
+        order = sorted(proposals, key=lambda p: (-p[1], p[0].start, p[2]))
         expect = []
         for p in order:
-            if all(iou(p.span_sec, q.span_sec) <= 0.5 for q in expect):
+            if all(iou(p[0], q[0]) <= 0.5 for q in expect):
                 expect.append(p)
-        assert [p.source_index for p in kept] == [p.source_index for p in expect]
+        assert kept.tolist() == [p[2] for p in expect]
+
+    @given(st.lists(st.tuples(st.floats(0, 50), st.floats(0.5, 20), st.floats(0, 1)),
+                    min_size=1, max_size=20),
+           st.integers(1, 6))
+    @settings(max_examples=60)
+    def test_early_stop_is_prefix_of_full_nms(self, raw, k):
+        spans, scores = props(*[(s, s + w, c) for s, w, c in raw])
+        full = nms(spans, scores, 0.5, len(raw))
+        assert nms(spans, scores, 0.5, k).tolist() == full[:k].tolist()
+
+
+# Few distinct values force ties in score and in start, and zero widths give
+# zero-length spans; k reaches past N.
+_TIED = st.tuples(st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 20),
+                  st.sampled_from([0.0, 1.5]) | st.floats(0, 8),
+                  st.sampled_from([0.2, 0.7]) | st.floats(0, 1))
+
+
+class TestSelectionIdentity:
+    @given(st.lists(_TIED, max_size=25), st.integers(1, 30),
+           st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    @settings(max_examples=200)
+    def test_matches_object_path(self, raw, k, nms_iou):
+        spans, scores = props(*[(s, s + w, c) for s, w, c in raw])
+        picked = select_proposals(spans, scores, k, nms_iou)
+        assert picked.tolist() == brute_force_selection(spans.tolist(), scores.tolist(), k, nms_iou)
 
 
 class TestTopK:
     def test_exactly_k_sorted(self):
         rng = np.random.default_rng(0)
-        proposals = [prop(float(i), float(i + 1), float(c), i)
-                     for i, c in enumerate(rng.uniform(0, 1, 1200))]
-        out = top_k(proposals, 5)
+        spans, scores = props(*[(i, i + 1, c) for i, c in enumerate(rng.uniform(0, 1, 1200))])
+        out = top_k(spans, scores, 5)
         assert len(out) == 5
-        assert [p.confidence for p in out] == sorted((p.confidence for p in proposals), reverse=True)[:5]
+        assert scores[out].tolist() == sorted(scores.tolist(), reverse=True)[:5]
 
     def test_short_input_returned_whole(self):
-        proposals = [prop(0, 1, 0.5, 0)]
-        assert len(top_k(proposals, 5)) == 1
+        spans, scores = props((0, 1, 0.5))
+        assert len(top_k(spans, scores, 5)) == 1
 
     def test_ordering(self):
-        proposals = [prop(0, 1, 0.3, 0), prop(1, 2, 0.9, 1), prop(2, 3, 0.5, 2)]
-        assert [p.confidence for p in top_k(proposals, 2)] == [0.9, 0.5]
+        spans, scores = props((0, 1, 0.3), (1, 2, 0.9), (2, 3, 0.5))
+        assert scores[top_k(spans, scores, 2)].tolist() == [0.9, 0.5]
 
 
 class TestRerank:
     def test_empty_channels_identity(self):
-        proposals = [prop(0, 1, 0.9, 0), prop(1, 2, 0.8, 1)]
-        out = rerank(proposals, [])
-        assert [p.source_index for p in out] == [0, 1]
+        order, _ = rerank([0.9, 0.8], [])
+        assert order == [0, 1]
 
     def test_additive_fusion_swaps_order(self):
-        proposals = [prop(0, 1, 0.5, 0), prop(1, 2, 0.4, 1)]
-        out = rerank(proposals, [RerankChannel("sim", [0.0, 0.3], weight=1.0)])
-        assert [p.source_index for p in out] == [1, 0]
-        assert out[0].score == pytest.approx(0.7)
-        assert out[0].channel_scores == {"sim": 0.3}
+        order, fused = rerank([0.5, 0.4], [RerankChannel("sim", [0.0, 0.3], weight=1.0)])
+        assert order == [1, 0]
+        assert fused[0] == pytest.approx(0.7)
 
     def test_all_tie_preserves_order(self):
-        proposals = [prop(0, 1, 0.5, 0), prop(1, 2, 0.4, 1), prop(2, 3, 0.3, 2)]
         channel = RerankChannel("neg", [-0.5, -0.4, -0.3], weight=1.0)
-        out = rerank(proposals, [channel])
-        assert [p.source_index for p in out] == [0, 1, 2]
-        assert all(p.score == pytest.approx(0.0) for p in out)
+        order, fused = rerank([0.5, 0.4, 0.3], [channel])
+        assert order == [0, 1, 2]
+        assert all(f == pytest.approx(0.0) for f in fused)
 
     def test_constant_shift_leaves_ordering(self):
         rng = np.random.default_rng(2)
         confs = rng.uniform(0, 1, 10)
         scores = rng.uniform(-1, 1, 10)
-        base = [prop(float(i), float(i + 1), float(c), i) for i, c in enumerate(confs)]
-        shifted = [prop(float(i), float(i + 1), float(c), i) for i, c in enumerate(confs)]
-        a = rerank(base, [RerankChannel("c", list(scores))])
-        b = rerank(shifted, [RerankChannel("c", list(scores + 42.0))])
-        assert [p.source_index for p in a] == [p.source_index for p in b]
+        a, _ = rerank(confs.tolist(), [RerankChannel("c", list(scores))])
+        b, _ = rerank(confs.tolist(), [RerankChannel("c", list(scores + 42.0))])
+        assert a == b
 
     def test_weighted_channels(self):
-        proposals = [prop(0, 1, 0.5, 0)]
-        out = rerank(proposals, [RerankChannel("a", [1.0], weight=0.25),
-                                 RerankChannel("b", [2.0], weight=0.5)])
-        assert out[0].score == pytest.approx(0.5 + 0.25 + 1.0)
+        _, fused = rerank([0.5], [RerankChannel("a", [1.0], weight=0.25),
+                                  RerankChannel("b", [2.0], weight=0.5)])
+        assert fused[0] == pytest.approx(0.5 + 0.25 + 1.0)
 
     def test_misaligned_channel_names_offender(self):
-        proposals = [prop(0, 1, 0.5, 0), prop(1, 2, 0.4, 1)]
         with pytest.raises(ChannelAlignmentError, match="short"):
-            rerank(proposals, [RerankChannel("short", [0.1])])
+            rerank([0.5, 0.4], [RerankChannel("short", [0.1])])
 
 
 class TestPredictionsFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "p.jsonl"
-        records = [("q1", "v1", [prop(0, 1, 0.9, 0), prop(2, 3, 0.8, 1)]),
-                   ("q2", "v2", [prop(5, 6, 0.7, 0)])]
+        records = [json_record("q1", "v1", *props((0, 1, 0.9), (2, 3, 0.8))),
+                   json_record("q2", "v2", *props((5, 6, 0.7)))]
         write_predictions(path, records)
         back = read_predictions(path)
         assert [r["query_id"] for r in back] == ["q1", "q2"]
@@ -275,7 +311,7 @@ class TestPredictionsFile:
 
     def test_rank_order_preserved(self, tmp_path):
         path = tmp_path / "p.jsonl"
-        write_predictions(path, [("q", "v", [prop(0, 1, 0.9, 0), prop(2, 3, 0.5, 1)])])
+        write_predictions(path, [json_record("q", "v", *props((0, 1, 0.9), (2, 3, 0.5)))])
         back = read_predictions(path)
         scores = [p["score"] for p in back[0]["proposals"]]
         assert scores == sorted(scores, reverse=True)
