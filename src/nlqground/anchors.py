@@ -56,12 +56,6 @@ class AnchorSet:
     def __len__(self) -> int:
         return self.spans.shape[0]
 
-    def span(self, i: int) -> TimeSpan:
-        return TimeSpan(float(self.spans[i, 0]), float(self.spans[i, 1]), Units.INDEX)
-
-    def flat_index(self, t: int, k: int) -> int:
-        return t * self.config.num_scales + k
-
 
 @dataclass(frozen=True)
 class AnchorLabels:

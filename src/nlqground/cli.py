@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .data import (
 from .evaluation import evaluate, report_to_json
 from .inference import (
     RerankChannel,
+    _checked_proposal,
     json_record,
     predict_dataset,
     read_channel_file,
@@ -59,11 +59,6 @@ class _Parser(argparse.ArgumentParser):
 class InferenceOptions:
     top_k: int = 5
     nms_iou: float = 0.5
-    prediction_mode: str = "anchor"
-
-    def __post_init__(self):
-        if self.prediction_mode not in ("anchor", "anchor_free"):
-            raise ValueError(f"prediction_mode must be anchor|anchor_free, got {self.prediction_mode!r}")
 
 
 _SECTIONS = {
@@ -183,12 +178,11 @@ def _cmd_predict(args) -> int:
     target_t = args.frames
     anchor_config = AnchorConfig(scales=tuple(_parse_floats(args.scales, "--scales")),
                                  num_frames=target_t)
-    if args.mode == "anchor" and len(anchor_config.scales) != model.config.num_scales:
+    if len(anchor_config.scales) != model.config.num_scales:
         raise CliError(
             f"--scales gives {len(anchor_config.scales)} scales but the checkpoint "
             f"predicts {model.config.num_scales}")
-    records = predict_dataset(model, dataset, anchor_config, topk=args.topk,
-                              nms_iou=args.nms_iou, mode=args.mode)
+    records = predict_dataset(model, dataset, anchor_config, topk=args.topk, nms_iou=args.nms_iou)
     write_predictions(args.out, [json_record(*r) for r in records])
     print(f"wrote predictions for {len(records)} queries to {args.out}")
     return 0
@@ -223,20 +217,6 @@ def _cmd_rerank(args) -> int:
     write_predictions(args.out, out_records)
     print(f"reranked {len(out_records)} queries into {args.out}")
     return 0
-
-
-def _checked_proposal(query_id, rank: int, proposal) -> list:
-    """[start_sec, end_sec, score] of a predictions-file proposal: finite
-    numbers with 0 <= start_sec <= end_sec."""
-    keys = ("start_sec", "end_sec", "score")
-    values = [proposal.get(key) if isinstance(proposal, dict) else None for key in keys]
-    for key, v in zip(keys, values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise CliError(f"query {query_id!r} rank {rank}: {key!r} is missing or not a finite number")
-    if not 0 <= values[0] <= values[1]:
-        raise CliError(f"query {query_id!r} rank {rank}: span {values[:2]} "
-                       "breaks 0 <= 'start_sec' <= 'end_sec'")
-    return values
 
 
 def _cmd_eval(args) -> int:
@@ -309,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output predictions JSONL")
     p.add_argument("--topk", type=int, default=5)
     p.add_argument("--nms-iou", type=float, default=0.5, help="NMS IoU threshold; 0 disables NMS")
-    p.add_argument("--mode", choices=("anchor", "anchor_free"), default="anchor")
     p.add_argument("--frames", type=int, default=600, help="sampled frame count T")
     p.add_argument("--scales", default="0.01,0.03", help="anchor scales (proportions of T)")
     p.set_defaults(fn=_cmd_predict)

@@ -130,22 +130,3 @@ def index_to_sec(span: TimeSpan, grid: FrameGrid) -> TimeSpan:
     lo = min(max(span.start * scale, 0.0), grid.duration_sec)
     hi = min(max(span.end * scale, 0.0), grid.duration_sec)
     return TimeSpan(lo, hi, Units.SECONDS)
-
-
-def clamp_span(span: TimeSpan | tuple[float, float], lo: float, hi: float,
-               units: Units = Units.INDEX) -> TimeSpan:
-    """Clamp both endpoints into [lo, hi]; ordering is preserved.
-
-    Accepts a raw (start, end) pair as well as a TimeSpan, because unclipped
-    anchor windows legitimately stick out below zero before clamping and a
-    validated TimeSpan cannot hold them.
-    """
-    if lo > hi:
-        raise ValueError(f"clamp range inverted: lo {lo} > hi {hi}")
-    if isinstance(span, TimeSpan):
-        start, end, units = span.start, span.end, span.units
-    else:
-        start, end = span
-    s = min(max(start, lo), hi)
-    e = min(max(end, lo), hi)
-    return TimeSpan(s, e, units)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -341,15 +341,13 @@ def load_dataset(data_dir) -> Dataset:
 
 @dataclass
 class Batch:
-    video: np.ndarray  # (B, T, Dv) float32
-    video_mask: np.ndarray  # (B, T) bool, all true by construction
+    video: np.ndarray  # (B, T, Dv) float32, every frame valid
     text: np.ndarray  # (B, Lmax, Dt) float32, zero-padded
     text_mask: np.ndarray  # (B, Lmax) bool
     gt_index: np.ndarray  # (B, 2) float64, index units
     grids: list[FrameGrid]
     query_ids: list[str]
     video_ids: list[str]
-    annotations: list[QueryAnnotation] = field(default_factory=list)
 
 
 def make_batches(dataset: Dataset, batch_size: int, target_t: int,
@@ -393,9 +391,7 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
             gt_index[j] = (span.start, span.end)
             grids.append(grid)
         yield Batch(
-            video=video, video_mask=np.ones((b, target_t), dtype=bool),
-            text=text, text_mask=text_mask, gt_index=gt_index, grids=grids,
+            video=video, text=text, text_mask=text_mask, gt_index=gt_index, grids=grids,
             query_ids=[a.query_id for a in chunk],
             video_ids=[a.video_id for a in chunk],
-            annotations=chunk,
         )

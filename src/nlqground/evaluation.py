@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .core import TimeSpan, iou
 from .data import QueryAnnotation
+from .inference import _checked_proposal
 
 DEFAULT_RANKS = (1, 5)
 DEFAULT_THRESHOLDS = (0.3, 0.5)
@@ -67,7 +68,8 @@ def evaluate(
 
     Every annotated query must appear in the predictions; missing queries
     count as misses with a warning unless `strict`, in which case they are
-    an error.  Duplicate query ids in the predictions are always an error.
+    an error.  Duplicate query ids in the predictions are always an error,
+    and so is a malformed proposal, named by query, rank and key.
     """
     ranks = tuple(int(n) for n in ranks)
     thresholds = tuple(float(m) for m in thresholds)
@@ -76,7 +78,13 @@ def evaluate(
         qid = rec["query_id"]
         if qid in by_query:
             raise ValueError(f"duplicate query_id {qid!r} in predictions")
-        by_query[qid] = [TimeSpan(p["start_sec"], p["end_sec"]) for p in rec["proposals"]]
+        try:
+            by_query[qid] = [TimeSpan(p["start_sec"], p["end_sec"]) for p in rec["proposals"]]
+        except (KeyError, TypeError, ValueError):
+            # only a bad record pays for the check that names its offender
+            for rank, p in enumerate(rec["proposals"], 1):
+                _checked_proposal(qid, rank, p)
+            raise
 
     hits = {(n, m): 0 for n in ranks for m in thresholds}
     for a in annotations:

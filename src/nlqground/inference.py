@@ -11,12 +11,14 @@ spans in seconds plus a score vector, ranked by (-score, start, index).
 Greedy NMS (not part of the original selection rule, which just takes top-5)
 runs before top-k, stopping at k kept, so the top-5 are not near-duplicates
 of the best proposal.  Re-ranking adds external score channels onto the
-confidence.
+confidence.  The JSON-lines readers name `path:line` for a malformed line,
+and `_checked_proposal` names the query, rank and key of a bad proposal.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .anchors import AnchorConfig, AnchorSet, build_lattice
 from .core import FrameGrid, iou_batch
-from .nn.model import GroundingModel, ModelOutput
+from .nn.model import GroundingModel
 
 
 class ChannelAlignmentError(ValueError):
@@ -89,45 +91,19 @@ def _index_to_sec(spans: np.ndarray, grid: FrameGrid) -> np.ndarray:
     return np.clip(spans * (grid.duration_sec / grid.num_frames), 0.0, grid.duration_sec)
 
 
-def decode_proposals(output: ModelOutput, anchors: AnchorSet,
+def decode_proposals(confidence: np.ndarray, offsets: np.ndarray, anchors: AnchorSet,
                      grid: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
-    """All K*T anchors decoded to seconds: ((K*T, 2) spans, (K*T,) scores),
-    in t-major / k-minor order."""
+    """All K*T anchors of one item's head outputs (confidence (T, K), offsets
+    (T, 2K)) decoded to seconds: ((K*T, 2) spans, (K*T,) scores), in t-major /
+    k-minor order."""
     cfg = anchors.config
     T, K = cfg.num_frames, cfg.num_scales
-    if output.confidence.shape != (T, K):
-        raise ValueError(f"confidence shape {output.confidence.shape} != expected ({T}, {K})")
+    if confidence.shape != (T, K):
+        raise ValueError(f"confidence shape {confidence.shape} != expected ({T}, {K})")
     if grid.num_frames != T:
         raise ValueError(f"grid has {grid.num_frames} frames but anchors expect {T}")
-    spans, _ = decode_index_spans(output.offsets, anchors)
-    conf = np.asarray(output.confidence, dtype=np.float64).reshape(T * K)
-    return _index_to_sec(spans, grid), conf
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
-def decode_anchor_free(output: ModelOutput, grid: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
-    """No-manual-anchor variant: one proposal per frame, as ((T, 2) spans in
-    seconds, (T,) scores).
-
-    The two raw regression values per frame become nonnegative left/right
-    extents via softplus (as fractions of T); the span grows from the frame
-    center t + 0.5.
-    """
-    T = grid.num_frames
-    if output.offsets.shape != (T, 2):
-        raise ValueError(
-            f"anchor-free decode expects (T, 2) offsets, got {output.offsets.shape}")
-    if output.confidence.shape[1] != 1:
-        raise ValueError(
-            f"anchor-free decode expects a single confidence per frame, got {output.confidence.shape}")
-    extents = softplus(np.asarray(output.offsets, dtype=np.float64)) * T
-    centers = np.arange(T, dtype=np.float64) + 0.5
-    spans = np.clip(np.stack([centers - extents[:, 0], centers + extents[:, 1]], axis=1),
-                    0.0, float(T))
-    conf = np.asarray(output.confidence, dtype=np.float64).reshape(T)
+    spans, _ = decode_index_spans(offsets, anchors)
+    conf = np.asarray(confidence, dtype=np.float64).reshape(T * K)
     return _index_to_sec(spans, grid), conf
 
 
@@ -200,7 +176,6 @@ def predict_dataset(
     anchor_config: AnchorConfig,
     topk: int = 5,
     nms_iou: float = 0.5,
-    mode: str = "anchor",
     batch_size: int = 32,
 ) -> list[tuple[str, str, np.ndarray, np.ndarray]]:
     """Ranked top-k proposals for every query in a dataset (eval mode).
@@ -211,24 +186,13 @@ def predict_dataset(
     """
     from .data import make_batches  # local import; data is I/O-layer, no cycle
 
-    if mode not in ("anchor", "anchor_free"):
-        raise ValueError(f"unknown prediction mode {mode!r}")
-    if mode == "anchor_free" and model.config.num_scales != 1:
-        raise ValueError(
-            "anchor-free decoding needs a single-scale head "
-            f"(num_scales=1), got {model.config.num_scales}")
     anchor_set = build_lattice(anchor_config)
     results = {}
     for batch in make_batches(dataset, batch_size, anchor_config.num_frames,
                               shuffle_seed=0, shuffle=False):
-        conf, offs, fused, _ = model.forward_batch(
-            batch.video, batch.video_mask, batch.text, batch.text_mask, train=False)
+        conf, offs, _ = model.forward_batch(batch.video, batch.text, batch.text_mask, train=False)
         for j, qid in enumerate(batch.query_ids):
-            out = ModelOutput(confidence=conf[j], offsets=offs[j], fused=fused[j])
-            if mode == "anchor":
-                spans, scores = decode_proposals(out, anchor_set, batch.grids[j])
-            else:
-                spans, scores = decode_anchor_free(out, batch.grids[j])
+            spans, scores = decode_proposals(conf[j], offs[j], anchor_set, batch.grids[j])
             keep = select_proposals(spans, scores, topk, nms_iou)
             results[qid] = (batch.video_ids[j], spans[keep], scores[keep])
     return [(qid, *results[qid]) for qid in (a.query_id for a in dataset.annotations)]
@@ -253,7 +217,10 @@ def write_predictions(path, records: list[dict]) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def read_predictions(path) -> list[dict]:
+def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[dict]:
+    """The objects of a JSON-lines file, blank lines skipped.  Invalid JSON,
+    a line that is not an object, a missing key or a non-list `list_key` is
+    a ValueError naming path:line."""
     records = []
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -262,25 +229,41 @@ def read_predictions(path) -> list[dict]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}:{ln}: invalid JSON: {e}") from e
-        for key in ("query_id", "proposals"):
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}:{ln}: expected a JSON object")
+        for key in keys:
             if key not in rec:
                 raise ValueError(f"{path}:{ln}: missing key {key!r}")
+        if not isinstance(rec[list_key], list):
+            raise ValueError(f"{path}:{ln}: {list_key!r} must be a list")
         records.append(rec)
     return records
 
 
+def read_predictions(path) -> list[dict]:
+    """JSON-lines {"query_id", "proposals": [...]} objects, in file order."""
+    return _read_jsonl(path, ("query_id", "proposals"), "proposals")
+
+
+def _checked_proposal(query_id, rank: int, proposal) -> list:
+    """[start_sec, end_sec, score] of a predictions-file proposal: finite
+    numbers with 0 <= start_sec <= end_sec, or a ValueError naming the query,
+    the rank and the key."""
+    keys = ("start_sec", "end_sec", "score")
+    values = [proposal.get(key) if isinstance(proposal, dict) else None for key in keys]
+    for key, v in zip(keys, values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ValueError(f"query {query_id!r} rank {rank}: {key!r} is missing or not a finite number")
+    if not 0 <= values[0] <= values[1]:
+        raise ValueError(f"query {query_id!r} rank {rank}: span {values[:2]} "
+                         "breaks 0 <= 'start_sec' <= 'end_sec'")
+    return values
+
+
 def read_channel_file(path) -> dict[str, list[float]]:
     """JSON-lines {"query_id", "channel", "scores"}; returns query -> scores."""
-    out: dict[str, list[float]] = {}
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        rec = json.loads(line)
-        for key in ("query_id", "channel", "scores"):
-            if key not in rec:
-                raise ValueError(f"{path}:{ln}: missing key {key!r}")
-        out[rec["query_id"]] = [float(s) for s in rec["scores"]]
-    return out
+    return {rec["query_id"]: [float(s) for s in rec["scores"]]
+            for rec in _read_jsonl(path, ("query_id", "channel", "scores"), "scores")}
 
 
 def write_channel_file(path, channel: str, scores_by_query: dict[str, list[float]]) -> None:

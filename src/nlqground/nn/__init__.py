@@ -5,7 +5,6 @@ from .model import (
     EncoderConfig,
     GroundingModel,
     InvalidStateError,
-    ModelOutput,
     init_model,
     parameter_shapes,
     sinusoidal_positions,
@@ -18,7 +17,6 @@ __all__ = [
     "GradCheckReport",
     "GroundingModel",
     "InvalidStateError",
-    "ModelOutput",
     "gradcheck",
     "init_model",
     "load_checkpoint",

@@ -9,9 +9,11 @@ The forward pipeline is
             -> final LN -> fused video states
             -> confidence head (sigmoid, T x K) and offset head (T x 2K)
 
-Both forward and reverse passes are written by hand; `backward` consumes the
-activation cache produced by `forward_batch` and returns gradients for every
-parameter plus the input features.
+Only text is padded: every sampled frame is valid, so the model builds the
+all-valid video half of the attention mask itself and takes a text mask
+alone.  Both forward and reverse passes are written by hand; `backward`
+consumes the activation cache produced by `forward_batch` and returns
+gradients for every parameter plus the input features.
 """
 
 from __future__ import annotations
@@ -64,15 +66,6 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
-
-
-@dataclass
-class ModelOutput:
-    """Head outputs for one (video, query) pair."""
-
-    confidence: np.ndarray  # (T, K), strictly inside (0, 1)
-    offsets: np.ndarray  # (T, 2K) raw regression values
-    fused: np.ndarray  # (T, hidden)
 
 
 def sinusoidal_positions(length: int, dim: int, dtype=np.float64) -> np.ndarray:
@@ -146,26 +139,16 @@ class GroundingModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward(self, video, video_mask, text, text_mask, train: bool = False) -> ModelOutput:
-        """Single-query forward: video (T, Dv), text (L, Dt), boolean masks."""
-        conf, offs, fused, _ = self.forward_batch(
-            video[None], np.asarray(video_mask, dtype=bool)[None],
-            text[None], np.asarray(text_mask, dtype=bool)[None],
-            train=train, want_cache=False,
-        )
-        return ModelOutput(confidence=conf[0], offsets=offs[0], fused=fused[0])
-
-    def forward_batch(self, video, video_mask, text, text_mask,
-                      train: bool = False, want_cache: bool = False):
+    def forward_batch(self, video, text, text_mask, train: bool = False, want_cache: bool = False):
         """Batched forward.
 
-        video: (B, T, Dv), text: (B, L, Dt), masks boolean (B, T) / (B, L).
-        Returns (confidence (B,T,K), offsets (B,T,2K), fused (B,T,H), cache).
+        video: (B, T, Dv), text: (B, L, Dt), text_mask boolean (B, L).
+        Returns (confidence (B,T,K) strictly inside (0, 1), raw offsets
+        (B,T,2K), cache).
         """
         cfg = self.config
         video = np.ascontiguousarray(video, dtype=self.dtype)
         text = np.ascontiguousarray(text, dtype=self.dtype)
-        video_mask = np.asarray(video_mask, dtype=bool)
         text_mask = np.asarray(text_mask, dtype=bool)
         if video.ndim != 3 or text.ndim != 3:
             raise ValueError("forward_batch expects 3-D feature arrays (B, S, D)")
@@ -175,13 +158,14 @@ class GroundingModel:
         if text.shape[-1] != cfg.text_input_dim:
             raise ValueError(
                 f"text feature dim {text.shape[-1]} != config {cfg.text_input_dim}")
-        if video_mask.shape != video.shape[:2] or text_mask.shape != text.shape[:2]:
-            raise ValueError("mask shapes must match the (B, S) feature prefix")
-        if not video_mask.any(axis=1).all() or not text_mask.any(axis=1).all():
-            raise ValueError("each item needs at least one valid position per modality")
+        if text_mask.shape != text.shape[:2]:
+            raise ValueError("text mask shape must match the (B, L) feature prefix")
+        if not text_mask.any(axis=1).all():
+            raise ValueError("each item needs at least one valid text position")
 
         B, T, _ = video.shape
         L = text.shape[1]
+        frame_mask = np.ones((B, T), dtype=bool)
         H = cfg.hidden_dim
         rng = self._dropout_rng
         drop = cfg.dropout_rate
@@ -195,7 +179,7 @@ class GroundingModel:
 
         intra_v_caches = []
         for i in range(cfg.intra_layers):
-            v, c = encoder_layer_forward(v, video_mask, self._sub(f"intra_video.{i}."),
+            v, c = encoder_layer_forward(v, frame_mask, self._sub(f"intra_video.{i}."),
                                          cfg.num_heads, drop, rng, train)
             intra_v_caches.append(c)
         intra_t_caches = []
@@ -209,7 +193,7 @@ class GroundingModel:
         t = t + type_emb[1] + pos_t
 
         x = np.concatenate([v, t], axis=1)
-        joint_mask = np.concatenate([video_mask, text_mask], axis=1)
+        joint_mask = np.concatenate([frame_mask, text_mask], axis=1)
         cross_caches = []
         for i in range(cfg.cross_layers):
             x, c = encoder_layer_forward(x, joint_mask, self._sub(f"cross.{i}."),
@@ -242,15 +226,15 @@ class GroundingModel:
                 "reg": (reg_l1, reg_gelu, reg_l2),
                 "param_ids": id(self.params),
             }
-        return confidence, offsets, fused, cache
+        return confidence, offsets, cache
 
     # -- backward ----------------------------------------------------------
 
-    def backward(self, cache, d_confidence, d_offsets, d_fused=None):
+    def backward(self, cache, d_confidence, d_offsets):
         """Reverse pass through the cached forward.
 
-        Returns (param_grads, d_video, d_text).  Upstream gradients arrive on
-        the ModelOutput fields; `d_fused` defaults to zero.
+        Returns (param_grads, d_video, d_text) from the upstream gradients on
+        the confidence and offset outputs.
         """
         if cache is None or cache.get("param_ids") != id(self.params):
             raise InvalidStateError("backward requires the cache from this model's forward_batch")
@@ -275,12 +259,8 @@ class GroundingModel:
         dfused_r, dw, db = linear_backward(dr1, reg_l1)
         grads["reg_head.w1"], grads["reg_head.b1"] = dw, db
 
-        dfused = dfused_c + dfused_r
-        if d_fused is not None:
-            dfused = dfused + np.asarray(d_fused, dtype=self.dtype)
-
         dx = np.zeros((B, T + L, cfg.hidden_dim), dtype=self.dtype)
-        dx[:, :T, :] = dfused
+        dx[:, :T, :] = dfused_c + dfused_r
         dx, dg, db = layer_norm_backward(dx, cache["final_ln"])
         grads["final_ln.g"], grads["final_ln.b"] = dg, db
 

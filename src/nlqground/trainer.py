@@ -44,7 +44,6 @@ class TrainConfig:
     positive_threshold: float = 0.5
     grad_clip_norm: float = 1.0
     smooth_l1_beta: float = 1.0
-    box_units: str = "normalized"  # residuals / T, or "raw" frame indices
     seed: int = 0
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and warmup_steps must be >= 1")
         if not (self.base_lr > 0):
             raise ValueError(f"base_lr must be positive, got {self.base_lr}")
-        if self.box_units not in ("normalized", "raw"):
-            raise ValueError(f"box_units must be 'normalized' or 'raw', got {self.box_units!r}")
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
@@ -131,15 +128,15 @@ def batch_loss_and_grads(
     """Forward, combined objective, and upstream gradients for one batch.
 
     Returns (breakdown, param_grads).  Per-item losses are averaged over the
-    batch; the box term only sees each item's positive anchors.
+    batch; the box term only sees each item's positive anchors, with
+    residuals normalized by T.
     """
     T = anchor_set.config.num_frames
     K = anchor_set.config.num_scales
-    conf, offs, _, cache = model.forward_batch(
-        batch.video, batch.video_mask, batch.text, batch.text_mask,
-        train=train, want_cache=True)
+    conf, offs, cache = model.forward_batch(
+        batch.video, batch.text, batch.text_mask, train=train, want_cache=True)
     B = conf.shape[0]
-    norm = float(T) if config.box_units == "normalized" else 1.0
+    norm = float(T)
 
     align_sum = 0.0
     box_sum = 0.0

@@ -1,5 +1,5 @@
-"""Shared fixtures for the encoder gradient checks, and scalar oracles for
-the array-native proposal path."""
+"""Shared fixtures for the encoder gradient checks, anchor-lattice lookups,
+and scalar oracles for the array-native proposal path."""
 
 import numpy as np
 
@@ -22,7 +22,6 @@ def tiny_training_batch(T=8, L=4, seed=9):
     rng = np.random.default_rng(seed)
     return Batch(
         video=rng.normal(size=(2, T, 5)),
-        video_mask=np.ones((2, T), bool),
         text=rng.normal(size=(2, L, 3)),
         text_mask=np.array([[True] * L, [True] * (L - 1) + [False]]),
         gt_index=np.array([[3.0, 5.0], [1.0, 7.0]]),
@@ -30,6 +29,16 @@ def tiny_training_batch(T=8, L=4, seed=9):
         query_ids=["a", "b"],
         video_ids=["va", "vb"],
     )
+
+
+def flat_index(anchors, t, k):
+    """Row of anchor (t, k) in the t-major / k-minor lattice."""
+    return t * anchors.config.num_scales + k
+
+
+def anchor_span(anchors, i):
+    """Lattice row i as a validated index-unit TimeSpan."""
+    return TimeSpan(float(anchors.spans[i, 0]), float(anchors.spans[i, 1]), Units.INDEX)
 
 
 def brute_force_decode(index_spans, grid):

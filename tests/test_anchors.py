@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice, label_anchors
 from nlqground.core import OutOfRangeError, TimeSpan, Units, iou
+from helpers import anchor_span, flat_index
 
 
 class TestAnchorConfig:
@@ -26,8 +27,8 @@ class TestBuildLattice:
     def test_hand_computed_windows(self):
         aset = build_lattice(AnchorConfig(scales=(0.2, 0.4), num_frames=10))
         assert aset.window_sizes == (2.0, 4.0)
-        i0 = aset.flat_index(5, 0)
-        i1 = aset.flat_index(5, 1)
+        i0 = flat_index(aset, 5, 0)
+        i1 = flat_index(aset, 5, 1)
         np.testing.assert_allclose(aset.spans[i0], [4.5, 6.5])
         np.testing.assert_allclose(aset.spans[i1], [3.5, 7.5])
 
@@ -47,7 +48,7 @@ class TestBuildLattice:
         aset = build_lattice(AnchorConfig(scales=(0.1, 0.5), num_frames=4))
         for t in range(4):
             for k in range(2):
-                i = aset.flat_index(t, k)
+                i = flat_index(aset, t, k)
                 center = (aset.spans[i, 0] + aset.spans[i, 1]) / 2
                 # unclipped anchors sit at the frame midpoint
                 if aset.spans[i, 0] > 0 and aset.spans[i, 1] < 4:
@@ -74,20 +75,20 @@ class TestLabelAnchors:
 
     def test_exact_match_anchor(self):
         labels = label_anchors(self.aset, TimeSpan(4.5, 6.5, Units.INDEX), threshold=0.5)
-        i = self.aset.flat_index(5, 0)
+        i = flat_index(self.aset, 5, 0)
         assert labels.iou_targets[i] == 1.0
         assert labels.positive_mask[i]
 
     def test_neighbor_anchor_is_negative(self):
         labels = label_anchors(self.aset, TimeSpan(4.5, 6.5, Units.INDEX), threshold=0.5)
-        i = self.aset.flat_index(4, 0)  # [3.5, 5.5]: intersection 1, union 3
+        i = flat_index(self.aset, 4, 0)  # [3.5, 5.5]: intersection 1, union 3
         assert labels.iou_targets[i] == pytest.approx(1 / 3)
         assert not labels.positive_mask[i]
 
     def test_disjoint_anchor(self):
         labels = label_anchors(self.aset, TimeSpan(0.0, 1.0, Units.INDEX),
                                threshold=0.5, force_positive=False)
-        i = self.aset.flat_index(9, 0)
+        i = flat_index(self.aset, 9, 0)
         assert labels.iou_targets[i] == 0.0
         assert not labels.positive_mask[i]
 
@@ -96,7 +97,7 @@ class TestLabelAnchors:
         gt = TimeSpan(10.2, 19.7, Units.INDEX)
         labels = label_anchors(aset, gt, threshold=0.4)
         for i in range(len(aset)):
-            assert labels.iou_targets[i] == iou(aset.span(i), gt)
+            assert labels.iou_targets[i] == iou(anchor_span(aset, i), gt)
 
     def test_force_positive_keeps_n_pos_nonzero(self):
         # a sliver at the very edge clears no anchor at threshold 0.9

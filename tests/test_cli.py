@@ -8,7 +8,6 @@ from nlqground.cli import run
 from nlqground.data import load_dataset, make_batches, read_annotations
 from nlqground.inference import decode_index_spans, decode_proposals, select_proposals
 from nlqground.nn import load_checkpoint
-from nlqground.nn.model import ModelOutput
 from helpers import brute_force_decode, brute_force_selection
 
 
@@ -77,6 +76,14 @@ class TestTrainCommand:
                     "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_removed_prediction_mode_key_rejected(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"inference": {"top_k": 5, "prediction_mode": "anchor"}}))
+        code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "'prediction_mode'" in capsys.readouterr().err
+
     def test_no_val_message(self, pipeline, tmp_path, capsys):
         assert run(["train", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
                     "--out", str(tmp_path / "o")]) == 0
@@ -107,32 +114,6 @@ class TestPredictCommand:
                     "--frames", "20", "--scales", "0.15"])
         assert code == 1
 
-    def test_anchor_free_mode(self, pipeline, tmp_path):
-        # anchor-free decoding needs a single-scale head
-        cfg = {
-            "encoder": {"hidden_dim": 16, "num_heads": 2, "cross_layers": 2},
-            "train": {"epochs": 1, "batch_size": 2, "base_lr": 1e-3,
-                      "warmup_steps": 5, "seed": 3},
-            "anchors": {"scales": [0.2], "num_frames": 20},
-        }
-        cfg_path = tmp_path / "k1.json"
-        cfg_path.write_text(json.dumps(cfg))
-        out = tmp_path / "k1run"
-        assert run(["train", "--config", str(cfg_path), "--data", str(pipeline["data"]),
-                    "--out", str(out)]) == 0
-        preds = tmp_path / "af.jsonl"
-        assert run(["predict", "--ckpt", str(out / "checkpoint_last.nlqc"),
-                    "--data", str(pipeline["data"]), "--out", str(preds),
-                    "--frames", "20", "--scales", "0.2", "--mode", "anchor_free"]) == 0
-        rec = json.loads(preds.read_text().splitlines()[0])
-        assert len(rec["proposals"]) <= 5
-
-    def test_anchor_free_rejects_multi_scale_checkpoint(self, pipeline, tmp_path):
-        code = run(["predict", "--ckpt", str(pipeline["out"] / "checkpoint_best.nlqc"),
-                    "--data", str(pipeline["data"]), "--out", str(tmp_path / "p.jsonl"),
-                    "--frames", "20", "--scales", "0.15,0.4", "--mode", "anchor_free"])
-        assert code == 1
-
 
 class TestSelectionIdentity:
     def test_trained_model_matches_object_path(self, pipeline):
@@ -144,11 +125,9 @@ class TestSelectionIdentity:
         written = {r["query_id"]: r for r in map(json.loads, pipeline["preds"].read_text().splitlines())}
         checked = 0
         for batch in make_batches(load_dataset(pipeline["data"]), 32, 20, shuffle_seed=0, shuffle=False):
-            conf, offs, fused, _ = model.forward_batch(
-                batch.video, batch.video_mask, batch.text, batch.text_mask, train=False)
+            conf, offs, _ = model.forward_batch(batch.video, batch.text, batch.text_mask, train=False)
             for j, qid in enumerate(batch.query_ids):
-                out = ModelOutput(confidence=conf[j], offsets=offs[j], fused=fused[j])
-                spans, scores = decode_proposals(out, anchors, batch.grids[j])
+                spans, scores = decode_proposals(conf[j], offs[j], anchors, batch.grids[j])
                 expect_spans = brute_force_decode(decode_index_spans(offs[j], anchors)[0], batch.grids[j])
                 assert spans.tolist() == [list(p) for p in expect_spans]
                 for k, nms_iou in ((5, 0.5), (5, 0.0), (len(scores) + 3, 0.5), (1, 0.3)):
@@ -193,6 +172,19 @@ class TestEvalCommand:
                     "--annotations", str(pipeline["data"] / "annotations.json"),
                     "--strict"])
         assert code == 1
+
+    def test_missing_end_sec_names_query_rank_and_key(self, pipeline, tmp_path, capsys):
+        anns, _ = read_annotations(pipeline["data"] / "annotations.json")
+        qid = anns[0].query_id
+        preds = tmp_path / "bad.jsonl"
+        preds.write_text(json.dumps({"query_id": qid, "video_id": anns[0].video_id, "proposals": [
+            {"start_sec": 0.0, "end_sec": 1.0, "score": 0.9},
+            {"start_sec": 1.0, "score": 0.5}]}) + "\n")
+        code = run(["eval", "--preds", str(preds),
+                    "--annotations", str(pipeline["data"] / "annotations.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert repr(qid) in err and "rank 2" in err and "'end_sec'" in err
 
 
 class TestRerankCommand:
@@ -243,6 +235,28 @@ class TestRerankCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert "'q7'" in err and "rank 1" in err and "'end_sec'" in err
+
+    def test_non_list_proposals_names_path_and_line(self, tmp_path, capsys):
+        preds = tmp_path / "bad.jsonl"
+        preds.write_text("\n" + json.dumps({"query_id": "q7", "video_id": "v", "proposals": 5}) + "\n")
+        channel = tmp_path / "chan.jsonl"
+        channel.write_text(json.dumps({"query_id": "q7", "channel": "c", "scores": []}) + "\n")
+        code = run(["rerank", "--preds", str(preds), "--channel", str(channel),
+                    "--out", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{preds}:2" in err and "'proposals'" in err
+
+    def test_bad_channel_json_names_path_and_line(self, tmp_path, capsys):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"query_id": "q7", "video_id": "v", "proposals": []}) + "\n")
+        channel = tmp_path / "chan.jsonl"
+        channel.write_text(json.dumps({"query_id": "q7", "channel": "c", "scores": []}) + "\nnot json\n")
+        code = run(["rerank", "--preds", str(preds), "--channel", str(channel),
+                    "--out", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{channel}:2" in err and "invalid JSON" in err
 
     def test_missing_channel_file(self, pipeline, tmp_path):
         code = run(["rerank", "--preds", str(pipeline["preds"]),

@@ -8,7 +8,6 @@ from nlqground.core import (
     TimeSpan,
     UnitMismatchError,
     Units,
-    clamp_span,
     index_to_sec,
     iou,
     iou_batch,
@@ -124,34 +123,6 @@ class TestCoordinateMaps:
             sec_to_index(TimeSpan(1, 2, Units.INDEX), self.grid)
         with pytest.raises(UnitMismatchError):
             index_to_sec(TimeSpan(1, 2, Units.SECONDS), self.grid)
-
-
-class TestClampSpan:
-    def test_clamps_below(self):
-        out = clamp_span((-2.0, 4.0), 0.0, 10.0)
-        assert (out.start, out.end) == (0.0, 4.0)
-
-    def test_noop_inside(self):
-        out = clamp_span(TimeSpan(3, 7, Units.INDEX), 0.0, 10.0)
-        assert (out.start, out.end) == (3.0, 7.0)
-
-    def test_fully_clamped_to_boundary(self):
-        out = clamp_span((12.0, 15.0), 0.0, 10.0)
-        assert (out.start, out.end) == (10.0, 10.0)
-
-    def test_inverted_range_rejected(self):
-        with pytest.raises(ValueError):
-            clamp_span((0.0, 1.0), 5.0, 2.0)
-
-    @given(
-        pair=st.tuples(st.floats(-50, 150, allow_nan=False), st.floats(-50, 150, allow_nan=False)),
-        lo=st.floats(0, 40, allow_nan=False),
-        width=st.floats(0, 60, allow_nan=False),
-    )
-    def test_output_within_range(self, pair, lo, width):
-        hi = lo + width
-        out = clamp_span((min(pair), max(pair)), lo, hi)
-        assert lo <= out.start <= out.end <= hi
 
 
 def test_frame_grid_invariants():

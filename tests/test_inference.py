@@ -7,7 +7,6 @@ from nlqground.core import FrameGrid, TimeSpan, iou
 from nlqground.inference import (
     ChannelAlignmentError,
     RerankChannel,
-    decode_anchor_free,
     decode_index_spans,
     decode_proposals,
     json_record,
@@ -18,8 +17,7 @@ from nlqground.inference import (
     top_k,
     write_predictions,
 )
-from nlqground.nn.model import ModelOutput
-from helpers import brute_force_decode, brute_force_selection
+from helpers import brute_force_decode, brute_force_selection, flat_index
 
 
 def props(*rows):
@@ -35,10 +33,10 @@ class TestDecode:
     def _output(self, offsets, conf=None):
         if conf is None:
             conf = np.full((10, 1), 0.5)
-        return ModelOutput(confidence=conf, offsets=offsets, fused=None)
+        return conf, offsets
 
     def test_zero_offsets_reproduce_anchors(self):
-        spans, _ = decode_proposals(self._output(np.zeros((10, 2))), self.aset, self.grid)
+        spans, _ = decode_proposals(*self._output(np.zeros((10, 2))), self.aset, self.grid)
         assert len(spans) == 10
         for i in range(10):
             # duration == T so seconds equal index units here
@@ -78,7 +76,7 @@ class TestDecode:
     def test_decoded_spans_inside_video(self):
         rng = np.random.default_rng(0)
         offsets = rng.normal(scale=3.0, size=(10, 2))
-        spans, _ = decode_proposals(self._output(offsets), self.aset, self.grid)
+        spans, _ = decode_proposals(*self._output(offsets), self.aset, self.grid)
         for start, end in spans:
             assert 0.0 <= start <= end <= 10.0
 
@@ -86,8 +84,7 @@ class TestDecode:
         aset = build_lattice(AnchorConfig(scales=(0.2, 0.5), num_frames=10))
         grid = FrameGrid(num_frames=10, duration_sec=37.3)
         offsets = np.random.default_rng(5).normal(scale=2.0, size=(10, 4))
-        out = ModelOutput(confidence=np.full((10, 2), 0.5), offsets=offsets, fused=None)
-        spans, _ = decode_proposals(out, aset, grid)
+        spans, _ = decode_proposals(np.full((10, 2), 0.5), offsets, aset, grid)
         index_spans, _ = decode_index_spans(offsets, aset)
         assert spans.tolist() == [list(p) for p in brute_force_decode(index_spans, grid)]
 
@@ -95,7 +92,7 @@ class TestDecode:
         offsets = np.zeros((10, 2))
         offsets[3, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            decode_proposals(self._output(offsets), self.aset, self.grid)
+            decode_proposals(*self._output(offsets), self.aset, self.grid)
 
     def test_backward_routes_through_swap_and_clamp(self):
         aset = build_lattice(AnchorConfig(scales=(0.25,), num_frames=8))
@@ -104,7 +101,7 @@ class TestDecode:
         offsets[0] = [-9.0, 0.0]  # start clamped at 0
         spans, back = decode_index_spans(offsets, aset)
         d = np.zeros((8, 2))
-        i = aset.flat_index(4, 0)
+        i = flat_index(aset, 4, 0)
         d[i] = [1.0, 2.0]
         g = back(d)
         # swapped: gradient on reported start flows to the end-offset slot
@@ -131,43 +128,6 @@ class TestDecode:
                 fp = float((decode_index_spans(op, aset)[0] * w).sum())
                 fm = float((decode_index_spans(om, aset)[0] * w).sum())
                 assert grad[t, c] == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
-
-
-class TestAnchorFree:
-    grid = FrameGrid(num_frames=100, duration_sec=100.0)
-
-    def _raw(self, extent):
-        # inverse softplus: extent -> raw value
-        return np.log(np.expm1(np.maximum(extent, 1e-300)))
-
-    def test_extent_arithmetic(self):
-        offsets = np.full((100, 2), -40.0)
-        offsets[5] = [self._raw(0.02), self._raw(0.03)]
-        out = ModelOutput(confidence=np.full((100, 1), 0.5), offsets=offsets, fused=None)
-        spans, _ = decode_anchor_free(out, self.grid)
-        assert spans[5, 0] == pytest.approx(3.5, abs=1e-6)
-        assert spans[5, 1] == pytest.approx(8.5, abs=1e-6)
-
-    def test_zero_extents_degenerate_at_center(self):
-        offsets = np.full((100, 2), -40.0)  # softplus(-40) ~ 4e-18
-        out = ModelOutput(confidence=np.full((100, 1), 0.5), offsets=offsets, fused=None)
-        spans, _ = decode_anchor_free(out, self.grid)
-        assert spans[7, 0] == pytest.approx(7.5, abs=1e-9)
-        assert spans[7, 1] == pytest.approx(7.5, abs=1e-9)
-
-    def test_output_length_is_t(self):
-        out = ModelOutput(confidence=np.full((100, 1), 0.5),
-                          offsets=np.zeros((100, 2)), fused=None)
-        spans, scores = decode_anchor_free(out, self.grid)
-        assert len(spans) == len(scores) == 100
-
-    def test_extents_are_nonnegative(self):
-        rng = np.random.default_rng(1)
-        out = ModelOutput(confidence=np.full((100, 1), 0.5),
-                          offsets=rng.normal(scale=5, size=(100, 2)), fused=None)
-        spans, _ = decode_anchor_free(out, self.grid)
-        for start, end in spans:
-            assert 0.0 <= start <= end <= 100.0
 
 
 class TestNms:
@@ -320,4 +280,14 @@ class TestPredictionsFile:
         path = tmp_path / "p.jsonl"
         path.write_text('{"video_id": "v"}\n')
         with pytest.raises(ValueError):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("line, problem", [
+        ('[1, 2]', "expected a JSON object"),
+        ('{"query_id": "q", "proposals": 5}', "'proposals' must be a list"),
+    ])
+    def test_malformed_line_names_path_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"query_id": "q0", "proposals": []}\n' + line + "\n")
+        with pytest.raises(ValueError, match=f"p.jsonl:2: {problem}"):
             read_predictions(path)

@@ -26,9 +26,8 @@ def tiny_inputs(B=2, T=8, L=4, seed=0, dv=5, dt=3):
     rng = np.random.default_rng(seed)
     video = rng.normal(size=(B, T, dv))
     text = rng.normal(size=(B, L, dt))
-    vmask = np.ones((B, T), bool)
     tmask = np.ones((B, L), bool)
-    return video, vmask, text, tmask
+    return video, text, tmask
 
 
 class TestSinusoidalPositions:
@@ -89,37 +88,36 @@ class TestForward:
                             video_input_dim=6, text_input_dim=4, num_scales=2, dropout_rate=0.0)
         model = init_model(cfg, seed=0)
         rng = np.random.default_rng(0)
-        out = model.forward(rng.normal(size=(8, 6)), np.ones(8, bool),
-                            rng.normal(size=(4, 4)), np.ones(4, bool))
-        assert out.confidence.shape == (8, 2)
-        assert out.offsets.shape == (8, 4)
-        assert out.fused.shape == (8, 32)
+        conf, offs, _ = model.forward_batch(rng.normal(size=(1, 8, 6)),
+                                            rng.normal(size=(1, 4, 4)), np.ones((1, 4), bool))
+        assert conf[0].shape == (8, 2)
+        assert offs[0].shape == (8, 4)
 
     def test_eval_mode_deterministic(self):
         model = init_model(TINY, seed=3)
-        video, vmask, text, tmask = tiny_inputs()
-        a = model.forward_batch(video, vmask, text, tmask, train=False)
-        b = model.forward_batch(video, vmask, text, tmask, train=False)
-        for x, y in zip(a[:3], b[:3]):
+        video, text, tmask = tiny_inputs()
+        a = model.forward_batch(video, text, tmask, train=False)
+        b = model.forward_batch(video, text, tmask, train=False)
+        for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
 
     def test_confidence_strictly_inside_unit_interval(self):
         model = init_model(TINY, seed=3)
-        video, vmask, text, tmask = tiny_inputs()
-        conf, _, _, _ = model.forward_batch(video, vmask, text, tmask)
+        video, text, tmask = tiny_inputs()
+        conf, _, _ = model.forward_batch(video, text, tmask)
         assert (conf > 0.0).all() and (conf < 1.0).all()
 
     def test_padded_text_rows_do_not_affect_outputs(self):
         model = init_model(TINY, seed=3)
-        video, vmask, text, tmask = tiny_inputs()
+        video, text, tmask = tiny_inputs()
         tmask[:, 2:] = False
-        a = model.forward_batch(video, vmask, text, tmask, train=False)
+        a = model.forward_batch(video, text, tmask, train=False)
         # swap the two padded rows and also scribble on them
         text2 = text.copy()
         text2[:, [2, 3]] = text2[:, [3, 2]]
         text2[:, 2:] += 123.456
-        b = model.forward_batch(video, vmask, text2, tmask, train=False)
-        for x, y in zip(a[:3], b[:3]):
+        b = model.forward_batch(video, text2, tmask, train=False)
+        for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
 
     def test_attention_rows_sum_to_one_over_valid_keys(self):
@@ -133,33 +131,33 @@ class TestForward:
 
     def test_all_masked_modality_rejected(self):
         model = init_model(TINY, seed=3)
-        video, vmask, text, tmask = tiny_inputs()
+        video, text, tmask = tiny_inputs()
         tmask[0, :] = False
         with pytest.raises(ValueError):
-            model.forward_batch(video, vmask, text, tmask)
+            model.forward_batch(video, text, tmask)
 
     def test_dimension_mismatch_rejected(self):
         model = init_model(TINY, seed=3)
-        video, vmask, text, tmask = tiny_inputs(dv=7)
+        video, text, tmask = tiny_inputs(dv=7)
         with pytest.raises(ValueError):
-            model.forward_batch(video, vmask, text, tmask)
+            model.forward_batch(video, text, tmask)
 
     def test_train_mode_dropout_changes_outputs(self):
         cfg = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
                             video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.4)
         model = init_model(cfg, seed=3)
-        video, vmask, text, tmask = tiny_inputs()
-        a = model.forward_batch(video, vmask, text, tmask, train=True)
-        b = model.forward_batch(video, vmask, text, tmask, train=True)
+        video, text, tmask = tiny_inputs()
+        a = model.forward_batch(video, text, tmask, train=True)
+        b = model.forward_batch(video, text, tmask, train=True)
         assert not np.array_equal(a[0], b[0])
 
 
 class TestBackward:
     def _run(self, scale):
         model = init_model(TINY, seed=4, dtype=np.float64)
-        video, vmask, text, tmask = tiny_inputs()
-        conf, offs, fused, cache = model.forward_batch(
-            video, vmask, text, tmask, train=False, want_cache=True)
+        video, text, tmask = tiny_inputs()
+        conf, offs, cache = model.forward_batch(
+            video, text, tmask, train=False, want_cache=True)
         d_conf = np.full_like(conf, 0.1 * scale)
         d_offs = np.full_like(offs, -0.2 * scale)
         grads, d_video, d_text = model.backward(cache, d_conf, d_offs)
@@ -180,8 +178,8 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         model = init_model(TINY, seed=4)
         other = init_model(TINY, seed=5)
-        video, vmask, text, tmask = tiny_inputs()
-        conf, offs, _, cache = model.forward_batch(video, vmask, text, tmask, want_cache=True)
+        video, text, tmask = tiny_inputs()
+        conf, offs, cache = model.forward_batch(video, text, tmask, want_cache=True)
         with pytest.raises(InvalidStateError):
             other.backward(cache, np.zeros_like(conf), np.zeros_like(offs))
 
@@ -239,10 +237,10 @@ class TestCheckpoint:
         path = tmp_path / "m.nlqc"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        video, vmask, text, tmask = tiny_inputs()
-        a = model.forward_batch(video, vmask, text, tmask)
-        b = loaded.forward_batch(video, vmask, text, tmask)
-        for x, y in zip(a[:3], b[:3]):
+        video, text, tmask = tiny_inputs()
+        a = model.forward_batch(video, text, tmask)
+        b = loaded.forward_batch(video, text, tmask)
+        for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -146,10 +146,10 @@ class TestTrainLoop:
         result = train(ds, ds, ENC, cfg, ANCHORS, tmp_path)
         model = load_checkpoint(result.last_checkpoint)
         batch = next(make_batches(ds, 2, 24, shuffle_seed=0, shuffle=False))
-        a = model.forward_batch(batch.video, batch.video_mask, batch.text, batch.text_mask)
+        a = model.forward_batch(batch.video, batch.text, batch.text_mask)
         model2 = load_checkpoint(result.last_checkpoint)
-        b = model2.forward_batch(batch.video, batch.video_mask, batch.text, batch.text_mask)
-        for x, y in zip(a[:3], b[:3]):
+        b = model2.forward_batch(batch.video, batch.text, batch.text_mask)
+        for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
 
     def test_scale_count_mismatch_rejected(self, tmp_path):
