@@ -11,8 +11,9 @@ spans in seconds plus a score vector, ranked by (-score, start, index).
 Greedy NMS (not part of the original selection rule, which just takes top-5)
 runs before top-k, stopping at k kept, so the top-5 are not near-duplicates
 of the best proposal.  Re-ranking adds external score channels onto the
-confidence.  The JSON-lines readers name `path:line` for a malformed line,
-and `_checked_proposal` names the query, rank and key of a bad proposal.
+confidence.  The JSON-lines readers name `path:line` for a malformed line
+or a channel score that is not a finite number, and `_checked_proposal`
+names the query, rank and key of a bad proposal.
 """
 
 from __future__ import annotations
@@ -217,10 +218,10 @@ def write_predictions(path, records: list[dict]) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[dict]:
-    """The objects of a JSON-lines file, blank lines skipped.  Invalid JSON,
-    a line that is not an object, a missing key or a non-list `list_key` is
-    a ValueError naming path:line."""
+def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[tuple[int, dict]]:
+    """The (line number, object) pairs of a JSON-lines file, blank lines
+    skipped.  Invalid JSON, a line that is not an object, a missing key or a
+    non-list `list_key` is a ValueError naming path:line."""
     records = []
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -236,13 +237,23 @@ def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[dict]:
                 raise ValueError(f"{path}:{ln}: missing key {key!r}")
         if not isinstance(rec[list_key], list):
             raise ValueError(f"{path}:{ln}: {list_key!r} must be a list")
-        records.append(rec)
+        records.append((ln, rec))
     return records
 
 
 def read_predictions(path) -> list[dict]:
     """JSON-lines {"query_id", "proposals": [...]} objects, in file order."""
-    return _read_jsonl(path, ("query_id", "proposals"), "proposals")
+    return [rec for _, rec in _read_jsonl(path, ("query_id", "proposals"), "proposals")]
+
+
+def _is_finite_number(v) -> bool:
+    """True for a JSON number that is finite as a float; bools are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def _checked_proposal(query_id, rank: int, proposal) -> list:
@@ -252,7 +263,7 @@ def _checked_proposal(query_id, rank: int, proposal) -> list:
     keys = ("start_sec", "end_sec", "score")
     values = [proposal.get(key) if isinstance(proposal, dict) else None for key in keys]
     for key, v in zip(keys, values):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        if not _is_finite_number(v):
             raise ValueError(f"query {query_id!r} rank {rank}: {key!r} is missing or not a finite number")
     if not 0 <= values[0] <= values[1]:
         raise ValueError(f"query {query_id!r} rank {rank}: span {values[:2]} "
@@ -261,9 +272,21 @@ def _checked_proposal(query_id, rank: int, proposal) -> list:
 
 
 def read_channel_file(path) -> dict[str, list[float]]:
-    """JSON-lines {"query_id", "channel", "scores"}; returns query -> scores."""
-    return {rec["query_id"]: [float(s) for s in rec["scores"]]
-            for rec in _read_jsonl(path, ("query_id", "channel", "scores"), "scores")}
+    """JSON-lines {"query_id", "channel", "scores"}; returns query -> scores.
+    A score that is not a finite number is a ValueError naming path:line and
+    its index."""
+    scores_by_query = {}
+    for ln, rec in _read_jsonl(path, ("query_id", "channel", "scores"), "scores"):
+        scores = rec["scores"]
+        try:  # one pass over well-formed scores; `type` rules out bools
+            values = [float(v) for v in scores if type(v) in (int, float)]
+        except OverflowError:  # an integer too large for a float
+            values = []
+        if len(values) != len(scores) or not all(map(math.isfinite, values)):
+            i, bad = next((i, v) for i, v in enumerate(scores) if not _is_finite_number(v))
+            raise ValueError(f"{path}:{ln}: scores[{i}] is {bad!r}, not a finite number")
+        scores_by_query[rec["query_id"]] = values
+    return scores_by_query
 
 
 def write_channel_file(path, channel: str, scores_by_query: dict[str, list[float]]) -> None:

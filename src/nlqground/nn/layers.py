@@ -4,6 +4,15 @@ Every primitive comes as a forward/backward pair: forward returns the output
 plus an opaque cache, backward consumes the cache and the upstream gradient.
 All functions are shape-polymorphic over leading axes (batch, sequence) and
 dtype-polymorphic (float32 for runs, float64 for gradient checks).
+
+Attention is memory-bound: its (B, heads, S, S) tensors cost more than its
+FLOPs.  So softmax and its backward work in place on one fresh buffer (never
+on the caller's array), dropout caches a bool keep mask plus the scale
+1/(1-rate) rounded in the input's dtype, and attention caches the kept
+probabilities so backward need not rebuild them.  Every result is
+bit-identical to the textbook form that allocates a new array per step.
+Caches are for backward only: an eval forward (`forward_batch` without
+`want_cache`) drops each layer's cache as soon as the layer returns.
 """
 
 from __future__ import annotations
@@ -47,15 +56,23 @@ def gelu_backward(dy: np.ndarray, cache) -> np.ndarray:
 
 
 def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool):
-    """Inverted dropout; the kept mask is cached for backward."""
+    """Inverted dropout; the boolean keep mask and the scale 1/(1-rate),
+    rounded in x's dtype, are cached for backward."""
     if not train or rate == 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
-    return x * keep, keep
+    keep = rng.random(x.shape) >= rate
+    scale = np.asarray(1.0, dtype=x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
+    return _scale_kept(x, keep, scale), (keep, scale)
 
 
 def dropout_backward(dy: np.ndarray, mask) -> np.ndarray:
-    return dy if mask is None else dy * mask
+    return dy if mask is None else _scale_kept(dy, *mask)
+
+
+def _scale_kept(x: np.ndarray, keep: np.ndarray, scale) -> np.ndarray:
+    out = x * scale
+    out *= keep
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -108,15 +125,23 @@ def masked_softmax(scores: np.ndarray, key_mask: np.ndarray):
     scores: (B, nh, S, S); key_mask: (B, S) bool.  Every row must have at
     least one valid key (guaranteed upstream by the non-empty-modality check).
     """
-    bias = np.where(key_mask[:, None, None, :], 0.0, MASK_NEG).astype(scores.dtype)
-    z = scores + bias
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    if key_mask.all():
+        # a zero bias changes no bit past the exp, so skip it
+        z = scores - scores.max(axis=-1, keepdims=True)
+    else:
+        bias = np.where(key_mask[:, None, None, :], 0.0, MASK_NEG).astype(scores.dtype)
+        z = scores + bias
+        z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+    out = dp * p
+    np.subtract(dp, out.sum(axis=-1, keepdims=True), out=out)
+    out *= p
+    return out
 
 
 def _split_heads(x: np.ndarray, nh: int) -> np.ndarray:
@@ -151,23 +176,26 @@ def mha_forward(
     v, v_cache = linear_forward(x, p["attn.wv"], p["attn.bv"])
     qh, kh, vh = (_split_heads(a, num_heads) for a in (q, k, v))
     scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=x.dtype)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
     probs = masked_softmax(scores, key_mask)
+    del scores  # not alive during the dropout draw
     probs_kept, drop_mask = dropout_forward(probs, drop_rate, rng, train)
     ctx = _merge_heads(probs_kept @ vh)
     out, o_cache = linear_forward(ctx, p["attn.wo"], p["attn.bo"])
-    cache = (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, drop_mask, scale, num_heads)
+    cache = (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, probs_kept, drop_mask,
+             scale, num_heads)
     return out, cache
 
 
 def mha_backward(dy: np.ndarray, cache):
-    q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, drop_mask, scale, nh = cache
+    q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, probs_kept, drop_mask, scale, nh = cache
     dctx, dwo, dbo = linear_backward(dy, o_cache)
     dctx_h = _split_heads(dctx, nh)
-    probs_kept = probs if drop_mask is None else probs * drop_mask
     dvh = probs_kept.swapaxes(-1, -2) @ dctx_h
     dprobs = dropout_backward(dctx_h @ vh.swapaxes(-1, -2), drop_mask)
-    dscores = softmax_backward(dprobs, probs) * scale
+    dscores = softmax_backward(dprobs, probs)
+    dscores *= scale
     dqh = dscores @ kh
     dkh = dscores.swapaxes(-1, -2) @ qh
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), q_cache)

@@ -139,12 +139,26 @@ class GroundingModel:
 
     # -- forward -----------------------------------------------------------
 
+    def _encode(self, x, key_mask, prefix, count, train, caches):
+        """Run `count` encoder layers, appending each layer's cache to
+        `caches` unless it is None."""
+        cfg = self.config
+        for i in range(count):
+            x, c = encoder_layer_forward(x, key_mask, self._sub(f"{prefix}.{i}."), cfg.num_heads,
+                                         cfg.dropout_rate, self._dropout_rng, train)
+            if caches is not None:
+                caches.append(c)
+            del c  # not alive during the next layer
+        return x
+
     def forward_batch(self, video, text, text_mask, train: bool = False, want_cache: bool = False):
         """Batched forward.
 
         video: (B, T, Dv), text: (B, L, Dt), text_mask boolean (B, L).
         Returns (confidence (B,T,K) strictly inside (0, 1), raw offsets
-        (B,T,2K), cache).
+        (B,T,2K), cache).  The cache for `backward` is kept only with
+        `want_cache`; otherwise it is None and no layer's cache outlives
+        its layer.
         """
         cfg = self.config
         video = np.ascontiguousarray(video, dtype=self.dtype)
@@ -167,8 +181,6 @@ class GroundingModel:
         L = text.shape[1]
         frame_mask = np.ones((B, T), dtype=bool)
         H = cfg.hidden_dim
-        rng = self._dropout_rng
-        drop = cfg.dropout_rate
         pos_v = sinusoidal_positions(T, H, self.dtype)
         pos_t = sinusoidal_positions(L, H, self.dtype)
 
@@ -177,16 +189,9 @@ class GroundingModel:
         v = v + pos_v
         t = t + pos_t
 
-        intra_v_caches = []
-        for i in range(cfg.intra_layers):
-            v, c = encoder_layer_forward(v, frame_mask, self._sub(f"intra_video.{i}."),
-                                         cfg.num_heads, drop, rng, train)
-            intra_v_caches.append(c)
-        intra_t_caches = []
-        for i in range(cfg.intra_layers):
-            t, c = encoder_layer_forward(t, text_mask, self._sub(f"intra_text.{i}."),
-                                         cfg.num_heads, drop, rng, train)
-            intra_t_caches.append(c)
+        intra_v_caches, intra_t_caches, cross_caches = ([], [], []) if want_cache else (None,) * 3
+        v = self._encode(v, frame_mask, "intra_video", cfg.intra_layers, train, intra_v_caches)
+        t = self._encode(t, text_mask, "intra_text", cfg.intra_layers, train, intra_t_caches)
 
         type_emb = self.params["type_emb"]
         v = v + type_emb[0] + pos_v
@@ -194,11 +199,7 @@ class GroundingModel:
 
         x = np.concatenate([v, t], axis=1)
         joint_mask = np.concatenate([frame_mask, text_mask], axis=1)
-        cross_caches = []
-        for i in range(cfg.cross_layers):
-            x, c = encoder_layer_forward(x, joint_mask, self._sub(f"cross.{i}."),
-                                         cfg.num_heads, drop, rng, train)
-            cross_caches.append(c)
+        x = self._encode(x, joint_mask, "cross", cfg.cross_layers, train, cross_caches)
         x, final_ln_cache = layer_norm_forward(x, self.params["final_ln.g"], self.params["final_ln.b"])
         fused = x[:, :T, :]
 

@@ -1,10 +1,12 @@
 """Shared fixtures for the encoder gradient checks, anchor-lattice lookups,
-and scalar oracles for the array-native proposal path."""
+textbook attention kernels, and scalar oracles for the array-native
+proposal path."""
 
 import numpy as np
 
 from nlqground.core import FrameGrid, TimeSpan, Units, index_to_sec, iou
 from nlqground.data import Batch
+from nlqground.nn.layers import MASK_NEG
 from nlqground.trainer import batch_loss_and_grads
 
 
@@ -14,6 +16,50 @@ def training_loss_fn(batch, anchor_set, train_config):
         breakdown, grads = batch_loss_and_grads(model, batch, anchor_set, train_config, train=False)
         return breakdown.total, grads
     return fn
+
+
+def dropout_training_loss_fn(batch, anchor_set, train_config, seed=0):
+    """The training objective in train mode, with the dropout generator
+    reseeded before every forward so each call draws the same masks."""
+    def fn(model):
+        model._dropout_rng = np.random.default_rng(seed)
+        breakdown, grads = batch_loss_and_grads(model, batch, anchor_set, train_config, train=True)
+        return breakdown.total, grads
+    return fn
+
+
+def assert_bitwise_equal(a, b):
+    """Same dtype, shape and bits (so -0.0 != 0.0 and NaN payloads count)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    bits = {4: np.uint32, 8: np.uint64}[a.dtype.itemsize]
+    np.testing.assert_array_equal(a.view(bits), b.view(bits))
+
+
+# Textbook attention kernels: each allocates a fresh array per step and
+# keeps a float dropout mask.  The in-place kernels must match them bit for bit.
+
+def textbook_masked_softmax(scores, key_mask):
+    bias = np.where(key_mask[:, None, None, :], 0.0, MASK_NEG).astype(scores.dtype)
+    z = scores + bias
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def textbook_softmax_backward(dp, p):
+    return p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+
+
+def textbook_dropout_forward(x, rate, rng, train):
+    if not train or rate == 0.0:
+        return x, None
+    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
+    return x * keep, keep
+
+
+def textbook_dropout_backward(dy, mask):
+    return dy if mask is None else dy * mask
 
 
 def tiny_training_batch(T=8, L=4, seed=9):

@@ -258,6 +258,22 @@ class TestRerankCommand:
         assert code == 1
         assert f"{channel}:2" in err and "invalid JSON" in err
 
+    @pytest.mark.parametrize("bad", [None, "0.5", True, float("nan")])
+    def test_bad_channel_score_names_path_line_and_index(self, tmp_path, capsys, bad):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"query_id": "q7", "video_id": "v", "proposals": [
+            {"start_sec": 0.0, "end_sec": 1.0, "score": 0.5},
+            {"start_sec": 1.0, "end_sec": 2.0, "score": 0.4}]}) + "\n")
+        channel = tmp_path / "chan.jsonl"
+        channel.write_text("\n" + json.dumps({"query_id": "q7", "channel": "c",
+                                              "scores": [0.1, bad]}) + "\n")
+        out = tmp_path / "o.jsonl"
+        code = run(["rerank", "--preds", str(preds), "--channel", str(channel), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{channel}:2" in err and "scores[1]" in err
+        assert not out.exists()
+
     def test_missing_channel_file(self, pipeline, tmp_path):
         code = run(["rerank", "--preds", str(pipeline["preds"]),
                     "--channel", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o.jsonl")])

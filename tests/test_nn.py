@@ -1,6 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from helpers import tiny_training_batch, training_loss_fn
+from helpers import (
+    assert_bitwise_equal,
+    dropout_training_loss_fn,
+    textbook_dropout_backward,
+    textbook_dropout_forward,
+    textbook_masked_softmax,
+    textbook_softmax_backward,
+    tiny_training_batch,
+    training_loss_fn,
+)
 
 from nlqground.anchors import AnchorConfig, build_lattice
 from nlqground.nn import (
@@ -15,7 +26,12 @@ from nlqground.nn import (
     sinusoidal_positions,
 )
 from nlqground.nn.checkpoint import CheckpointError
-from nlqground.nn.layers import masked_softmax
+from nlqground.nn.layers import (
+    dropout_backward,
+    dropout_forward,
+    masked_softmax,
+    softmax_backward,
+)
 from nlqground.trainer import TrainConfig
 
 TINY = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
@@ -142,6 +158,18 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward_batch(video, text, tmask)
 
+    def test_eval_forward_without_cache_matches_cached(self):
+        model = init_model(TINY, seed=3, dtype=np.float32)
+        video, text, tmask = tiny_inputs()
+        tmask[1, 3:] = False
+        conf, offs, cache = model.forward_batch(video, text, tmask, train=False)
+        assert cache is None
+        conf_c, offs_c, cache_c = model.forward_batch(video, text, tmask, train=False,
+                                                      want_cache=True)
+        assert cache_c is not None
+        assert_bitwise_equal(conf, conf_c)
+        assert_bitwise_equal(offs, offs_c)
+
     def test_train_mode_dropout_changes_outputs(self):
         cfg = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
                             video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.4)
@@ -150,6 +178,90 @@ class TestForward:
         a = model.forward_batch(video, text, tmask, train=True)
         b = model.forward_batch(video, text, tmask, train=True)
         assert not np.array_equal(a[0], b[0])
+
+
+class TestKernelOracles:
+    """The in-place kernels against textbook copies, bit for bit."""
+
+    @staticmethod
+    def _scores(dtype, padded):
+        rng = np.random.default_rng(11)
+        scores = (3.0 * rng.normal(size=(2, 3, 7, 7))).astype(dtype)
+        mask = np.ones((2, 7), bool)
+        if padded:
+            mask[0, 5:] = False
+            mask[1, 1:3] = False
+        return scores, mask
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_masked_softmax_bitwise_and_input_untouched(self, dtype, padded):
+        scores, mask = self._scores(dtype, padded)
+        before = scores.copy()
+        probs = masked_softmax(scores, mask)
+        assert_bitwise_equal(probs, textbook_masked_softmax(before, mask))
+        assert_bitwise_equal(scores, before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_softmax_backward_bitwise_and_inputs_untouched(self, dtype, padded):
+        scores, mask = self._scores(dtype, padded)
+        p = masked_softmax(scores, mask)
+        dp = np.random.default_rng(12).normal(size=p.shape).astype(dtype)
+        dp_before, p_before = dp.copy(), p.copy()
+        assert_bitwise_equal(softmax_backward(dp, p), textbook_softmax_backward(dp_before, p_before))
+        assert_bitwise_equal(dp, dp_before)
+        assert_bitwise_equal(p, p_before)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_dropout_bitwise_and_same_stream(self, dtype, rate):
+        data = np.random.default_rng(13)
+        x = data.normal(size=(4, 3, 9, 9)).astype(dtype)
+        dy = data.normal(size=x.shape).astype(dtype)
+        rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
+        out, cache = dropout_forward(x, rate, rng, train=True)
+        ref_out, ref_mask = textbook_dropout_forward(x, rate, ref_rng, train=True)
+        assert_bitwise_equal(out, ref_out)
+        assert_bitwise_equal(dropout_backward(dy, cache), textbook_dropout_backward(dy, ref_mask))
+        assert rng.random() == ref_rng.random()
+        if rate:
+            keep, scale = cache
+            assert keep.dtype == bool and keep.shape == x.shape
+            assert scale.dtype == dtype
+
+
+def _leaves(tree):
+    """Every non-container leaf of nested tuples, lists and dicts."""
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, (tuple, list)):
+        for item in tree:
+            yield from _leaves(item)
+    else:
+        yield tree
+
+
+class TestDtypeDiscipline:
+    def test_float32_cache_and_grads_stay_float32(self):
+        model = init_model(replace(TINY, dropout_rate=0.2), seed=3, dtype=np.float32)
+        video, text, tmask = tiny_inputs()
+        tmask[1, 3:] = False
+        conf, offs, cache = model.forward_batch(video, text, tmask, train=True, want_cache=True)
+        leaves = list(_leaves(cache))
+        floats = [a for a in leaves if isinstance(a, (np.ndarray, np.generic, float))
+                  and np.asarray(a).dtype.kind == "f"]
+        assert floats and all(np.asarray(a).dtype == np.float32 for a in floats)
+        layers = cache["intra_v"] + cache["intra_t"] + cache["cross"]
+        assert len(layers) == 4
+        for ln1, mha, ln2, l1, gelu, ffn_drop, l2 in layers:
+            attn_drop = mha[-3]  # (..., probs_kept, drop_mask, scale, num_heads)
+            for keep, scale in (attn_drop, ffn_drop):
+                assert keep.dtype == bool
+                assert scale.dtype == np.float32
+        grads, d_video, d_text = model.backward(cache, np.ones_like(conf), np.ones_like(offs))
+        for g in [*grads.values(), d_video, d_text]:
+            assert g.dtype == np.float32
 
 
 class TestBackward:
@@ -201,6 +313,14 @@ class TestGradcheck:
         model = init_model(TINY, seed=42, dtype=np.float64)
         anchor_set = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
         fn = training_loss_fn(tiny_training_batch(), anchor_set, TrainConfig(seed=0))
+        report = gradcheck(fn, model, step=1e-5, tolerance=1e-4, num_samples=200, seed=0)
+        assert report.num_checked >= 200
+        assert report.max_rel_error < 1e-4, report.worst_parameter
+
+    def test_full_training_loss_through_dropout(self):
+        model = init_model(replace(TINY, dropout_rate=0.3), seed=42, dtype=np.float64)
+        anchor_set = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
+        fn = dropout_training_loss_fn(tiny_training_batch(), anchor_set, TrainConfig(seed=0), seed=5)
         report = gradcheck(fn, model, step=1e-5, tolerance=1e-4, num_samples=200, seed=0)
         assert report.num_checked >= 200
         assert report.max_rel_error < 1e-4, report.worst_parameter
