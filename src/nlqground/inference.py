@@ -288,11 +288,3 @@ def read_channel_file(path) -> dict[str, list[float]]:
         scores_by_query[rec["query_id"]] = values
     return scores_by_query
 
-
-def write_channel_file(path, channel: str, scores_by_query: dict[str, list[float]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for query_id in scores_by_query:
-            f.write(json.dumps({
-                "query_id": query_id, "channel": channel,
-                "scores": scores_by_query[query_id],
-            }) + "\n")

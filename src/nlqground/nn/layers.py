@@ -3,30 +3,35 @@
 Every primitive comes as a forward/backward pair: forward returns the output
 plus an opaque cache, backward consumes the cache and the upstream gradient.
 All functions are shape-polymorphic over leading axes (batch, sequence) and
-dtype-polymorphic (float32 for runs, float64 for gradient checks).
+dtype-polymorphic (float32 for runs, float64 for gradient checks): each
+computes in its input's dtype.
 
 Attention is memory-bound: its (B, heads, S, S) tensors cost more than its
 FLOPs.  So softmax and its backward work in place on one fresh buffer (never
-on the caller's array), dropout caches a bool keep mask plus the scale
-1/(1-rate) rounded in the input's dtype, and attention caches the kept
-probabilities so backward need not rebuild them.  Every result is
-bit-identical to the textbook form that allocates a new array per step.
-Caches are for backward only: an eval forward (`forward_batch` without
-`want_cache`) drops each layer's cache as soon as the layer returns.
+on the caller's array), bit-identical to the textbook form that allocates a
+new array per step, and attention caches the kept probabilities so backward
+need not rebuild them.  Dropout draws 16-bit integers, not float64
+uniforms, and caches a bool keep mask plus its scale rounded in the input's
+dtype.  GELU is the tanh form (Hendrycks & Gimpel 2016, as in BERT and
+GPT-2), not the erf form.  Caches are for backward only: an eval forward
+(`forward_batch` without `want_cache`) drops each layer's cache as soon as
+the layer returns.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 LN_EPS = 1e-5
 # Additive mask value: large enough that exp underflows to exactly 0, finite
 # so float32 arithmetic stays NaN-free.
 MASK_NEG = -1e30
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# tanh-form GELU: 0.5 x (1 + tanh(c (x + a x^3)))
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+_GELU_A = 0.044715
+# dropout draws uint16 values: the rate is quantised to a multiple of 1/2^16
+_DRAW_LEVELS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -45,23 +50,50 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def gelu_forward(x: np.ndarray):
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2)).astype(x.dtype)
-    return x * phi, (x, phi)
+    """tanh-form GELU in x's dtype; the tanh is cached for backward."""
+    t = x * x
+    t *= _GELU_A
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
+    return out, (x, t)
 
 
 def gelu_backward(dy: np.ndarray, cache) -> np.ndarray:
-    x, phi = cache
-    pdf = np.exp(-0.5 * x * x) * np.asarray(_INV_SQRT_2PI, dtype=x.dtype)
-    return dy * (phi + x * pdf)
+    """Exact derivative of the tanh form:
+    0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)."""
+    x, t = cache
+    dt = x * x
+    dt *= 3.0 * _GELU_A
+    dt += 1.0
+    dt *= _GELU_C
+    dt *= x
+    sech2 = t * t
+    np.subtract(1.0, sech2, out=sech2)
+    dt *= sech2
+    dt += t
+    dt += 1.0
+    dt *= 0.5
+    dt *= dy
+    return dt
 
 
 def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool):
-    """Inverted dropout; the boolean keep mask and the scale 1/(1-rate),
-    rounded in x's dtype, are cached for backward."""
+    """Inverted dropout: drop where a uniform uint16 draw is below
+    cut = round(rate * 2^16), and scale the kept values by 2^16 / (2^16 - cut),
+    rounded in x's dtype, so the layer is unbiased at the quantised rate.  The
+    bool keep mask and the scale are cached for backward."""
     if not train or rate == 0.0:
         return x, None
-    keep = rng.random(x.shape) >= rate
-    scale = np.asarray(1.0, dtype=x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
+    # a rate within 2^-17 of 1 would round to dropping every level
+    cut = min(round(rate * _DRAW_LEVELS), _DRAW_LEVELS - 1)
+    draws = np.frombuffer(rng.bytes(2 * x.size), dtype="<u2").reshape(x.shape)
+    keep = draws >= cut
+    scale = np.asarray(_DRAW_LEVELS / (_DRAW_LEVELS - cut), dtype=x.dtype)
     return _scale_kept(x, keep, scale), (keep, scale)
 
 

@@ -1,6 +1,10 @@
 """Shared fixtures for the encoder gradient checks, anchor-lattice lookups,
-textbook attention kernels, and scalar oracles for the array-native
+textbook kernels, and scalar oracles for the array-native
 proposal path."""
+
+import json
+import math
+import struct
 
 import numpy as np
 
@@ -36,8 +40,8 @@ def assert_bitwise_equal(a, b):
     np.testing.assert_array_equal(a.view(bits), b.view(bits))
 
 
-# Textbook attention kernels: each allocates a fresh array per step and
-# keeps a float dropout mask.  The in-place kernels must match them bit for bit.
+# Textbook kernels: each allocates a fresh array per step and keeps a float
+# dropout mask.  The in-place kernels must match them bit for bit.
 
 def textbook_masked_softmax(scores, key_mask):
     bias = np.where(key_mask[:, None, None, :], 0.0, MASK_NEG).astype(scores.dtype)
@@ -52,14 +56,35 @@ def textbook_softmax_backward(dp, p):
 
 
 def textbook_dropout_forward(x, rate, rng, train):
+    """Keep where a little-endian uint16 draw is at least round(rate * 65536);
+    scale kept values by 65536 / (65536 - cut) in x's dtype."""
     if not train or rate == 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / np.asarray(1.0 - rate, dtype=x.dtype)
-    return x * keep, keep
+    cut = round(rate * 65536)
+    draws = np.frombuffer(rng.bytes(2 * x.size), dtype="<u2").reshape(x.shape)
+    mask = (draws >= cut).astype(x.dtype) * np.asarray(65536 / (65536 - cut), dtype=x.dtype)
+    return x * mask, mask
 
 
 def textbook_dropout_backward(dy, mask):
     return dy if mask is None else dy * mask
+
+
+def erf_gelu(x):
+    """The exact GELU, x * Phi(x), in float64."""
+    phi = 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x, np.float64) / math.sqrt(2.0)))
+    return x * phi, phi
+
+
+def edit_checkpoint_header(path, edit):
+    """Rewrite a saved checkpoint's JSON header through `edit`, keeping the
+    payload."""
+    blob = path.read_bytes()
+    (n,) = struct.unpack_from("<Q", blob, 8)
+    header = json.loads(blob[16:16 + n])
+    edit(header)
+    raw = json.dumps(header).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n:])
 
 
 def tiny_training_batch(T=8, L=4, seed=9):

@@ -8,7 +8,7 @@ from nlqground.cli import run
 from nlqground.data import load_dataset, make_batches, read_annotations
 from nlqground.inference import decode_index_spans, decode_proposals, select_proposals
 from nlqground.nn import load_checkpoint
-from helpers import brute_force_decode, brute_force_selection
+from helpers import brute_force_decode, brute_force_selection, edit_checkpoint_header
 
 
 def files_snapshot(root: Path) -> dict[str, bytes]:
@@ -113,6 +113,16 @@ class TestPredictCommand:
                     "--data", str(pipeline["data"]), "--out", str(tmp_path / "p.jsonl"),
                     "--frames", "20", "--scales", "0.15"])
         assert code == 1
+
+    def test_checkpoint_missing_parameter_names_path_and_parameter(self, pipeline, tmp_path,
+                                                                   capsys):
+        ckpt = tmp_path / "m.nlqc"
+        ckpt.write_bytes((pipeline["out"] / "checkpoint_best.nlqc").read_bytes())
+        edit_checkpoint_header(ckpt, lambda h: h["manifest"].pop(0))
+        code = run(["predict", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "p.jsonl"), "--frames", "20", "--scales", "0.15,0.4"])
+        assert code == 1
+        assert f"{ckpt}: parameter 'video_proj.w' missing" in capsys.readouterr().err
 
 
 class TestSelectionIdentity:

@@ -1,3 +1,4 @@
+import errno
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,8 @@ import pytest
 from helpers import (
     assert_bitwise_equal,
     dropout_training_loss_fn,
+    edit_checkpoint_header,
+    erf_gelu,
     textbook_dropout_backward,
     textbook_dropout_forward,
     textbook_masked_softmax,
@@ -25,10 +28,13 @@ from nlqground.nn import (
     save_checkpoint,
     sinusoidal_positions,
 )
+from nlqground.nn import checkpoint
 from nlqground.nn.checkpoint import CheckpointError
 from nlqground.nn.layers import (
     dropout_backward,
     dropout_forward,
+    gelu_backward,
+    gelu_forward,
     masked_softmax,
     softmax_backward,
 )
@@ -230,6 +236,25 @@ class TestKernelOracles:
             assert keep.dtype == bool and keep.shape == x.shape
             assert scale.dtype == dtype
 
+    def test_dropout_rate_next_to_one_stays_finite(self):
+        x = np.ones(1 << 12, np.float32)
+        out, (keep, scale) = dropout_forward(x, 1.0 - 2.0 ** -18, np.random.default_rng(0), True)
+        assert scale == 65536.0 and np.isfinite(out).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tanh_gelu_tracks_erf_gelu(self, dtype):
+        # measured on this grid: forward 4.733e-4 at x = -2.70, derivative
+        # 8.685e-4 at x = -2.02, in either dtype; both are the tanh form's
+        # own error, not rounding
+        x = np.linspace(-10.0, 10.0, 200_001).astype(dtype)
+        y, cache = gelu_forward(x)
+        dydx = gelu_backward(np.ones_like(x), cache)
+        assert y.dtype == dydx.dtype == dtype
+        ref_y, phi = erf_gelu(x)
+        ref_dydx = phi + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        assert np.abs(y - ref_y).max() < 4.8e-4
+        assert np.abs(dydx - ref_dydx).max() < 8.7e-4
+
 
 def _leaves(tree):
     """Every non-container leaf of nested tuples, lists and dicts."""
@@ -377,3 +402,49 @@ class TestCheckpoint:
         path.write_bytes(blob[:-40])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda h: h.pop("manifest"), "manifest"),
+        (lambda h: h["manifest"].pop(0), "'video_proj.w' missing"),
+        (lambda h: h["config"].update(bogus=1), "unknown config key 'bogus'"),
+        (lambda h: h["config"].update(hidden_dim=16), "'video_proj.w' is 5x8, the config implies 5x16"),
+        (lambda h: h.update(seed="8"), "seed '8' is not an integer"),
+    ], ids=["no_manifest", "missing_parameter", "unknown_config_key", "shape_mismatch", "bad_seed"])
+    def test_bad_header_names_path_and_offender(self, tmp_path, edit, named):
+        path = tmp_path / "m.nlqc"
+        save_checkpoint(init_model(TINY, seed=8), path)
+        edit_checkpoint_header(path, edit)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value) and named in str(info.value)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.nlqc"
+        save_checkpoint(init_model(TINY, seed=8), path)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that takes half the previous checkpoint's bytes, then
+            fails like a full disk."""
+            def __init__(self, f):
+                self.f, self.room = f, len(before) // 2
+
+            def write(self, data):
+                if len(data) > self.room:
+                    self.f.write(data[:self.room])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                self.room -= len(data)
+                return self.f.write(data)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        monkeypatch.setattr(checkpoint, "open", lambda p, mode: DiskFull(open(p, mode)),
+                            raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(init_model(TINY, seed=9), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
