@@ -9,11 +9,11 @@ used by the boundary loss.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutOfRangeError, TimeSpan, Units, iou_batch
+from .core import OutOfRangeError, iou_batch
 
 DEFAULT_POSITIVE_THRESHOLD = 0.5
 
@@ -63,8 +63,7 @@ class AnchorLabels:
 
     iou_targets: np.ndarray  # (K*T,) float64 in [0, 1]
     positive_mask: np.ndarray  # (K*T,) bool
-    num_positives: int
-    forced_positive: bool = field(default=False)
+    forced_positive: bool
 
 
 def build_lattice(config: AnchorConfig) -> AnchorSet:
@@ -87,37 +86,30 @@ def build_lattice(config: AnchorConfig) -> AnchorSet:
 
 def label_anchors(
     anchors: AnchorSet,
-    gt: TimeSpan,
+    gt_start: float,
+    gt_end: float,
     threshold: float = DEFAULT_POSITIVE_THRESHOLD,
-    force_positive: bool = True,
 ) -> AnchorLabels:
-    """IoU targets and positivity of every anchor against one ground truth.
+    """IoU targets and positivity of every anchor against one index-unit
+    ground truth [gt_start, gt_end].
 
     An anchor is positive iff its IoU exceeds `threshold` strictly.  When no
-    anchor clears the bar and `force_positive` is set, the single best anchor
-    is promoted so the boundary-loss normalizer N_pos stays nonzero; the
-    promotion is reported via `forced_positive`.
+    anchor clears the bar, the single best anchor is promoted so the
+    boundary-loss normalizer N_pos stays nonzero; the promotion is reported
+    via `forced_positive`.
     """
-    if gt.units != Units.INDEX:
-        raise ValueError(f"ground truth must be in index units, got {gt.units.value}")
     T = anchors.config.num_frames
-    if gt.end > T:
-        raise OutOfRangeError(f"ground truth [{gt.start}, {gt.end}] exceeds lattice extent {T}")
+    if not (0.0 <= gt_start <= gt_end <= T):
+        raise OutOfRangeError(
+            f"ground truth [{gt_start}, {gt_end}] lies outside lattice extent [0, {T}]")
     if not (0.0 <= threshold < 1.0):
         raise ValueError(f"positive threshold must lie in [0, 1), got {threshold}")
 
-    targets = iou_batch(anchors.spans, gt.start, gt.end)
+    targets = iou_batch(anchors.spans, gt_start, gt_end)
     positive = targets > threshold
-    forced = False
-    if force_positive and not positive.any():
-        positive = positive.copy()
+    forced = not positive.any()
+    if forced:
         positive[int(np.argmax(targets))] = True
-        forced = True
     positive.setflags(write=False)
     targets.setflags(write=False)
-    return AnchorLabels(
-        iou_targets=targets,
-        positive_mask=positive,
-        num_positives=int(positive.sum()),
-        forced_positive=forced,
-    )
+    return AnchorLabels(iou_targets=targets, positive_mask=positive, forced_positive=forced)

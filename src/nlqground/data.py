@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FrameGrid, TimeSpan, Units, sec_to_index
+from .core import FrameGrid, sec_to_index
 
 FEATURE_MAGIC = b"EGF1"
 ANNOTATION_VERSION = "1.0"
@@ -376,7 +376,6 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
         video = np.zeros((b, target_t, dv), dtype=np.float32)
         text = np.zeros((b, lmax, dt), dtype=np.float32)
         text_mask = np.zeros((b, lmax), dtype=bool)
-        gt_index = np.zeros((b, 2), dtype=np.float64)
         grids = []
         for j, a in enumerate(chunk):
             if a.video_id not in sampled:
@@ -387,9 +386,9 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
             tokens = dataset.text_features[a.query_id]
             text[j, :tokens.shape[0]] = tokens
             text_mask[j, :tokens.shape[0]] = True
-            span = sec_to_index(TimeSpan(a.start_sec, a.end_sec, Units.SECONDS), grid)
-            gt_index[j] = (span.start, span.end)
             grids.append(grid)
+        gt_index = sec_to_index([(a.start_sec, a.end_sec) for a in chunk], target_t,
+                                [grid.duration_sec for grid in grids])
         yield Batch(
             video=video, text=text, text_mask=text_mask, gt_index=gt_index, grids=grids,
             query_ids=[a.query_id for a in chunk],

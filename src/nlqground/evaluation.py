@@ -3,7 +3,8 @@
 A query is a hit for cell (n, m) when at least one of its top-n ranked
 predictions has IoU strictly greater than m with the ground truth; each cell
 reports the fraction of queries that hit.  Boundary IoU == m counts as a
-miss (strict inequality).
+miss (strict inequality).  The running maximum of a query's IoUs over ranks
+is its best IoU within the top n, for every n at once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ import json
 import warnings
 from dataclasses import dataclass
 
-from .core import TimeSpan, iou
+import numpy as np
+
+from .core import iou_batch
 from .data import QueryAnnotation
 from .inference import _checked_proposal
 
@@ -49,13 +52,6 @@ class MetricReport:
         return "\n".join(lines)
 
 
-def query_hit(proposals: list[TimeSpan], gt: TimeSpan, n: int, m: float) -> bool:
-    """True iff one of the first min(n, len) proposals has IoU > m with gt."""
-    if not (0.0 < m < 1.0):
-        raise ValueError(f"IoU threshold must lie in (0, 1), got {m}")
-    return any(iou(span, gt) > m for span in proposals[:n])
-
-
 def evaluate(
     predictions: list[dict],
     annotations: list[QueryAnnotation],
@@ -69,38 +65,44 @@ def evaluate(
     Every annotated query must appear in the predictions; missing queries
     count as misses with a warning unless `strict`, in which case they are
     an error.  Duplicate query ids in the predictions are always an error,
-    and so is a malformed proposal, named by query, rank and key.
+    and so is a malformed proposal, named by query, rank and key, exactly as
+    `rerank` names it.  Ranks must be >= 1 and thresholds lie in (0, 1).
     """
     ranks = tuple(int(n) for n in ranks)
     thresholds = tuple(float(m) for m in thresholds)
-    by_query: dict[str, list[TimeSpan]] = {}
+    if min(ranks, default=1) < 1 or not all(0.0 < m < 1.0 for m in thresholds):
+        raise ValueError(f"ranks must be >= 1 and IoU thresholds in (0, 1), got {ranks}, {thresholds}")
+    by_query: dict[str, list] = {}
     for rec in predictions:
         qid = rec["query_id"]
         if qid in by_query:
             raise ValueError(f"duplicate query_id {qid!r} in predictions")
-        try:
-            by_query[qid] = [TimeSpan(p["start_sec"], p["end_sec"]) for p in rec["proposals"]]
-        except (KeyError, TypeError, ValueError):
-            # only a bad record pays for the check that names its offender
-            for rank, p in enumerate(rec["proposals"], 1):
-                _checked_proposal(qid, rank, p)
-            raise
+        by_query[qid] = [_checked_proposal(qid, rank, p)[:2]
+                         for rank, p in enumerate(rec["proposals"], 1)]
 
-    hits = {(n, m): 0 for n in ranks for m in thresholds}
+    rows, gts = [], []  # proposal spans and ground truth of each predicted query
     for a in annotations:
-        spans = by_query.get(a.query_id)
-        if spans is None:
-            if strict:
-                raise ValueError(f"no predictions for query {a.query_id!r} (strict mode)")
+        if a.query_id in by_query:
+            rows.append(by_query[a.query_id])
+            gts.append((a.start_sec, a.end_sec))
+        elif strict:
+            raise ValueError(f"no predictions for query {a.query_id!r} (strict mode)")
+        else:
             warnings.warn(f"no predictions for query {a.query_id!r}; counted as a miss")
-            continue
-        gt = TimeSpan(a.start_sec, a.end_sec)
-        for n in ranks:
-            for m in thresholds:
-                if query_hit(spans, gt, n, m):
-                    hits[(n, m)] += 1
+
+    # rows padded with [0, 0] spans, whose IoU of 0 is never a hit, to one grid
+    width = max(map(len, rows), default=0)
+    hit_counts = np.zeros((len(ranks), len(thresholds)), dtype=np.int64)
+    if width:
+        flat = [span for spans in rows for span in spans + [[0.0, 0.0]] * (width - len(spans))]
+        gt = np.repeat(np.array(gts, dtype=np.float64), width, axis=0)
+        ious = iou_batch(flat, gt[:, 0], gt[:, 1]).reshape(-1, width)
+        best = np.maximum.accumulate(ious, axis=1)[:, [min(n, width) - 1 for n in ranks]]
+        hit_counts = (best[:, :, None] > np.asarray(thresholds)).sum(axis=0)
 
     total = len(annotations)
+    hits = {(n, m): int(hit_counts[i, j])
+            for i, n in enumerate(ranks) for j, m in enumerate(thresholds)}
     recalls = {cell: (h / total if total else 0.0) for cell, h in hits.items()}
     return MetricReport(recalls=recalls, hits=hits, total_queries=total,
                         ranks=ranks, thresholds=thresholds)

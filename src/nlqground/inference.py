@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import AnchorConfig, AnchorSet, build_lattice
-from .core import FrameGrid, iou_batch
+from .core import FrameGrid, index_to_sec, iou_batch
 from .nn.model import GroundingModel
 
 
@@ -84,14 +84,6 @@ def decode_index_spans(offsets: np.ndarray, anchors: AnchorSet):
     return spans, backward
 
 
-def _index_to_sec(spans: np.ndarray, grid: FrameGrid) -> np.ndarray:
-    """`core.index_to_sec` over an (N, 2) array: the same arithmetic, so the
-    same bits, and the same refusal of non-finite endpoints."""
-    if not np.isfinite(spans).all():
-        raise ValueError("decoded span endpoints must be finite")
-    return np.clip(spans * (grid.duration_sec / grid.num_frames), 0.0, grid.duration_sec)
-
-
 def decode_proposals(confidence: np.ndarray, offsets: np.ndarray, anchors: AnchorSet,
                      grid: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
     """All K*T anchors of one item's head outputs (confidence (T, K), offsets
@@ -105,7 +97,7 @@ def decode_proposals(confidence: np.ndarray, offsets: np.ndarray, anchors: Ancho
         raise ValueError(f"grid has {grid.num_frames} frames but anchors expect {T}")
     spans, _ = decode_index_spans(offsets, anchors)
     conf = np.asarray(confidence, dtype=np.float64).reshape(T * K)
-    return _index_to_sec(spans, grid), conf
+    return index_to_sec(spans, grid), conf
 
 
 # ---------------------------------------------------------------------------

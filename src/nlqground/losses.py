@@ -28,7 +28,6 @@ class LossBreakdown:
     box: float
     total: float
     mu: float
-    num_positives: int
     num_forced: int = 0  # ground truths whose best anchor was force-promoted
 
 
@@ -123,8 +122,7 @@ def boundary_loss_grad(
     return grad
 
 
-def total_loss(align: float, box: float, mu: float,
-               num_positives: int = 0, num_forced: int = 0) -> LossBreakdown:
+def total_loss(align: float, box: float, mu: float, num_forced: int = 0) -> LossBreakdown:
     """Combine the two terms: total = align + mu * box."""
     if align < 0 or box < 0:
         raise ValueError(f"loss terms must be nonnegative, got align={align}, box={box}")
@@ -135,6 +133,5 @@ def total_loss(align: float, box: float, mu: float,
         box=float(box),
         total=float(align + mu * box),
         mu=float(mu),
-        num_positives=num_positives,
         num_forced=num_forced,
     )

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import losses
 from .anchors import AnchorConfig, AnchorSet, build_lattice, label_anchors
-from .core import TimeSpan, Units
 from .data import Batch, Dataset, make_batches
 from .evaluation import MetricReport, evaluate
 from .inference import decode_index_spans, json_record, predict_dataset
@@ -140,31 +139,28 @@ def batch_loss_and_grads(
 
     align_sum = 0.0
     box_sum = 0.0
-    pos_total = 0
     forced_total = 0
     d_conf = np.zeros_like(conf)
     d_offs = np.zeros_like(offs)
     for j in range(B):
-        gt = TimeSpan(float(batch.gt_index[j, 0]), float(batch.gt_index[j, 1]), Units.INDEX)
-        labels = label_anchors(anchor_set, gt, config.positive_threshold)
+        gt_start, gt_end = batch.gt_index[j].tolist()
+        labels = label_anchors(anchor_set, gt_start, gt_end, config.positive_threshold)
         conf_flat = conf[j].reshape(T * K)
         spans, decode_back = decode_index_spans(offs[j], anchor_set)
 
         align_sum += losses.alignment_loss(labels.iou_targets, conf_flat)
         box_sum += losses.boundary_loss(
-            spans, gt.start, gt.end, labels.positive_mask,
+            spans, gt_start, gt_end, labels.positive_mask,
             beta=config.smooth_l1_beta, norm=norm)
-        pos_total += labels.num_positives
         forced_total += labels.forced_positive
 
         d_conf[j] = (losses.alignment_loss_grad(labels.iou_targets, conf_flat) / B).reshape(T, K)
         d_span = losses.boundary_loss_grad(
-            spans, gt.start, gt.end, labels.positive_mask,
+            spans, gt_start, gt_end, labels.positive_mask,
             beta=config.smooth_l1_beta, norm=norm) * (config.mu / B)
         d_offs[j] = decode_back(d_span)
 
-    breakdown = losses.total_loss(align_sum / B, box_sum / B, config.mu,
-                                  num_positives=pos_total, num_forced=forced_total)
+    breakdown = losses.total_loss(align_sum / B, box_sum / B, config.mu, num_forced=forced_total)
     grads, _, _ = model.backward(cache, d_conf, d_offs)
     return breakdown, grads
 

@@ -1,6 +1,7 @@
 """Shared fixtures for the encoder gradient checks, anchor-lattice lookups,
-textbook kernels, and scalar oracles for the array-native
-proposal path."""
+textbook kernels, and scalar oracles for the array-native span path:
+IoU, the seconds <-> frame-index maps, decode and selection, one
+(start, end) pair at a time."""
 
 import json
 import math
@@ -8,7 +9,7 @@ import struct
 
 import numpy as np
 
-from nlqground.core import FrameGrid, TimeSpan, Units, index_to_sec, iou
+from nlqground.core import FrameGrid, OutOfRangeError
 from nlqground.data import Batch
 from nlqground.nn.layers import MASK_NEG
 from nlqground.trainer import batch_loss_and_grads
@@ -107,30 +108,55 @@ def flat_index(anchors, t, k):
     return t * anchors.config.num_scales + k
 
 
-def anchor_span(anchors, i):
-    """Lattice row i as a validated index-unit TimeSpan."""
-    return TimeSpan(float(anchors.spans[i, 0]), float(anchors.spans[i, 1]), Units.INDEX)
+def scalar_iou(a, b):
+    """IoU of two (start, end) pairs; 0 when the intersection or the union
+    has no length."""
+    inter = min(a[1], b[1]) - max(a[0], b[0])
+    if inter <= 0.0:
+        return 0.0
+    union = (a[1] - a[0]) + (b[1] - b[0]) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def scalar_sec_to_index(start, end, grid):
+    """A seconds span on the continuous [0, T] index axis of `grid`:
+    t * (T / duration), clamped to [0, T]."""
+    if not 0.0 <= start <= end <= grid.duration_sec:
+        raise OutOfRangeError(f"span [{start}, {end}] outside [0, {grid.duration_sec}]")
+    scale = grid.num_frames / grid.duration_sec
+    t = float(grid.num_frames)
+    return min(max(start * scale, 0.0), t), min(max(end * scale, 0.0), t)
+
+
+def scalar_index_to_sec(start, end, grid):
+    """An index span in seconds on `grid`: t * (duration / T), clamped to
+    [0, duration]."""
+    if not 0.0 <= start <= end <= grid.num_frames:
+        raise OutOfRangeError(f"span [{start}, {end}] outside [0, {grid.num_frames}]")
+    scale = grid.duration_sec / grid.num_frames
+    d = grid.duration_sec
+    return min(max(start * scale, 0.0), d), min(max(end * scale, 0.0), d)
 
 
 def brute_force_decode(index_spans, grid):
-    """Index-unit spans mapped to seconds one validated TimeSpan at a time,
-    as (start, end) pairs."""
-    secs = [index_to_sec(TimeSpan(s, e, Units.INDEX), grid) for s, e in index_spans]
-    return [(t.start, t.end) for t in secs]
+    """Index-unit spans mapped to seconds one pair at a time."""
+    return [scalar_index_to_sec(s, e, grid) for s, e in index_spans]
 
 
 def brute_force_selection(spans, scores, k, nms_iou):
-    """The object path's selection rule from scalars: sort every proposal by
-    (-score, start, index), run greedy NMS with scalar `core.iou` over the
-    full list (none when nms_iou is 0), then take the first k.  Returns the
+    """The selection rule from scalars: sort every proposal by
+    (-score, start, index), run greedy NMS with `scalar_iou` over the full
+    list (none when nms_iou is 0), then take the first k.  Returns the
     selected indices."""
-    props = [(TimeSpan(float(s), float(e)), float(c), i)
+    props = [((float(s), float(e)), float(c), i)
              for i, ((s, e), c) in enumerate(zip(spans, scores))]
-    ranked = sorted(props, key=lambda p: (-p[1], p[0].start, p[2]))
+    ranked = sorted(props, key=lambda p: (-p[1], p[0][0], p[2]))
     if nms_iou > 0:
         kept = []
         for p in ranked:
-            if all(iou(p[0], q[0]) <= nms_iou for q in kept):
+            if all(scalar_iou(p[0], q[0]) <= nms_iou for q in kept):
                 kept.append(p)
         ranked = kept
     return [p[2] for p in ranked[:k]]

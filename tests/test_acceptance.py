@@ -13,7 +13,7 @@ import pytest
 
 from nlqground.anchors import AnchorConfig, build_lattice
 from nlqground.cli import run as cli_run
-from nlqground.core import TimeSpan, Units, iou
+from nlqground.core import iou_batch
 from nlqground.data import (
     QueryAnnotation,
     SyntheticSpec,
@@ -39,7 +39,7 @@ from nlqground.nn import (
     save_checkpoint,
 )
 from nlqground.trainer import TrainConfig, train
-from helpers import tiny_training_batch, training_loss_fn
+from helpers import scalar_iou, tiny_training_batch, training_loss_fn
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -74,16 +74,16 @@ E2E_TRAIN = TrainConfig(
 def test_criterion_1_iou_oracle():
     rng = np.random.default_rng(123)
     t0 = time.time()
+    a = np.sort(rng.uniform(0, 500, (10_000, 2)), axis=1)
+    b = np.sort(rng.uniform(0, 500, (10_000, 2)), axis=1)
+    got = iou_batch(a, b[:, 0], b[:, 1])
     worst = 0.0
-    for _ in range(10_000):
-        a0, a1 = np.sort(rng.uniform(0, 500, 2))
-        b0, b1 = np.sort(rng.uniform(0, 500, 2))
-        got = iou(TimeSpan(a0, a1), TimeSpan(b0, b1))
+    for g, (a0, a1), (b0, b1) in zip(got.tolist(), a.tolist(), b.tolist()):
         # independent direct-arithmetic oracle
         inter = max(0.0, min(a1, b1) - max(a0, b0))
         union = (a1 - a0) + (b1 - b0) - inter
         want = inter / union if union > 0 else 0.0
-        worst = max(worst, abs(got - want))
+        worst = max(worst, abs(g - want))
     elapsed = time.time() - t0
     report(1, worst < 1e-12 and elapsed < 1.0,
            f"10,000 span pairs, max diff {worst:.2e}, {elapsed:.2f}s")
@@ -155,9 +155,9 @@ def test_criterion_5_metric_oracle():
             for m in ths:
                 hits = 0
                 for a in anns:
-                    gt = TimeSpan(a.start_sec, a.end_sec)
+                    gt = (a.start_sec, a.end_sec)
                     hits += any(
-                        iou(TimeSpan(p["start_sec"], p["end_sec"]), gt) > m
+                        scalar_iou((p["start_sec"], p["end_sec"]), gt) > m
                         for p in by_qid[a.query_id][:n])
                 if got.recalls[(n, m)] != hits / len(anns):
                     mismatches += 1
@@ -205,14 +205,12 @@ def test_criterion_6_end_to_end_learning(e2e):
 @pytest.mark.slow
 def test_criterion_7_rerank_with_iou_channel(e2e):
     baseline = _evaluate_records(e2e["records"], e2e["val"].annotations)
-    gt_by_query = {a.query_id: TimeSpan(a.start_sec, a.end_sec)
-                   for a in e2e["val"].annotations}
+    gt_by_query = {a.query_id: (a.start_sec, a.end_sec) for a in e2e["val"].annotations}
     reranked_records = []
     for qid, vid, spans, scores in e2e["records"]:
         channel = RerankChannel(
             name="true_iou",
-            scores=[iou(TimeSpan(start, end), gt_by_query[qid])
-                    for start, end in zip(spans[:, 0], spans[:, 1])],
+            scores=iou_batch(spans, *gt_by_query[qid]).tolist(),
             weight=1.0)
         order, fused = rerank(scores.tolist(), [channel])
         reranked_records.append((qid, vid, spans[order], np.array(fused)))

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice, label_anchors
-from nlqground.core import OutOfRangeError, TimeSpan, Units, iou
-from helpers import anchor_span, flat_index
+from nlqground.core import OutOfRangeError
+from helpers import flat_index, scalar_iou
 
 
 class TestAnchorConfig:
@@ -74,52 +74,48 @@ class TestLabelAnchors:
     aset = build_lattice(AnchorConfig(scales=(0.2,), num_frames=10))
 
     def test_exact_match_anchor(self):
-        labels = label_anchors(self.aset, TimeSpan(4.5, 6.5, Units.INDEX), threshold=0.5)
+        labels = label_anchors(self.aset, 4.5, 6.5, threshold=0.5)
         i = flat_index(self.aset, 5, 0)
         assert labels.iou_targets[i] == 1.0
         assert labels.positive_mask[i]
 
     def test_neighbor_anchor_is_negative(self):
-        labels = label_anchors(self.aset, TimeSpan(4.5, 6.5, Units.INDEX), threshold=0.5)
+        labels = label_anchors(self.aset, 4.5, 6.5, threshold=0.5)
         i = flat_index(self.aset, 4, 0)  # [3.5, 5.5]: intersection 1, union 3
         assert labels.iou_targets[i] == pytest.approx(1 / 3)
         assert not labels.positive_mask[i]
 
     def test_disjoint_anchor(self):
-        labels = label_anchors(self.aset, TimeSpan(0.0, 1.0, Units.INDEX),
-                               threshold=0.5, force_positive=False)
+        labels = label_anchors(self.aset, 0.0, 1.0, threshold=0.5)
         i = flat_index(self.aset, 9, 0)
         assert labels.iou_targets[i] == 0.0
         assert not labels.positive_mask[i]
 
     def test_matches_brute_force_oracle_exactly(self):
         aset = build_lattice(AnchorConfig(scales=(0.05, 0.2, 0.6), num_frames=37))
-        gt = TimeSpan(10.2, 19.7, Units.INDEX)
-        labels = label_anchors(aset, gt, threshold=0.4)
+        labels = label_anchors(aset, 10.2, 19.7, threshold=0.4)
         for i in range(len(aset)):
-            assert labels.iou_targets[i] == iou(anchor_span(aset, i), gt)
+            assert labels.iou_targets[i] == scalar_iou(aset.spans[i].tolist(), (10.2, 19.7))
 
     def test_force_positive_keeps_n_pos_nonzero(self):
         # a sliver at the very edge clears no anchor at threshold 0.9
-        labels = label_anchors(self.aset, TimeSpan(0.0, 0.05, Units.INDEX), threshold=0.9)
+        labels = label_anchors(self.aset, 0.0, 0.05, threshold=0.9)
         assert labels.forced_positive
-        assert labels.num_positives == 1
+        assert labels.positive_mask.sum() == 1
         best = int(np.argmax(labels.iou_targets))
         assert labels.positive_mask[best]
 
-    def test_without_forcing_zero_positives_allowed(self):
-        labels = label_anchors(self.aset, TimeSpan(0.0, 0.05, Units.INDEX),
-                               threshold=0.9, force_positive=False)
-        assert labels.num_positives == 0
-        assert not labels.positive_mask.any()
-
     def test_gt_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            label_anchors(self.aset, TimeSpan(5.0, 11.0, Units.INDEX))
+            label_anchors(self.aset, 5.0, 11.0)
+        with pytest.raises(OutOfRangeError):
+            label_anchors(self.aset, 6.0, 5.0)
+        with pytest.raises(OutOfRangeError):
+            label_anchors(self.aset, -1.0, 5.0)
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError):
-            label_anchors(self.aset, TimeSpan(1.0, 2.0, Units.INDEX), threshold=1.0)
+            label_anchors(self.aset, 1.0, 2.0, threshold=1.0)
 
     @given(
         start=st.floats(0, 8, allow_nan=False),
@@ -129,9 +125,9 @@ class TestLabelAnchors:
     )
     @settings(max_examples=60)
     def test_threshold_monotonicity(self, start, width, t1, t2):
-        gt = TimeSpan(start, min(start + width, 10.0), Units.INDEX)
+        end = min(start + width, 10.0)
         lo, hi = sorted((t1, t2))
-        n_hi = label_anchors(self.aset, gt, threshold=hi, force_positive=False).num_positives
-        n_lo = label_anchors(self.aset, gt, threshold=lo, force_positive=False).num_positives
+        n_hi = label_anchors(self.aset, start, end, threshold=hi).positive_mask.sum()
+        n_lo = label_anchors(self.aset, start, end, threshold=lo).positive_mask.sum()
         assert n_lo >= n_hi
         assert n_hi <= len(self.aset)

@@ -128,8 +128,8 @@ class TestPredictCommand:
 class TestSelectionIdentity:
     def test_trained_model_matches_object_path(self, pipeline):
         """Decode and selection of the trained model pick the same proposals,
-        bitwise, as the scalar TimeSpan / core.iou path; so does the file
-        `predict` wrote."""
+        bitwise, as the scalar oracles in `helpers` (one span pair at a
+        time); so does the file `predict` wrote."""
         model = load_checkpoint(pipeline["out"] / "checkpoint_best.nlqc")
         anchors = build_lattice(AnchorConfig(scales=(0.15, 0.4), num_frames=20))
         written = {r["query_id"]: r for r in map(json.loads, pipeline["preds"].read_text().splitlines())}
@@ -195,6 +195,24 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert repr(qid) in err and "rank 2" in err and "'end_sec'" in err
+
+    @pytest.mark.parametrize("bad, key", [
+        ({"start_sec": True, "end_sec": 5.0, "score": 0.5}, "start_sec"),
+        ({"start_sec": 1.0, "end_sec": 5.0}, "score"),
+        ({"start_sec": 1.0, "end_sec": 5.0, "score": None}, "score"),
+    ], ids=["bool_start_sec", "missing_score", "null_score"])
+    def test_bad_proposal_rejected_as_rerank_rejects_it(self, pipeline, tmp_path, capsys,
+                                                         bad, key):
+        anns, _ = read_annotations(pipeline["data"] / "annotations.json")
+        qid = anns[0].query_id
+        preds = tmp_path / "bad.jsonl"
+        preds.write_text(json.dumps({"query_id": qid, "video_id": anns[0].video_id, "proposals": [
+            {"start_sec": 0.0, "end_sec": 1.0, "score": 0.9}, bad]}) + "\n")
+        code = run(["eval", "--preds", str(preds),
+                    "--annotations", str(pipeline["data"] / "annotations.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert repr(qid) in err and "rank 2" in err and f"'{key}'" in err
 
 
 class TestRerankCommand:

@@ -1,51 +1,48 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nlqground.core import (
     FrameGrid,
     OutOfRangeError,
-    TimeSpan,
-    UnitMismatchError,
-    Units,
     index_to_sec,
-    iou,
     iou_batch,
     sec_to_index,
 )
+from helpers import scalar_index_to_sec, scalar_iou, scalar_sec_to_index
 
 # multiples of 1/64 are exactly representable, so interval arithmetic before
 # the final division is exact and the algebraic invariants hold bit-for-bit
 grid64 = st.integers(0, 64000).map(lambda n: n / 64.0)
-spans = st.tuples(grid64, grid64).map(lambda p: TimeSpan(min(p), max(p), Units.SECONDS))
+spans = st.tuples(grid64, grid64).map(lambda p: (min(p), max(p)))
 
 
-def test_timespan_invariants():
-    with pytest.raises(ValueError):
-        TimeSpan(5.0, 3.0)
-    with pytest.raises(ValueError):
-        TimeSpan(-1.0, 3.0)
-    assert TimeSpan(2.0, 2.0).length == 0.0
+def iou(a, b):
+    """`iou_batch` of one span against one reference."""
+    return iou_batch(np.array([a]), *b)[0]
+
+
+def test_sec_to_index_span_invariants():
+    with pytest.raises(OutOfRangeError):
+        sec_to_index([(5.0, 3.0)], 10, [10.0])
+    with pytest.raises(OutOfRangeError):
+        sec_to_index([(-1.0, 3.0)], 10, [10.0])
+    assert sec_to_index([(2.0, 2.0)], 10, [10.0]).tolist() == [[2.0, 2.0]]
 
 
 class TestIou:
     def test_identity(self):
-        assert iou(TimeSpan(0, 10), TimeSpan(0, 10)) == 1.0
+        assert iou((0, 10), (0, 10)) == 1.0
 
     def test_disjoint(self):
-        assert iou(TimeSpan(0, 10), TimeSpan(20, 30)) == 0.0
+        assert iou((0, 10), (20, 30)) == 0.0
 
     def test_partial_overlap(self):
         # intersection 5, union 15
-        assert iou(TimeSpan(0, 10), TimeSpan(5, 15)) == pytest.approx(1 / 3, abs=1e-12)
+        assert iou((0, 10), (5, 15)) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_zero_union_is_zero(self):
-        z = TimeSpan(4.0, 4.0)
-        assert iou(z, z) == 0.0
-
-    def test_unit_mismatch(self):
-        with pytest.raises(UnitMismatchError):
-            iou(TimeSpan(0, 1, Units.SECONDS), TimeSpan(0, 1, Units.INDEX))
+        assert iou((4.0, 4.0), (4.0, 4.0)) == 0.0
 
     @given(a=spans, b=spans)
     def test_symmetric(self, a, b):
@@ -53,76 +50,85 @@ class TestIou:
 
     @given(a=spans)
     def test_self_iou(self, a):
-        if a.end > a.start:
+        if a[1] > a[0]:
             assert iou(a, a) == 1.0
 
     @given(a=spans, b=spans, c=grid64)
     def test_translation_invariant(self, a, b, c):
-        a2 = TimeSpan(a.start + c, a.end + c, a.units)
-        b2 = TimeSpan(b.start + c, b.end + c, b.units)
-        assert iou(a2, b2) == iou(a, b)
+        assert iou((a[0] + c, a[1] + c), (b[0] + c, b[1] + c)) == iou(a, b)
 
     @given(a=spans, b=spans, k=st.sampled_from([0.25, 0.5, 2.0, 4.0, 8.0]))
     def test_scale_invariant(self, a, b, k):
-        a2 = TimeSpan(a.start * k, a.end * k, a.units)
-        b2 = TimeSpan(b.start * k, b.end * k, b.units)
-        assert iou(a2, b2) == iou(a, b)
+        assert iou((a[0] * k, a[1] * k), (b[0] * k, b[1] * k)) == iou(a, b)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         arr = np.sort(rng.uniform(0, 100, size=(64, 2)), axis=1)
-        ref = TimeSpan(20.0, 45.0)
-        got = iou_batch(arr, ref.start, ref.end)
-        for i in range(len(arr)):
-            want = iou(TimeSpan(arr[i, 0], arr[i, 1]), ref)
-            assert got[i] == pytest.approx(want, abs=1e-15)
+        got = iou_batch(arr, 20.0, 45.0)
+        assert got.tolist() == [scalar_iou(row, (20.0, 45.0)) for row in arr.tolist()]
+
+    def test_per_row_references_match_scalar(self):
+        rng = np.random.default_rng(1)
+        arr = np.sort(rng.uniform(0, 100, size=(64, 2)), axis=1)
+        refs = np.sort(rng.uniform(0, 100, size=(64, 2)), axis=1)
+        refs[:4] = arr[:4]  # identical pairs
+        got = iou_batch(arr, refs[:, 0], refs[:, 1])
+        assert got.tolist() == [scalar_iou(a, b) for a, b in zip(arr.tolist(), refs.tolist())]
 
 
 class TestCoordinateMaps:
     grid = FrameGrid(num_frames=100, duration_sec=600.0)
 
     def test_linear_map(self):
-        out = sec_to_index(TimeSpan(30, 60), self.grid)
-        assert (out.start, out.end) == (5.0, 10.0)
-        assert out.units == Units.INDEX
+        assert sec_to_index([(30, 60)], 100, [600.0]).tolist() == [[5.0, 10.0]]
 
     def test_full_video(self):
-        out = sec_to_index(TimeSpan(0, 600), self.grid)
-        assert (out.start, out.end) == (0.0, 100.0)
+        assert sec_to_index([(0, 600)], 100, [600.0]).tolist() == [[0.0, 100.0]]
 
     def test_out_of_range(self):
-        grid = FrameGrid(num_frames=100, duration_sec=600.0)
-        with pytest.raises(OutOfRangeError):
-            sec_to_index(TimeSpan(600, 601), grid)
+        with pytest.raises(OutOfRangeError, match=r"\[600.0, 601.0\]"):
+            sec_to_index([(0, 10), (600, 601)], 100, [600.0, 600.0])
 
     def test_inverse_map(self):
-        out = index_to_sec(TimeSpan(5, 10, Units.INDEX), self.grid)
-        assert (out.start, out.end) == (30.0, 60.0)
-        assert out.units == Units.SECONDS
+        assert index_to_sec(np.array([[5.0, 10.0]]), self.grid).tolist() == [[30.0, 60.0]]
 
     def test_inverse_full(self):
-        out = index_to_sec(TimeSpan(0, 100, Units.INDEX), self.grid)
-        assert (out.start, out.end) == (0.0, 600.0)
+        assert index_to_sec(np.array([[0.0, 100.0]]), self.grid).tolist() == [[0.0, 600.0]]
 
     def test_index_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            index_to_sec(TimeSpan(90, 101, Units.INDEX), self.grid)
+            index_to_sec(np.array([[90.0, 101.0]]), self.grid)
+        with pytest.raises(OutOfRangeError, match="finite"):
+            index_to_sec(np.array([[np.nan, 1.0]]), self.grid)
 
     def test_round_trip_1000_random_spans(self):
         rng = np.random.default_rng(7)
         grid = FrameGrid(num_frames=600, duration_sec=487.3)
-        worst = 0.0
-        for _ in range(1000):
-            a, b = np.sort(rng.uniform(0, grid.duration_sec, size=2))
-            back = index_to_sec(sec_to_index(TimeSpan(a, b), grid), grid)
-            worst = max(worst, abs(back.start - a), abs(back.end - b))
-        assert worst < 1e-9 * grid.duration_sec
+        secs = np.sort(rng.uniform(0, grid.duration_sec, size=(1000, 2)), axis=1)
+        back = index_to_sec(sec_to_index(secs, 600, np.full(1000, grid.duration_sec)), grid)
+        assert np.abs(back - secs).max() < 1e-9 * grid.duration_sec
 
-    def test_wrong_units_rejected(self):
-        with pytest.raises(UnitMismatchError):
-            sec_to_index(TimeSpan(1, 2, Units.INDEX), self.grid)
-        with pytest.raises(UnitMismatchError):
-            index_to_sec(TimeSpan(1, 2, Units.SECONDS), self.grid)
+    @given(rows=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1),
+                                   st.floats(0.5, 5000, allow_subnormal=False)),
+                         min_size=1, max_size=8),
+           num_frames=st.integers(2, 1000))
+    @settings(max_examples=100)
+    def test_array_maps_match_scalar_oracles_bitwise(self, rows, num_frames):
+        secs = [(min(a, b) * d, max(a, b) * d) for a, b, d in rows]
+        durations = [d for _, _, d in rows]
+        index = sec_to_index(secs, num_frames, durations)
+        grids = [FrameGrid(num_frames, d) for d in durations]
+        assert index.tolist() == [list(scalar_sec_to_index(s, e, g))
+                                  for (s, e), g in zip(secs, grids)]
+        for row, g in zip(index, grids):
+            assert index_to_sec(row[None], g).tolist() == [list(scalar_index_to_sec(*row, g))]
+        # pushing one end past its video's duration is refused by both
+        bad = [list(s) for s in secs]
+        bad[-1][1] = np.nextafter(durations[-1], np.inf)
+        with pytest.raises(OutOfRangeError):
+            sec_to_index(bad, num_frames, durations)
+        with pytest.raises(OutOfRangeError):
+            scalar_sec_to_index(*bad[-1], grids[-1])
 
 
 def test_frame_grid_invariants():

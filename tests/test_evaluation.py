@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nlqground.core import TimeSpan, iou
 from nlqground.data import QueryAnnotation
-from nlqground.evaluation import MetricReport, evaluate, query_hit
+from nlqground.evaluation import evaluate
+from helpers import scalar_iou
 
 
 def pred(qid, spans, vid="v"):
@@ -12,31 +12,42 @@ def pred(qid, spans, vid="v"):
                           for i, (s, e) in enumerate(spans)]}
 
 
+def query_hit(spans, gt, n, m):
+    """Whether one query with these ranked spans is a hit for cell (n, m)."""
+    report = evaluate([pred("q", spans)], [QueryAnnotation("v", "q", "", *gt)],
+                      ranks=(n,), thresholds=(m,))
+    return report.hits[(n, m)] == 1
+
+
 class TestQueryHit:
     def test_rank_one_exact(self):
-        assert query_hit([TimeSpan(0, 5)], TimeSpan(0, 5), n=1, m=0.9)
+        assert query_hit([(0, 5)], (0, 5), n=1, m=0.9)
 
     def test_all_misses(self):
-        spans = [TimeSpan(10 * i + 20, 10 * i + 25) for i in range(5)]
-        assert not query_hit(spans, TimeSpan(0, 5), n=5, m=0.3)
+        spans = [(10 * i + 20, 10 * i + 25) for i in range(5)]
+        assert not query_hit(spans, (0, 5), n=5, m=0.3)
 
     def test_rank_three_hit_counts_for_n5_not_n1(self):
         # gt [0,5]; rank-1 IoU 0, rank-3 [1,7]: intersection 4, union 7
-        spans = [TimeSpan(6, 10), TimeSpan(20, 30), TimeSpan(1, 7)]
-        gt = TimeSpan(0, 5)
-        assert iou(spans[2], gt) == pytest.approx(4 / 7)
-        assert not query_hit(spans, gt, n=1, m=0.5)
-        assert query_hit(spans, gt, n=5, m=0.5)
+        spans = [(6, 10), (20, 30), (1, 7)]
+        assert scalar_iou(spans[2], (0, 5)) == pytest.approx(4 / 7)
+        assert not query_hit(spans, (0, 5), n=1, m=0.5)
+        assert query_hit(spans, (0, 5), n=5, m=0.5)
 
     def test_strictly_greater(self):
-        # IoU exactly m is a miss
-        spans = [TimeSpan(0, 5)]
-        gt = TimeSpan(0, 10)  # IoU = 0.5
-        assert not query_hit(spans, gt, n=1, m=0.5)
-        assert query_hit(spans, gt, n=1, m=0.49)
+        # IoU exactly m is a miss: [0,5] against gt [0,10] is 0.5
+        assert not query_hit([(0, 5)], (0, 10), n=1, m=0.5)
+        assert query_hit([(0, 5)], (0, 10), n=1, m=0.49)
 
     def test_empty_list_is_miss(self):
-        assert not query_hit([], TimeSpan(0, 5), n=5, m=0.3)
+        assert not query_hit([], (0, 5), n=5, m=0.3)
+
+    def test_fewer_than_n_proposals(self):
+        # two proposals, the hit at rank 2, scored at n = 1, 2 and 10
+        spans = [(20, 30), (0, 5)]
+        assert not query_hit(spans, (0, 5), n=1, m=0.5)
+        assert query_hit(spans, (0, 5), n=2, m=0.5)
+        assert query_hit(spans, (0, 5), n=10, m=0.5)
 
 
 class TestEvaluate:
@@ -75,6 +86,22 @@ class TestEvaluate:
         a = evaluate(predictions, self.anns)
         b = evaluate(predictions, list(reversed(self.anns)))
         assert a.recalls == b.recalls
+
+    def test_short_and_empty_lists_padded_beside_longer_ones(self):
+        predictions = [pred("A", [(20, 30), (40, 50), (60, 70), (0.0, 10.0)]), pred("B", [])]
+        report = evaluate(predictions, self.anns, ranks=(1, 3, 4, 10))
+        assert [report.hits[(n, 0.5)] for n in (1, 3, 4, 10)] == [0, 0, 1, 1]
+
+    def test_repeated_rank_counts_once(self):
+        predictions = [pred("A", [(0.0, 10.0)]), pred("B", [(0.0, 5.0)])]
+        report = evaluate(predictions, self.anns, ranks=(1, 1), thresholds=(0.5, 0.5))
+        assert report.recalls == {(1, 0.5): 1.0}
+
+    @pytest.mark.parametrize("kwargs", [{"ranks": (1, 0)}, {"thresholds": (0.5, 1.0)},
+                                        {"thresholds": (0.0,)}])
+    def test_bad_ranks_or_thresholds_rejected_up_front(self, kwargs):
+        with pytest.raises(ValueError, match="ranks|thresholds"):
+            evaluate([], self.anns, **kwargs)
 
     def test_recall_is_exact_ratio(self):
         predictions = [pred("A", [(0, 10)]), pred("B", [(20, 30)])]
@@ -117,10 +144,10 @@ class TestOracleEquivalence:
                 for m in ths:
                     hits = 0
                     for a in anns:
-                        gt = TimeSpan(a.start_sec, a.end_sec)
+                        gt = (a.start_sec, a.end_sec)
                         found = False
                         for p in by_qid[a.query_id][:n]:
-                            if iou(TimeSpan(p["start_sec"], p["end_sec"]), gt) > m:
+                            if scalar_iou((p["start_sec"], p["end_sec"]), gt) > m:
                                 found = True
                         hits += found
                     assert report.recalls[(n, m)] == hits / len(anns)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice
-from nlqground.core import FrameGrid, TimeSpan, iou
+from nlqground.core import FrameGrid
 from nlqground.inference import (
     ChannelAlignmentError,
     RerankChannel,
@@ -17,7 +17,7 @@ from nlqground.inference import (
     top_k,
     write_predictions,
 )
-from helpers import brute_force_decode, brute_force_selection, flat_index
+from helpers import brute_force_decode, brute_force_selection, flat_index, scalar_iou
 
 
 def props(*rows):
@@ -159,7 +159,7 @@ class TestNms:
         kept = nms(spans, scores, 0.4, 40)
         for i, a in enumerate(kept):
             for b in kept[i + 1:]:
-                assert iou(TimeSpan(*spans[a]), TimeSpan(*spans[b])) <= 0.4
+                assert scalar_iou(spans[a], spans[b]) <= 0.4
 
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
@@ -173,11 +173,11 @@ class TestNms:
         spans, scores = props(*[(s, s + w, c) for s, w, c in raw])
         kept = nms(spans, scores, 0.5, max(1, len(raw)))
         # independent re-derivation: sort, then scan keeping non-conflicting
-        proposals = [(TimeSpan(s, s + w), c, i) for i, (s, w, c) in enumerate(raw)]
-        order = sorted(proposals, key=lambda p: (-p[1], p[0].start, p[2]))
+        proposals = [((s, s + w), c, i) for i, (s, w, c) in enumerate(raw)]
+        order = sorted(proposals, key=lambda p: (-p[1], p[0][0], p[2]))
         expect = []
         for p in order:
-            if all(iou(p[0], q[0]) <= 0.5 for q in expect):
+            if all(scalar_iou(p[0], q[0]) <= 0.5 for q in expect):
                 expect.append(p)
         assert kept.tolist() == [p[2] for p in expect]
 
