@@ -4,7 +4,7 @@ Every temporal index t in {0, ..., T-1} carries K candidate windows centered
 at the frame midpoint t + 0.5, one per scale.  Scales are proportions of the
 sequence length, so anchor widths track T.  Labeling assigns each anchor its
 IoU against ground truth (the soft confidence target) and a positive flag
-used by the boundary loss.
+used by the boundary loss, for a whole batch at once.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OutOfRangeError, iou_batch
-
-DEFAULT_POSITIVE_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -57,15 +55,6 @@ class AnchorSet:
         return self.spans.shape[0]
 
 
-@dataclass(frozen=True)
-class AnchorLabels:
-    """Per-anchor IoU targets plus the positive mask driving the boundary loss."""
-
-    iou_targets: np.ndarray  # (K*T,) float64 in [0, 1]
-    positive_mask: np.ndarray  # (K*T,) bool
-    forced_positive: bool
-
-
 def build_lattice(config: AnchorConfig) -> AnchorSet:
     """Construct the clipped anchor lattice for one video.
 
@@ -84,32 +73,24 @@ def build_lattice(config: AnchorConfig) -> AnchorSet:
     return AnchorSet(spans=spans, window_sizes=tuple(widths.tolist()), config=config)
 
 
-def label_anchors(
-    anchors: AnchorSet,
-    gt_start: float,
-    gt_end: float,
-    threshold: float = DEFAULT_POSITIVE_THRESHOLD,
-) -> AnchorLabels:
-    """IoU targets and positivity of every anchor against one index-unit
-    ground truth [gt_start, gt_end].
+def label_anchors(anchors: AnchorSet, gt_index, threshold: float):
+    """IoU targets and positivity of every anchor against each row of a
+    batch of index-unit ground truths gt_index (B, 2).
 
-    An anchor is positive iff its IoU exceeds `threshold` strictly.  When no
-    anchor clears the bar, the single best anchor is promoted so the
-    boundary-loss normalizer N_pos stays nonzero; the promotion is reported
-    via `forced_positive`.
+    Returns (iou_targets (B, K*T) float64, positive (B, K*T) bool,
+    forced (B,) bool).  An anchor is positive iff its IoU exceeds
+    `threshold` strictly.  In a row where no anchor clears the bar, the
+    single best anchor is promoted so the boundary-loss normalizer N_pos
+    stays nonzero; `forced` marks those rows.
     """
+    gt = np.asarray(gt_index, dtype=np.float64)
     T = anchors.config.num_frames
-    if not (0.0 <= gt_start <= gt_end <= T):
+    ok = (0.0 <= gt[:, 0]) & (gt[:, 0] <= gt[:, 1]) & (gt[:, 1] <= T)
+    if not ok.all():
         raise OutOfRangeError(
-            f"ground truth [{gt_start}, {gt_end}] lies outside lattice extent [0, {T}]")
-    if not (0.0 <= threshold < 1.0):
-        raise ValueError(f"positive threshold must lie in [0, 1), got {threshold}")
-
-    targets = iou_batch(anchors.spans, gt_start, gt_end)
+            f"ground truths {gt[~ok].tolist()} lie outside lattice extent [0, {T}]")
+    targets = iou_batch(anchors.spans, gt[:, None, :])
     positive = targets > threshold
-    forced = not positive.any()
-    if forced:
-        positive[int(np.argmax(targets))] = True
-    positive.setflags(write=False)
-    targets.setflags(write=False)
-    return AnchorLabels(iou_targets=targets, positive_mask=positive, forced_positive=forced)
+    forced = ~positive.any(axis=1)
+    positive[forced, np.argmax(targets[forced], axis=1)] = True
+    return targets, positive, forced

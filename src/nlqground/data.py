@@ -12,13 +12,14 @@ test.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .core import FrameGrid, sec_to_index
+from .core import sec_to_index
 
 FEATURE_MAGIC = b"EGF1"
 ANNOTATION_VERSION = "1.0"
@@ -125,8 +126,9 @@ def read_annotations(path) -> tuple[list[QueryAnnotation], dict[str, float]]:
                 raise AnnotationError(f"videos[{vi}]: missing key {key!r}")
         vid = video["video_id"]
         duration = float(video["duration_sec"])
-        if duration <= 0:
-            raise AnnotationError(f"videos[{vi}] ({vid}): duration_sec must be positive")
+        if not (0.0 < duration < math.inf):
+            raise AnnotationError(
+                f"videos[{vi}] ({vid}): duration_sec must be positive and finite, got {duration}")
         durations[vid] = duration
         for qi, q in enumerate(video["queries"]):
             for key in ("query_id", "start_sec", "end_sec"):
@@ -148,11 +150,13 @@ def read_annotations(path) -> tuple[list[QueryAnnotation], dict[str, float]]:
 # ---------------------------------------------------------------------------
 
 
-def sample_frames(features: np.ndarray, target_t: int, duration_sec: float):
-    """Uniform striding down (or repetition up) to exactly target_t rows.
+def sample_frames(features: np.ndarray, target_t: int) -> np.ndarray:
+    """Uniform striding down (or repetition up) to exactly target_t >= 2
+    rows.
 
     Row i of the output is input row floor(i * raw_t / target_t); temporal
-    order is preserved.  Returns (sampled matrix, FrameGrid).
+    order is preserved.  The rows stand for target_t key frames spread
+    uniformly over the video's duration.
     """
     raw_t = features.shape[0]
     if raw_t < 1:
@@ -160,7 +164,7 @@ def sample_frames(features: np.ndarray, target_t: int, duration_sec: float):
     if target_t < 2:
         raise ValueError(f"target_t must be >= 2, got {target_t}")
     idx = (np.arange(target_t, dtype=np.int64) * raw_t) // target_t
-    return features[idx], FrameGrid(num_frames=target_t, duration_sec=duration_sec)
+    return features[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +349,7 @@ class Batch:
     text: np.ndarray  # (B, Lmax, Dt) float32, zero-padded
     text_mask: np.ndarray  # (B, Lmax) bool
     gt_index: np.ndarray  # (B, 2) float64, index units
-    grids: list[FrameGrid]
+    durations: np.ndarray  # (B,) float64, each item's video length in seconds
     query_ids: list[str]
     video_ids: list[str]
 
@@ -356,7 +360,8 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
     list keyed by (shuffle_seed, epoch).
 
     Videos are resampled to exactly target_t rows (sampled once per video and
-    reused); ground truth is converted to index units on each video's grid.
+    reused); ground truth is converted to index units on each video's
+    timeline of target_t frames over its duration.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -366,7 +371,7 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
     if shuffle:
         np.random.default_rng([int(shuffle_seed), int(epoch)]).shuffle(order)
 
-    sampled: dict[str, tuple[np.ndarray, FrameGrid]] = {}
+    sampled: dict[str, np.ndarray] = {}
     for start in range(0, len(order), batch_size):
         chunk = [dataset.annotations[i] for i in order[start:start + batch_size]]
         b = len(chunk)
@@ -376,21 +381,17 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
         video = np.zeros((b, target_t, dv), dtype=np.float32)
         text = np.zeros((b, lmax, dt), dtype=np.float32)
         text_mask = np.zeros((b, lmax), dtype=bool)
-        grids = []
         for j, a in enumerate(chunk):
             if a.video_id not in sampled:
-                sampled[a.video_id] = sample_frames(
-                    dataset.video_features[a.video_id], target_t, dataset.durations[a.video_id])
-            frames, grid = sampled[a.video_id]
-            video[j] = frames
+                sampled[a.video_id] = sample_frames(dataset.video_features[a.video_id], target_t)
+            video[j] = sampled[a.video_id]
             tokens = dataset.text_features[a.query_id]
             text[j, :tokens.shape[0]] = tokens
             text_mask[j, :tokens.shape[0]] = True
-            grids.append(grid)
-        gt_index = sec_to_index([(a.start_sec, a.end_sec) for a in chunk], target_t,
-                                [grid.duration_sec for grid in grids])
+        durations = np.array([dataset.durations[a.video_id] for a in chunk], dtype=np.float64)
+        gt_index = sec_to_index([(a.start_sec, a.end_sec) for a in chunk], target_t, durations)
         yield Batch(
-            video=video, text=text, text_mask=text_mask, gt_index=gt_index, grids=grids,
+            video=video, text=text, text_mask=text_mask, gt_index=gt_index, durations=durations,
             query_ids=[a.query_id for a in chunk],
             video_ids=[a.video_id for a in chunk],
         )

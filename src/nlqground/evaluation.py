@@ -94,9 +94,8 @@ def evaluate(
     width = max(map(len, rows), default=0)
     hit_counts = np.zeros((len(ranks), len(thresholds)), dtype=np.int64)
     if width:
-        flat = [span for spans in rows for span in spans + [[0.0, 0.0]] * (width - len(spans))]
-        gt = np.repeat(np.array(gts, dtype=np.float64), width, axis=0)
-        ious = iou_batch(flat, gt[:, 0], gt[:, 1]).reshape(-1, width)
+        padded = [spans + [[0.0, 0.0]] * (width - len(spans)) for spans in rows]
+        ious = iou_batch(padded, np.array(gts, dtype=np.float64)[:, None, :])
         best = np.maximum.accumulate(ious, axis=1)[:, [min(n, width) - 1 for n in ranks]]
         hit_counts = (best[:, :, None] > np.asarray(thresholds)).sum(axis=0)
 

@@ -6,8 +6,9 @@ regression head stays O(1) across scales:
     start = clamp(anchor_start + d_s * w_k, 0, T)
     end   = clamp(anchor_end   + d_e * w_k, 0, T)
 
-Inverted spans are repaired by endpoint swap.  Proposals are (N, 2) float64
-spans in seconds plus a score vector, ranked by (-score, start, index).
+Inverted spans are repaired by endpoint swap.  Decode takes a whole batch;
+each query's proposals are then (N, 2) float64 spans in seconds plus a
+score vector, ranked by (-score, start, index).
 Greedy NMS (not part of the original selection rule, which just takes top-5)
 runs before top-k, stopping at k kept, so the top-5 are not near-duplicates
 of the best proposal.  Re-ranking adds external score channels onto the
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import AnchorConfig, AnchorSet, build_lattice
-from .core import FrameGrid, index_to_sec, iou_batch
+from .core import index_to_sec, iou_batch
 from .nn.model import GroundingModel
 
 
@@ -52,52 +53,48 @@ def _rank(spans: np.ndarray, scores: np.ndarray) -> np.ndarray:
 
 
 def decode_index_spans(offsets: np.ndarray, anchors: AnchorSet):
-    """Shared decode core in index units.
+    """Shared decode core in index units, for a batch.
 
-    offsets: (T, 2K) raw head outputs.  Returns (spans (K*T, 2) in t-major /
-    k-minor order, backward) where backward maps d(span)/d(offset) back to
-    the (T, 2K) layout, honoring clamping (zero gradient) and endpoint swaps
-    (permuted gradient).
+    offsets: (B, T, 2K) raw head outputs.  Returns (spans (B, K*T, 2) in
+    t-major / k-minor order, backward) where backward maps d(span)/d(offset)
+    (B, K*T, 2) back to the (B, T, 2K) layout, honoring clamping (zero
+    gradient) and endpoint swaps (permuted gradient).
     """
     cfg = anchors.config
     T, K = cfg.num_frames, cfg.num_scales
-    if offsets.shape != (T, 2 * K):
-        raise ValueError(f"offsets shape {offsets.shape} != expected ({T}, {2 * K})")
+    if offsets.shape[1:] != (T, 2 * K):
+        raise ValueError(f"offsets shape {offsets.shape} != expected (B, {T}, {2 * K})")
+    B = offsets.shape[0]
     widths = np.tile(np.asarray(anchors.window_sizes, dtype=np.float64), T)[:, None]
-    d = np.asarray(offsets, dtype=np.float64).reshape(T * K, 2)
-    raw = anchors.spans + d * widths
-    clamped = np.clip(raw, 0.0, float(T))
-    swap = clamped[:, 0] > clamped[:, 1]
-    spans = clamped.copy()
+    raw = anchors.spans + np.asarray(offsets, dtype=np.float64).reshape(B, T * K, 2) * widths
+    spans = np.clip(raw, 0.0, float(T))
+    swap = spans[..., 0] > spans[..., 1]
     spans[swap] = spans[swap][:, ::-1]
-    low_clip = raw <= 0.0
-    high_clip = raw >= float(T)
-    active = ~(low_clip | high_clip)
+    active = (raw > 0.0) & (raw < float(T))
 
     def backward(d_spans: np.ndarray) -> np.ndarray:
-        g = np.asarray(d_spans, dtype=np.float64).copy()
+        g = np.array(d_spans, dtype=np.float64)
         g[swap] = g[swap][:, ::-1]  # route gradients back through the swap
         g *= active
         g *= widths
-        return g.reshape(T, 2 * K)
+        return g.reshape(B, T, 2 * K)
 
     return spans, backward
 
 
 def decode_proposals(confidence: np.ndarray, offsets: np.ndarray, anchors: AnchorSet,
-                     grid: FrameGrid) -> tuple[np.ndarray, np.ndarray]:
-    """All K*T anchors of one item's head outputs (confidence (T, K), offsets
-    (T, 2K)) decoded to seconds: ((K*T, 2) spans, (K*T,) scores), in t-major /
-    k-minor order."""
+                     durations) -> tuple[np.ndarray, np.ndarray]:
+    """A batch of head outputs (confidence (B, T, K), offsets (B, T, 2K))
+    decoded to seconds on videos of `durations` (B,) seconds: ((B, K*T, 2)
+    spans, (B, K*T) scores), each row in t-major / k-minor order."""
     cfg = anchors.config
     T, K = cfg.num_frames, cfg.num_scales
-    if confidence.shape != (T, K):
-        raise ValueError(f"confidence shape {confidence.shape} != expected ({T}, {K})")
-    if grid.num_frames != T:
-        raise ValueError(f"grid has {grid.num_frames} frames but anchors expect {T}")
+    B = len(offsets)
+    if confidence.shape != (B, T, K):
+        raise ValueError(f"confidence shape {confidence.shape} != expected ({B}, {T}, {K})")
     spans, _ = decode_index_spans(offsets, anchors)
-    conf = np.asarray(confidence, dtype=np.float64).reshape(T * K)
-    return index_to_sec(spans, grid), conf
+    conf = np.asarray(confidence, dtype=np.float64).reshape(B, T * K)
+    return index_to_sec(spans, T, np.asarray(durations)[:, None]), conf
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +114,7 @@ def nms(spans: np.ndarray, scores: np.ndarray, iou_threshold: float, k: int) -> 
         raise ValueError(f"k must be >= 1, got {k}")
     kept: list[int] = []
     for i in _rank(spans, scores).tolist():
-        if not kept or iou_batch(spans[kept], spans[i, 0], spans[i, 1]).max() <= iou_threshold:
+        if not kept or iou_batch(spans[kept], spans[i]).max() <= iou_threshold:
             kept.append(i)
             if len(kept) == k:
                 break
@@ -184,10 +181,10 @@ def predict_dataset(
     for batch in make_batches(dataset, batch_size, anchor_config.num_frames,
                               shuffle_seed=0, shuffle=False):
         conf, offs, _ = model.forward_batch(batch.video, batch.text, batch.text_mask, train=False)
-        for j, qid in enumerate(batch.query_ids):
-            spans, scores = decode_proposals(conf[j], offs[j], anchor_set, batch.grids[j])
-            keep = select_proposals(spans, scores, topk, nms_iou)
-            results[qid] = (batch.video_ids[j], spans[keep], scores[keep])
+        spans, scores = decode_proposals(conf, offs, anchor_set, batch.durations)
+        for qid, vid, item_spans, item_scores in zip(batch.query_ids, batch.video_ids, spans, scores):
+            keep = select_proposals(item_spans, item_scores, topk, nms_iou)
+            results[qid] = (vid, item_spans[keep], item_scores[keep])
     return [(qid, *results[qid]) for qid in (a.query_id for a in dataset.annotations)]
 
 

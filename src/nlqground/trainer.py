@@ -1,10 +1,11 @@
 """Optimization loop: Adam with linear-warmup inverse-square-root scheduling,
 per-step loss assembly, per-epoch validation, and checkpoint retention.
 
-Per step: forward in train mode, label every anchor against its item's
-ground truth, decode offsets to index spans, combine the alignment and
-boundary terms, backprop by hand, and apply a clipped Adam update at the
-scheduled rate.  Per epoch: evaluate R@{1,5} / IoU@{0.3,0.5} on the
+Per step: forward in train mode; then, for the whole batch in array
+operations, label every anchor against its item's ground truth, decode
+offsets to index spans and take the alignment and boundary terms with their
+gradients; backprop by hand, and apply a clipped Adam update at the
+scheduled rate.  TrainConfig checks every field's range when it is built.  Per epoch: evaluate R@{1,5} / IoU@{0.3,0.5} on the
 validation split in eval mode, append one JSON line to the metric log, and
 keep the best checkpoint by val R@1 at IoU 0.5.
 """
@@ -48,8 +49,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or self.warmup_steps < 1:
             raise ValueError("epochs, batch_size and warmup_steps must be >= 1")
-        if not (self.base_lr > 0):
-            raise ValueError(f"base_lr must be positive, got {self.base_lr}")
+        # every rule is a comparison, so NaN fails it
+        for name, ok in (
+            ("base_lr", self.base_lr > 0),
+            ("mu", self.mu >= 0),
+            ("positive_threshold", 0 <= self.positive_threshold < 1),
+            ("smooth_l1_beta", self.smooth_l1_beta > 0),
+            ("adam_beta1", 0 <= self.adam_beta1 < 1),
+            ("adam_beta2", 0 <= self.adam_beta2 < 1),
+            ("adam_eps", self.adam_eps > 0),
+            ("grad_clip_norm", 0 <= self.grad_clip_norm < math.inf),
+        ):
+            if not ok:
+                raise ValueError(f"{name} is out of range: {getattr(self, name)!r}")
 
 
 def lr_at(step: int, config: TrainConfig) -> float:
@@ -124,45 +136,27 @@ def batch_loss_and_grads(
     config: TrainConfig,
     train: bool = True,
 ):
-    """Forward, combined objective, and upstream gradients for one batch.
+    """Forward, combined objective, and parameter gradients for one batch.
 
-    Returns (breakdown, param_grads).  Per-item losses are averaged over the
-    batch; the box term only sees each item's positive anchors, with
-    residuals normalized by T.
+    Returns (record, param_grads), where record holds the step-log fields:
+    the batch means 'align' and 'box', 'loss' = align + mu * box, and
+    'forced_positives', the number of items whose best anchor was promoted.
+    The box term only sees each item's positive anchors, with residuals
+    normalized by T.
     """
-    T = anchor_set.config.num_frames
-    K = anchor_set.config.num_scales
     conf, offs, cache = model.forward_batch(
         batch.video, batch.text, batch.text_mask, train=train, want_cache=True)
-    B = conf.shape[0]
-    norm = float(T)
-
-    align_sum = 0.0
-    box_sum = 0.0
-    forced_total = 0
-    d_conf = np.zeros_like(conf)
-    d_offs = np.zeros_like(offs)
-    for j in range(B):
-        gt_start, gt_end = batch.gt_index[j].tolist()
-        labels = label_anchors(anchor_set, gt_start, gt_end, config.positive_threshold)
-        conf_flat = conf[j].reshape(T * K)
-        spans, decode_back = decode_index_spans(offs[j], anchor_set)
-
-        align_sum += losses.alignment_loss(labels.iou_targets, conf_flat)
-        box_sum += losses.boundary_loss(
-            spans, gt_start, gt_end, labels.positive_mask,
-            beta=config.smooth_l1_beta, norm=norm)
-        forced_total += labels.forced_positive
-
-        d_conf[j] = (losses.alignment_loss_grad(labels.iou_targets, conf_flat) / B).reshape(T, K)
-        d_span = losses.boundary_loss_grad(
-            spans, gt_start, gt_end, labels.positive_mask,
-            beta=config.smooth_l1_beta, norm=norm) * (config.mu / B)
-        d_offs[j] = decode_back(d_span)
-
-    breakdown = losses.total_loss(align_sum / B, box_sum / B, config.mu, num_forced=forced_total)
-    grads, _, _ = model.backward(cache, d_conf, d_offs)
-    return breakdown, grads
+    B, T, K = conf.shape
+    targets, positive, forced = label_anchors(anchor_set, batch.gt_index, config.positive_threshold)
+    spans, decode_back = decode_index_spans(offs, anchor_set)
+    align, d_conf = losses.alignment_loss(targets, conf.reshape(B, T * K))
+    box, d_spans = losses.boundary_loss(spans, batch.gt_index, positive,
+                                        config.smooth_l1_beta, norm=float(T))
+    grads, _, _ = model.backward(cache, (d_conf / B).reshape(B, T, K),
+                                 decode_back(d_spans * (config.mu / B)))
+    align, box = float(align.mean()), float(box.mean())
+    return {"loss": align + config.mu * box, "align": align, "box": box,
+            "forced_positives": int(forced.sum())}, grads
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +217,15 @@ def train(
             for batch in make_batches(train_data, train_config.batch_size, target_t,
                                       shuffle_seed=train_config.seed, epoch=epoch):
                 step += 1
-                breakdown, grads = batch_loss_and_grads(model, batch, anchor_set, train_config)
-                if not math.isfinite(breakdown.total):
+                step_record, grads = batch_loss_and_grads(model, batch, anchor_set, train_config)
+                if not math.isfinite(step_record["loss"]):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 lr = lr_at(step, train_config)
                 adam_step(model.params, grads, state, lr, train_config)
-                epoch_align += breakdown.align
-                epoch_box += breakdown.box
+                epoch_align += step_record["align"]
+                epoch_box += step_record["box"]
                 nbatches += 1
-                slog.write(json.dumps({
-                    "step": step, "epoch": epoch, "lr": lr,
-                    "loss": breakdown.total, "align": breakdown.align, "box": breakdown.box,
-                    "forced_positives": breakdown.num_forced,
-                }) + "\n")
+                slog.write(json.dumps({"step": step, "epoch": epoch, "lr": lr, **step_record}) + "\n")
 
             record = {
                 "epoch": epoch,

@@ -1,7 +1,7 @@
 """Shared fixtures for the encoder gradient checks, anchor-lattice lookups,
-textbook kernels, and scalar oracles for the array-native span path:
-IoU, the seconds <-> frame-index maps, decode and selection, one
-(start, end) pair at a time."""
+textbook kernels, and oracles for the array-native span path: IoU, the
+seconds <-> frame-index maps, decode and selection one (start, end) pair at
+a time, and the training objective one batch item at a time."""
 
 import json
 import math
@@ -9,7 +9,7 @@ import struct
 
 import numpy as np
 
-from nlqground.core import FrameGrid, OutOfRangeError
+from nlqground.core import OutOfRangeError
 from nlqground.data import Batch
 from nlqground.nn.layers import MASK_NEG
 from nlqground.trainer import batch_loss_and_grads
@@ -18,8 +18,8 @@ from nlqground.trainer import batch_loss_and_grads
 def training_loss_fn(batch, anchor_set, train_config):
     """Wrap the full training objective as a gradcheck-compatible callable."""
     def fn(model):
-        breakdown, grads = batch_loss_and_grads(model, batch, anchor_set, train_config, train=False)
-        return breakdown.total, grads
+        record, grads = batch_loss_and_grads(model, batch, anchor_set, train_config, train=False)
+        return record["loss"], grads
     return fn
 
 
@@ -28,8 +28,8 @@ def dropout_training_loss_fn(batch, anchor_set, train_config, seed=0):
     reseeded before every forward so each call draws the same masks."""
     def fn(model):
         model._dropout_rng = np.random.default_rng(seed)
-        breakdown, grads = batch_loss_and_grads(model, batch, anchor_set, train_config, train=True)
-        return breakdown.total, grads
+        record, grads = batch_loss_and_grads(model, batch, anchor_set, train_config, train=True)
+        return record["loss"], grads
     return fn
 
 
@@ -97,7 +97,7 @@ def tiny_training_batch(T=8, L=4, seed=9):
         text=rng.normal(size=(2, L, 3)),
         text_mask=np.array([[True] * L, [True] * (L - 1) + [False]]),
         gt_index=np.array([[3.0, 5.0], [1.0, 7.0]]),
-        grids=[FrameGrid(T, float(T))] * 2,
+        durations=np.full(2, float(T)),
         query_ids=["a", "b"],
         video_ids=["va", "vb"],
     )
@@ -120,29 +120,86 @@ def scalar_iou(a, b):
     return inter / union
 
 
-def scalar_sec_to_index(start, end, grid):
-    """A seconds span on the continuous [0, T] index axis of `grid`:
-    t * (T / duration), clamped to [0, T]."""
-    if not 0.0 <= start <= end <= grid.duration_sec:
-        raise OutOfRangeError(f"span [{start}, {end}] outside [0, {grid.duration_sec}]")
-    scale = grid.num_frames / grid.duration_sec
-    t = float(grid.num_frames)
+def scalar_sec_to_index(start, end, num_frames, duration):
+    """A seconds span on the continuous [0, T] index axis of a video of
+    `duration` seconds: t * (T / duration), clamped to [0, T]."""
+    if not 0.0 <= start <= end <= duration:
+        raise OutOfRangeError(f"span [{start}, {end}] outside [0, {duration}]")
+    scale = num_frames / duration
+    t = float(num_frames)
     return min(max(start * scale, 0.0), t), min(max(end * scale, 0.0), t)
 
 
-def scalar_index_to_sec(start, end, grid):
-    """An index span in seconds on `grid`: t * (duration / T), clamped to
+def scalar_index_to_sec(start, end, num_frames, duration):
+    """An index span in seconds: t * (duration / T), clamped to
     [0, duration]."""
-    if not 0.0 <= start <= end <= grid.num_frames:
-        raise OutOfRangeError(f"span [{start}, {end}] outside [0, {grid.num_frames}]")
-    scale = grid.duration_sec / grid.num_frames
-    d = grid.duration_sec
-    return min(max(start * scale, 0.0), d), min(max(end * scale, 0.0), d)
+    if not 0.0 <= start <= end <= num_frames:
+        raise OutOfRangeError(f"span [{start}, {end}] outside [0, {num_frames}]")
+    scale = duration / num_frames
+    return min(max(start * scale, 0.0), duration), min(max(end * scale, 0.0), duration)
 
 
-def brute_force_decode(index_spans, grid):
+def brute_force_decode(index_spans, num_frames, duration):
     """Index-unit spans mapped to seconds one pair at a time."""
-    return [scalar_index_to_sec(s, e, grid) for s, e in index_spans]
+    return [scalar_index_to_sec(s, e, num_frames, duration) for s, e in index_spans]
+
+
+def per_item_decode(offsets, anchors):
+    """One item's (T, 2K) offsets decoded to (K*T, 2) index spans, plus the
+    swap and clamp masks that route the gradient back."""
+    T, K = anchors.config.num_frames, anchors.config.num_scales
+    widths = np.tile(np.asarray(anchors.window_sizes, dtype=np.float64), T)[:, None]
+    raw = anchors.spans + np.asarray(offsets, dtype=np.float64).reshape(T * K, 2) * widths
+    clamped = np.clip(raw, 0.0, float(T))
+    swap = clamped[:, 0] > clamped[:, 1]
+    spans = clamped.copy()
+    spans[swap] = spans[swap][:, ::-1]
+    clamp = (raw <= 0.0) | (raw >= float(T))
+    return spans, swap, clamp, widths
+
+
+def per_item_objective(conf, offs, gt_index, anchors, config):
+    """The training objective one batch item at a time: labels from
+    `scalar_iou`, the per-item decode, and both loss terms with their
+    gradients written out per item.
+
+    Returns a dict: 'd_conf' (B, T, K) and 'd_offs' (B, T, 2K), the float64
+    upstream gradients of the batch-mean loss; per-item 'align' and 'box'
+    values; and the counts 'forced' (promoted rows), 'swaps' and 'clamps'
+    (decoded endpoints)."""
+    B, T, K = conf.shape
+    beta, mu = config.smooth_l1_beta, config.mu
+    out = {"d_conf": np.zeros(conf.shape), "d_offs": np.zeros(offs.shape),
+           "align": [], "box": [], "forced": 0, "swaps": 0, "clamps": 0}
+    for j in range(B):
+        gt = gt_index[j].tolist()
+        o = np.array([scalar_iou(a, gt) for a in anchors.spans.tolist()])
+        positive = o > config.positive_threshold
+        if not positive.any():
+            positive[int(np.argmax(o))] = True
+            out["forced"] += 1
+        s = conf[j].reshape(T * K).astype(np.float64)
+        out["align"].append(float(-np.mean(o * np.log(s) + (1.0 - o) * np.log1p(-s))))
+        out["d_conf"][j] = ((s - o) / (o.size * s * (1.0 - s)) / B).reshape(T, K)
+
+        spans, swap, clamp, widths = per_item_decode(offs[j], anchors)
+        out["swaps"] += int(swap.sum())
+        out["clamps"] += int(clamp.sum())
+        n_pos = int(positive.sum())
+        d_spans = np.zeros((T * K, 2))
+        box = 0.0
+        for c in (0, 1):
+            x = (spans[positive, c] - gt[c]) / T
+            ax = np.abs(x)
+            box += np.where(ax < beta, 0.5 * np.square(x) / beta, ax - 0.5 * beta).sum()
+            d_spans[positive, c] = np.where(ax < beta, x / beta, np.sign(x)) / (T * n_pos)
+        out["box"].append(float(box / n_pos))
+        g = d_spans * (mu / B)
+        g[swap] = g[swap][:, ::-1]
+        g *= ~clamp
+        g *= widths
+        out["d_offs"][j] = g.reshape(T, 2 * K)
+    return out
 
 
 def brute_force_selection(spans, scores, k, nms_iou):

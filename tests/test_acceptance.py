@@ -30,7 +30,7 @@ from nlqground.inference import (
     predict_dataset,
     rerank,
 )
-from nlqground.losses import alignment_loss, boundary_loss, total_loss
+from nlqground.losses import alignment_loss, boundary_loss
 from nlqground.nn import (
     EncoderConfig,
     gradcheck,
@@ -38,7 +38,7 @@ from nlqground.nn import (
     load_checkpoint,
     save_checkpoint,
 )
-from nlqground.trainer import TrainConfig, train
+from nlqground.trainer import TrainConfig, batch_loss_and_grads, train
 from helpers import scalar_iou, tiny_training_batch, training_loss_fn
 
 
@@ -76,7 +76,7 @@ def test_criterion_1_iou_oracle():
     t0 = time.time()
     a = np.sort(rng.uniform(0, 500, (10_000, 2)), axis=1)
     b = np.sort(rng.uniform(0, 500, (10_000, 2)), axis=1)
-    got = iou_batch(a, b[:, 0], b[:, 1])
+    got = iou_batch(a, b)
     worst = 0.0
     for g, (a0, a1), (b0, b1) in zip(got.tolist(), a.tolist(), b.tolist()):
         # independent direct-arithmetic oracle
@@ -107,14 +107,19 @@ def test_criterion_2_anchor_lattice():
 
 
 def test_criterion_3_loss_hand_values():
-    align = alignment_loss([1.0, 0.0], [1.0 - 1e-7, 0.5])
-    box = boundary_loss(np.array([[20.0, 50.0]]), 25.0, 45.0,
-                        np.array([True]), beta=1.0, norm=100.0)
-    combo = total_loss(align, box, mu=1.0)
+    align = alignment_loss(np.array([[1.0, 0.0]]), np.array([[1.0 - 1e-7, 0.5]]))[0][0]
+    box = boundary_loss(np.array([[[20.0, 50.0]]]), np.array([[25.0, 45.0]]),
+                        np.array([[True]]), beta=1.0, norm=100.0)[0][0]
+    # the trainer's composition: loss = align + mu * box over batch means
+    anchors = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
+    enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
+                        video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.0)
+    record, _ = batch_loss_and_grads(init_model(enc, seed=0), tiny_training_batch(T=8, L=4),
+                                     anchors, TrainConfig(mu=1.0, seed=0), train=False)
     ok = (
         abs(align - 0.346574) < 1e-6
         and abs(box - 0.0025) < 1e-9
-        and combo.total == align + 1.0 * box
+        and record["loss"] == record["align"] + 1.0 * record["box"]
     )
     report(3, ok, f"align {align:.6f}, box {box:.7f}, total exact composition")
 
@@ -210,7 +215,7 @@ def test_criterion_7_rerank_with_iou_channel(e2e):
     for qid, vid, spans, scores in e2e["records"]:
         channel = RerankChannel(
             name="true_iou",
-            scores=iou_batch(spans, *gt_by_query[qid]).tolist(),
+            scores=iou_batch(spans, gt_by_query[qid]).tolist(),
             weight=1.0)
         order, fused = rerank(scores.tolist(), [channel])
         reranked_records.append((qid, vid, spans[order], np.array(fused)))

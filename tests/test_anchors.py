@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice, label_anchors
 from nlqground.core import OutOfRangeError
+from nlqground.trainer import TrainConfig
 from helpers import flat_index, scalar_iou
 
 
@@ -70,52 +71,68 @@ class TestBuildLattice:
         np.testing.assert_allclose(widths[unclipped], expected[unclipped], rtol=1e-12)
 
 
+def label_one(anchors, gt_start, gt_end, threshold=0.5):
+    """Labels of a batch of one ground truth: (targets, positive, forced)
+    of that item."""
+    targets, positive, forced = label_anchors(anchors, [[gt_start, gt_end]], threshold)
+    return targets[0], positive[0], bool(forced[0])
+
+
 class TestLabelAnchors:
     aset = build_lattice(AnchorConfig(scales=(0.2,), num_frames=10))
 
     def test_exact_match_anchor(self):
-        labels = label_anchors(self.aset, 4.5, 6.5, threshold=0.5)
+        targets, positive, _ = label_one(self.aset, 4.5, 6.5, threshold=0.5)
         i = flat_index(self.aset, 5, 0)
-        assert labels.iou_targets[i] == 1.0
-        assert labels.positive_mask[i]
+        assert targets[i] == 1.0
+        assert positive[i]
 
     def test_neighbor_anchor_is_negative(self):
-        labels = label_anchors(self.aset, 4.5, 6.5, threshold=0.5)
+        targets, positive, _ = label_one(self.aset, 4.5, 6.5, threshold=0.5)
         i = flat_index(self.aset, 4, 0)  # [3.5, 5.5]: intersection 1, union 3
-        assert labels.iou_targets[i] == pytest.approx(1 / 3)
-        assert not labels.positive_mask[i]
+        assert targets[i] == pytest.approx(1 / 3)
+        assert not positive[i]
 
     def test_disjoint_anchor(self):
-        labels = label_anchors(self.aset, 0.0, 1.0, threshold=0.5)
+        targets, positive, _ = label_one(self.aset, 0.0, 1.0, threshold=0.5)
         i = flat_index(self.aset, 9, 0)
-        assert labels.iou_targets[i] == 0.0
-        assert not labels.positive_mask[i]
+        assert targets[i] == 0.0
+        assert not positive[i]
 
     def test_matches_brute_force_oracle_exactly(self):
         aset = build_lattice(AnchorConfig(scales=(0.05, 0.2, 0.6), num_frames=37))
-        labels = label_anchors(aset, 10.2, 19.7, threshold=0.4)
-        for i in range(len(aset)):
-            assert labels.iou_targets[i] == scalar_iou(aset.spans[i].tolist(), (10.2, 19.7))
+        gts = [(10.2, 19.7), (0.0, 0.0), (36.5, 37.0), (0.0, 37.0)]
+        targets, positive, forced = label_anchors(aset, gts, threshold=0.4)
+        assert targets.shape == positive.shape == (len(gts), len(aset))
+        for j, gt in enumerate(gts):
+            expect = [scalar_iou(a, gt) for a in aset.spans.tolist()]
+            assert targets[j].tolist() == expect
+            best = int(np.argmax(expect))
+            assert positive[j].tolist() == [o > 0.4 or (forced[j] and i == best)
+                                            for i, o in enumerate(expect)]
+        assert forced.tolist() == [False, True, True, False]
 
     def test_force_positive_keeps_n_pos_nonzero(self):
-        # a sliver at the very edge clears no anchor at threshold 0.9
-        labels = label_anchors(self.aset, 0.0, 0.05, threshold=0.9)
-        assert labels.forced_positive
-        assert labels.positive_mask.sum() == 1
-        best = int(np.argmax(labels.iou_targets))
-        assert labels.positive_mask[best]
+        # a sliver at the very edge clears no anchor at threshold 0.9; the
+        # second row is an exact anchor and is not promoted
+        targets, positive, forced = label_anchors(self.aset, [[0.0, 0.05], [4.5, 6.5]], 0.9)
+        assert forced.tolist() == [True, False]
+        assert positive.sum(axis=1).tolist() == [1, 1]
+        assert positive[0, int(np.argmax(targets[0]))]
 
     def test_gt_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            label_anchors(self.aset, 5.0, 11.0)
+            label_anchors(self.aset, [[1.0, 2.0], [5.0, 11.0]], 0.5)
         with pytest.raises(OutOfRangeError):
-            label_anchors(self.aset, 6.0, 5.0)
+            label_one(self.aset, 6.0, 5.0)
         with pytest.raises(OutOfRangeError):
-            label_anchors(self.aset, -1.0, 5.0)
+            label_one(self.aset, -1.0, 5.0)
 
     def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            label_anchors(self.aset, 1.0, 2.0, threshold=1.0)
+        # the threshold is checked once, where it is configured
+        for bad in (1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="positive_threshold"):
+                TrainConfig(positive_threshold=bad)
 
     @given(
         start=st.floats(0, 8, allow_nan=False),
@@ -127,7 +144,7 @@ class TestLabelAnchors:
     def test_threshold_monotonicity(self, start, width, t1, t2):
         end = min(start + width, 10.0)
         lo, hi = sorted((t1, t2))
-        n_hi = label_anchors(self.aset, start, end, threshold=hi).positive_mask.sum()
-        n_lo = label_anchors(self.aset, start, end, threshold=lo).positive_mask.sum()
+        n_hi = label_one(self.aset, start, end, threshold=hi)[1].sum()
+        n_lo = label_one(self.aset, start, end, threshold=lo)[1].sum()
         assert n_lo >= n_hi
         assert n_hi <= len(self.aset)

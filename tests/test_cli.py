@@ -6,9 +6,14 @@ import pytest
 from nlqground.anchors import AnchorConfig, build_lattice
 from nlqground.cli import run
 from nlqground.data import load_dataset, make_batches, read_annotations
-from nlqground.inference import decode_index_spans, decode_proposals, select_proposals
+from nlqground.inference import decode_proposals, select_proposals
 from nlqground.nn import load_checkpoint
-from helpers import brute_force_decode, brute_force_selection, edit_checkpoint_header
+from helpers import (
+    brute_force_decode,
+    brute_force_selection,
+    edit_checkpoint_header,
+    per_item_decode,
+)
 
 
 def files_snapshot(root: Path) -> dict[str, bytes]:
@@ -91,6 +96,31 @@ class TestTrainCommand:
         assert "no validation split given" in out
         assert "-inf" not in out
 
+    @pytest.mark.parametrize("field, value", [("adam_beta1", 1.0), ("adam_eps", 0.0),
+                                              ("grad_clip_norm", float("inf")), ("mu", -1.0)])
+    def test_bad_train_field_names_section_and_field(self, pipeline, tmp_path, capsys,
+                                                     field, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": {"epochs": 1, field: value}}))
+        code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'train'" in err and field in err
+
+    def test_infinite_duration_names_video(self, pipeline, tmp_path, capsys):
+        data = tmp_path / "data"
+        for name, blob in files_snapshot(pipeline["data"]).items():
+            (data / name).parent.mkdir(parents=True, exist_ok=True)
+            (data / name).write_bytes(blob)
+        doc = json.loads((data / "annotations.json").read_text())
+        doc["videos"][1]["duration_sec"] = "Infinity"
+        (data / "annotations.json").write_text(json.dumps(doc))
+        code = run(["train", "--config", str(pipeline["cfg"]), "--data", str(data),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "videos[1]" in capsys.readouterr().err
+
     def test_missing_data_dir_rejected(self, pipeline, tmp_path):
         code = run(["train", "--config", str(pipeline["cfg"]),
                     "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -136,9 +166,11 @@ class TestSelectionIdentity:
         checked = 0
         for batch in make_batches(load_dataset(pipeline["data"]), 32, 20, shuffle_seed=0, shuffle=False):
             conf, offs, _ = model.forward_batch(batch.video, batch.text, batch.text_mask, train=False)
+            batch_spans, batch_scores = decode_proposals(conf, offs, anchors, batch.durations)
             for j, qid in enumerate(batch.query_ids):
-                spans, scores = decode_proposals(conf[j], offs[j], anchors, batch.grids[j])
-                expect_spans = brute_force_decode(decode_index_spans(offs[j], anchors)[0], batch.grids[j])
+                spans, scores = batch_spans[j], batch_scores[j]
+                index_spans = per_item_decode(offs[j], anchors)[0]
+                expect_spans = brute_force_decode(index_spans, 20, batch.durations[j])
                 assert spans.tolist() == [list(p) for p in expect_spans]
                 for k, nms_iou in ((5, 0.5), (5, 0.0), (len(scores) + 3, 0.5), (1, 0.3)):
                     expect = brute_force_selection(expect_spans, scores.tolist(), k, nms_iou)

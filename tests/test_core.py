@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlqground.core import (
-    FrameGrid,
-    OutOfRangeError,
-    index_to_sec,
-    iou_batch,
-    sec_to_index,
-)
+from nlqground.core import OutOfRangeError, index_to_sec, iou_batch, sec_to_index
 from helpers import scalar_index_to_sec, scalar_iou, scalar_sec_to_index
 
 # multiples of 1/64 are exactly representable, so interval arithmetic before
@@ -19,7 +13,7 @@ spans = st.tuples(grid64, grid64).map(lambda p: (min(p), max(p)))
 
 def iou(a, b):
     """`iou_batch` of one span against one reference."""
-    return iou_batch(np.array([a]), *b)[0]
+    return iou_batch(np.array([a]), b)[0]
 
 
 def test_sec_to_index_span_invariants():
@@ -64,7 +58,7 @@ class TestIou:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         arr = np.sort(rng.uniform(0, 100, size=(64, 2)), axis=1)
-        got = iou_batch(arr, 20.0, 45.0)
+        got = iou_batch(arr, (20.0, 45.0))
         assert got.tolist() == [scalar_iou(row, (20.0, 45.0)) for row in arr.tolist()]
 
     def test_per_row_references_match_scalar(self):
@@ -72,12 +66,19 @@ class TestIou:
         arr = np.sort(rng.uniform(0, 100, size=(64, 2)), axis=1)
         refs = np.sort(rng.uniform(0, 100, size=(64, 2)), axis=1)
         refs[:4] = arr[:4]  # identical pairs
-        got = iou_batch(arr, refs[:, 0], refs[:, 1])
+        got = iou_batch(arr, refs)
         assert got.tolist() == [scalar_iou(a, b) for a, b in zip(arr.tolist(), refs.tolist())]
+
+    def test_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(2)
+        arr = np.sort(rng.uniform(0, 100, size=(7, 2)), axis=1)
+        refs = np.sort(rng.uniform(0, 100, size=(3, 2)), axis=1)
+        got = iou_batch(arr, refs[:, None, :])
+        assert got.shape == (3, 7)
+        assert got.tolist() == [[scalar_iou(a, b) for a in arr.tolist()] for b in refs.tolist()]
 
 
 class TestCoordinateMaps:
-    grid = FrameGrid(num_frames=100, duration_sec=600.0)
 
     def test_linear_map(self):
         assert sec_to_index([(30, 60)], 100, [600.0]).tolist() == [[5.0, 10.0]]
@@ -90,23 +91,23 @@ class TestCoordinateMaps:
             sec_to_index([(0, 10), (600, 601)], 100, [600.0, 600.0])
 
     def test_inverse_map(self):
-        assert index_to_sec(np.array([[5.0, 10.0]]), self.grid).tolist() == [[30.0, 60.0]]
+        assert index_to_sec(np.array([[5.0, 10.0]]), 100, [600.0]).tolist() == [[30.0, 60.0]]
 
     def test_inverse_full(self):
-        assert index_to_sec(np.array([[0.0, 100.0]]), self.grid).tolist() == [[0.0, 600.0]]
+        assert index_to_sec(np.array([[0.0, 100.0]]), 100, [600.0]).tolist() == [[0.0, 600.0]]
 
     def test_index_out_of_range(self):
         with pytest.raises(OutOfRangeError):
-            index_to_sec(np.array([[90.0, 101.0]]), self.grid)
+            index_to_sec(np.array([[90.0, 101.0]]), 100, [600.0])
         with pytest.raises(OutOfRangeError, match="finite"):
-            index_to_sec(np.array([[np.nan, 1.0]]), self.grid)
+            index_to_sec(np.array([[np.nan, 1.0]]), 100, [600.0])
 
     def test_round_trip_1000_random_spans(self):
         rng = np.random.default_rng(7)
-        grid = FrameGrid(num_frames=600, duration_sec=487.3)
-        secs = np.sort(rng.uniform(0, grid.duration_sec, size=(1000, 2)), axis=1)
-        back = index_to_sec(sec_to_index(secs, 600, np.full(1000, grid.duration_sec)), grid)
-        assert np.abs(back - secs).max() < 1e-9 * grid.duration_sec
+        duration = 487.3
+        secs = np.sort(rng.uniform(0, duration, size=(1000, 2)), axis=1)
+        back = index_to_sec(sec_to_index(secs, 600, np.full(1000, duration)), 600, duration)
+        assert np.abs(back - secs).max() < 1e-9 * duration
 
     @given(rows=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1),
                                    st.floats(0.5, 5000, allow_subnormal=False)),
@@ -117,22 +118,14 @@ class TestCoordinateMaps:
         secs = [(min(a, b) * d, max(a, b) * d) for a, b, d in rows]
         durations = [d for _, _, d in rows]
         index = sec_to_index(secs, num_frames, durations)
-        grids = [FrameGrid(num_frames, d) for d in durations]
-        assert index.tolist() == [list(scalar_sec_to_index(s, e, g))
-                                  for (s, e), g in zip(secs, grids)]
-        for row, g in zip(index, grids):
-            assert index_to_sec(row[None], g).tolist() == [list(scalar_index_to_sec(*row, g))]
+        assert index.tolist() == [list(scalar_sec_to_index(s, e, num_frames, d))
+                                  for (s, e), d in zip(secs, durations)]
+        assert index_to_sec(index, num_frames, durations).tolist() == [
+            list(scalar_index_to_sec(*row, num_frames, d)) for row, d in zip(index, durations)]
         # pushing one end past its video's duration is refused by both
         bad = [list(s) for s in secs]
         bad[-1][1] = np.nextafter(durations[-1], np.inf)
         with pytest.raises(OutOfRangeError):
             sec_to_index(bad, num_frames, durations)
         with pytest.raises(OutOfRangeError):
-            scalar_sec_to_index(*bad[-1], grids[-1])
-
-
-def test_frame_grid_invariants():
-    with pytest.raises(ValueError):
-        FrameGrid(num_frames=1, duration_sec=10.0)
-    with pytest.raises(ValueError):
-        FrameGrid(num_frames=10, duration_sec=0.0)
+            scalar_sec_to_index(*bad[-1], num_frames, durations[-1])

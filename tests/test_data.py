@@ -100,6 +100,19 @@ class TestAnnotations:
         with pytest.raises(AnnotationError):
             read_annotations(path)
 
+    @pytest.mark.parametrize("duration", [0.0, -1.0, "Infinity", float("inf"), float("nan")])
+    def test_duration_not_positive_and_finite_rejected(self, tmp_path, duration):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({  # json writes inf and nan as Infinity and NaN
+            "version": "1.0",
+            "videos": [{"video_id": "v0", "duration_sec": 60.0, "queries": []},
+                       {"video_id": "v1", "duration_sec": duration,
+                        "queries": [{"query_id": "q1", "text": "",
+                                     "start_sec": 1.0, "end_sec": 2.0}]}],
+        }))
+        with pytest.raises(AnnotationError, match=r"videos\[1\] \(v1\): duration_sec"):
+            read_annotations(path)
+
     def test_missing_key_names_json_path(self, tmp_path):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"version": "1.0",
@@ -121,26 +134,32 @@ class TestAnnotations:
 class TestSampleFrames:
     def test_identity_when_equal(self):
         x = np.arange(12, dtype=np.float32).reshape(4, 3)
-        out, grid = sample_frames(x, 4, duration_sec=4.0)
-        np.testing.assert_array_equal(out, x)
-        assert grid.num_frames == 4 and grid.duration_sec == 4.0
+        np.testing.assert_array_equal(sample_frames(x, 4), x)
 
     def test_downsampling_stride(self):
         x = np.arange(10, dtype=np.float32)[:, None]
-        out, _ = sample_frames(x, 5, duration_sec=10.0)
+        out = sample_frames(x, 5)
         np.testing.assert_array_equal(out[:, 0], [0, 2, 4, 6, 8])
 
     def test_upsampling_repeats(self):
         x = np.arange(3, dtype=np.float32)[:, None]
-        out, _ = sample_frames(x, 6, duration_sec=3.0)
+        out = sample_frames(x, 6)
         np.testing.assert_array_equal(out[:, 0], [0, 0, 1, 1, 2, 2])
 
     def test_order_preserved(self):
         rng = np.random.default_rng(0)
         for raw_t, target in ((100, 17), (17, 100), (64, 64)):
             x = np.arange(raw_t, dtype=np.float32)[:, None]
-            out, _ = sample_frames(x, target, duration_sec=raw_t)
+            out = sample_frames(x, target)
             assert (np.diff(out[:, 0]) >= 0).all()
+
+    def test_needs_two_frames_and_a_row(self):
+        x = np.zeros((4, 3), dtype=np.float32)
+        for bad in (1, 0):
+            with pytest.raises(ValueError, match="target_t"):
+                sample_frames(x, bad)
+        with pytest.raises(ValueError, match="empty"):
+            sample_frames(x[:0], 4)
 
 
 class TestSyntheticGeneration:
@@ -226,6 +245,11 @@ class TestMakeBatches:
             assert (batch.gt_index >= 0).all()
             assert (batch.gt_index <= 15).all()
             assert batch.video.shape[1] == 15
+
+    def test_durations_are_each_items_video_length(self):
+        for batch in make_batches(self.ds, 3, 15, shuffle_seed=1):
+            assert batch.durations.dtype == np.float64
+            assert batch.durations.tolist() == [self.ds.durations[v] for v in batch.video_ids]
 
     def test_empty_dataset_rejected(self):
         import dataclasses

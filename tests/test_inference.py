@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice
-from nlqground.core import FrameGrid
 from nlqground.inference import (
     ChannelAlignmentError,
     RerankChannel,
@@ -17,7 +16,13 @@ from nlqground.inference import (
     top_k,
     write_predictions,
 )
-from helpers import brute_force_decode, brute_force_selection, flat_index, scalar_iou
+from helpers import (
+    brute_force_decode,
+    brute_force_selection,
+    flat_index,
+    per_item_decode,
+    scalar_iou,
+)
 
 
 def props(*rows):
@@ -26,28 +31,34 @@ def props(*rows):
     return arr[:, :2], arr[:, 2]
 
 
+def decode_one(offsets, anchors):
+    """Index spans and backward of a batch of one item."""
+    spans, back = decode_index_spans(offsets[None], anchors)
+    return spans[0], lambda d: back(d[None])[0]
+
+
 class TestDecode:
     aset = build_lattice(AnchorConfig(scales=(0.2,), num_frames=10))
-    grid = FrameGrid(num_frames=10, duration_sec=10.0)
+    durations = np.array([10.0])
 
     def _output(self, offsets, conf=None):
         if conf is None:
             conf = np.full((10, 1), 0.5)
-        return conf, offsets
+        return conf[None], offsets[None]
 
     def test_zero_offsets_reproduce_anchors(self):
-        spans, _ = decode_proposals(*self._output(np.zeros((10, 2))), self.aset, self.grid)
-        assert len(spans) == 10
+        spans, _ = decode_proposals(*self._output(np.zeros((10, 2))), self.aset, self.durations)
+        assert spans.shape == (1, 10, 2)
         for i in range(10):
             # duration == T so seconds equal index units here
-            assert spans[i, 0] == pytest.approx(self.aset.spans[i, 0])
-            assert spans[i, 1] == pytest.approx(self.aset.spans[i, 1])
+            assert spans[0, i, 0] == pytest.approx(self.aset.spans[i, 0])
+            assert spans[0, i, 1] == pytest.approx(self.aset.spans[i, 1])
 
     def test_window_scaled_offsets(self):
         # anchor (t=4) is [4-1+0.5, ...] => [3.5, 5.5], w=2; shift by (-0.5, +0.5)*w
         offsets = np.zeros((10, 2))
         offsets[4] = [-0.5, 0.5]
-        spans, _ = decode_index_spans(offsets, self.aset)
+        spans, _ = decode_one(offsets, self.aset)
         np.testing.assert_allclose(spans[4], [3.5 - 1.0, 5.5 + 1.0])
 
     @staticmethod
@@ -63,43 +74,45 @@ class TestDecode:
         aset = self._anchor_4_6()
         offsets = np.zeros((10, 2))
         offsets[4] = [-0.5, 0.5]
-        spans, _ = decode_index_spans(offsets, aset)
+        spans, _ = decode_one(offsets, aset)
         np.testing.assert_allclose(spans[4], [3.0, 7.0])
 
     def test_inverted_spans_swapped(self):
         aset = self._anchor_4_6()
         offsets = np.zeros((10, 2))
         offsets[4] = [1.5, -1.5]  # raw [7, 3]
-        spans, _ = decode_index_spans(offsets, aset)
+        spans, _ = decode_one(offsets, aset)
         np.testing.assert_allclose(spans[4], [3.0, 7.0])
 
     def test_decoded_spans_inside_video(self):
         rng = np.random.default_rng(0)
         offsets = rng.normal(scale=3.0, size=(10, 2))
-        spans, _ = decode_proposals(*self._output(offsets), self.aset, self.grid)
-        for start, end in spans:
+        spans, _ = decode_proposals(*self._output(offsets), self.aset, self.durations)
+        for start, end in spans[0]:
             assert 0.0 <= start <= end <= 10.0
 
     def test_seconds_bitwise_equal_to_scalar_map(self):
         aset = build_lattice(AnchorConfig(scales=(0.2, 0.5), num_frames=10))
-        grid = FrameGrid(num_frames=10, duration_sec=37.3)
-        offsets = np.random.default_rng(5).normal(scale=2.0, size=(10, 4))
-        spans, _ = decode_proposals(np.full((10, 2), 0.5), offsets, aset, grid)
-        index_spans, _ = decode_index_spans(offsets, aset)
-        assert spans.tolist() == [list(p) for p in brute_force_decode(index_spans, grid)]
+        durations = [37.3, 10.0, 1e-3]
+        offsets = np.random.default_rng(5).normal(scale=2.0, size=(3, 10, 4))
+        spans, scores = decode_proposals(np.full((3, 10, 2), 0.5), offsets, aset, durations)
+        assert spans.shape == (3, 20, 2) and scores.shape == (3, 20)
+        for j, d in enumerate(durations):
+            index_spans = per_item_decode(offsets[j], aset)[0]
+            assert spans[j].tolist() == [list(p) for p in brute_force_decode(index_spans, 10, d)]
 
     def test_non_finite_offsets_rejected(self):
         offsets = np.zeros((10, 2))
         offsets[3, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            decode_proposals(*self._output(offsets), self.aset, self.grid)
+            decode_proposals(*self._output(offsets), self.aset, self.durations)
 
     def test_backward_routes_through_swap_and_clamp(self):
         aset = build_lattice(AnchorConfig(scales=(0.25,), num_frames=8))
         offsets = np.zeros((8, 2))
         offsets[4] = [1.5, -1.5]  # swapped
         offsets[0] = [-9.0, 0.0]  # start clamped at 0
-        spans, back = decode_index_spans(offsets, aset)
+        spans, back = decode_one(offsets, aset)
         d = np.zeros((8, 2))
         i = flat_index(aset, 4, 0)
         d[i] = [1.0, 2.0]
@@ -115,19 +128,21 @@ class TestDecode:
     def test_gradient_matches_finite_differences(self):
         aset = build_lattice(AnchorConfig(scales=(0.2, 0.5), num_frames=10))
         rng = np.random.default_rng(4)
-        offsets = rng.normal(scale=0.4, size=(10, 4))
+        offsets = rng.normal(scale=0.4, size=(2, 10, 4))
         spans, back = decode_index_spans(offsets, aset)
         w = rng.normal(size=spans.shape)
         grad = back(w)
+        assert grad.shape == offsets.shape
         h = 1e-6
-        for t in range(10):
-            for c in range(4):
-                op, om = offsets.copy(), offsets.copy()
-                op[t, c] += h
-                om[t, c] -= h
-                fp = float((decode_index_spans(op, aset)[0] * w).sum())
-                fm = float((decode_index_spans(om, aset)[0] * w).sum())
-                assert grad[t, c] == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
+        for j in range(2):
+            for t in range(10):
+                for c in range(4):
+                    op, om = offsets.copy(), offsets.copy()
+                    op[j, t, c] += h
+                    om[j, t, c] -= h
+                    fp = float((decode_index_spans(op, aset)[0] * w).sum())
+                    fm = float((decode_index_spans(om, aset)[0] * w).sum())
+                    assert grad[j, t, c] == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
 
 
 class TestNms:

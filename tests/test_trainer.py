@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice
-from nlqground.data import SyntheticSpec, generate_synthetic, make_batches
+from nlqground.data import Batch, SyntheticSpec, generate_synthetic, make_batches
 from nlqground.nn import EncoderConfig, init_model, load_checkpoint
 from nlqground.trainer import (
     DivergenceError,
@@ -16,6 +17,7 @@ from nlqground.trainer import (
     lr_at,
     train,
 )
+from helpers import assert_bitwise_equal, per_item_objective
 
 ENC = EncoderConfig(hidden_dim=16, num_heads=2, intra_layers=1, cross_layers=2,
                     video_input_dim=8, text_input_dim=4, num_scales=2, dropout_rate=0.1)
@@ -27,6 +29,88 @@ def tiny_dataset(seed=1, videos=4):
         num_videos=videos, frames_per_video=48, feature_dim=8, text_dim=4,
         tokens_per_query=3, queries_per_video=1,
         span_fraction_range=(0.1, 0.25), noise_sigma=0.3, seed=seed))
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, bad", [
+        ("mu", -0.1), ("positive_threshold", 1.0), ("positive_threshold", -0.1),
+        ("smooth_l1_beta", 0.0), ("adam_beta1", 1.0), ("adam_beta1", -0.1),
+        ("adam_beta2", 1.0), ("adam_eps", 0.0), ("grad_clip_norm", -1.0),
+        ("grad_clip_norm", math.inf), ("base_lr", 0.0),
+        *[(f, math.nan) for f in ("mu", "positive_threshold", "smooth_l1_beta", "adam_beta1",
+                                  "adam_beta2", "adam_eps", "grad_clip_norm", "base_lr")],
+    ])
+    def test_rejects_out_of_range_field(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: bad})
+
+    def test_edges_accepted(self):
+        TrainConfig(mu=0.0, positive_threshold=0.0, adam_beta1=0.0, adam_beta2=0.0,
+                    grad_clip_norm=0.0)
+
+
+def check_against_per_item_oracle(B, T, K, gt_index, threshold, offset_gain, seed):
+    """batch_loss_and_grads against `per_item_objective` on a float32 model
+    whose regression head is scaled by offset_gain: the upstream gradients,
+    the parameter gradients and the forced count bit for bit, the logged
+    losses to summation order.  Returns the oracle's output."""
+    rng = np.random.default_rng(seed)
+    enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
+                        video_input_dim=5, text_input_dim=4, num_scales=K, dropout_rate=0.1)
+    model = init_model(enc, seed=seed)
+    for name in ("reg_head.w2", "reg_head.b2"):
+        model.params[name] *= np.float32(offset_gain)
+    scales = (0.25,) if K == 1 else (0.125, 0.5)
+    anchors = build_lattice(AnchorConfig(scales=scales, num_frames=T))
+    config = TrainConfig(mu=2.5, positive_threshold=threshold, smooth_l1_beta=0.02, seed=0)
+    batch = Batch(video=rng.normal(size=(B, T, 5)), text=rng.normal(size=(B, 3, 4)),
+                  text_mask=np.ones((B, 3), dtype=bool), gt_index=gt_index,
+                  durations=np.full(B, float(T)), query_ids=list("abcd"[:B]),
+                  video_ids=list("abcd"[:B]))
+
+    upstream = {}
+    backward = model.backward
+    def spy(cache, d_conf, d_offs):
+        upstream.update(d_conf=d_conf, d_offs=d_offs)
+        return backward(cache, d_conf, d_offs)
+    model.backward = spy
+    record, grads = batch_loss_and_grads(model, batch, anchors, config, train=False)
+
+    conf, offs, cache = model.forward_batch(batch.video, batch.text, batch.text_mask,
+                                            want_cache=True)
+    oracle = per_item_objective(conf, offs, batch.gt_index, anchors, config)
+    assert_bitwise_equal(upstream["d_conf"], oracle["d_conf"])
+    assert_bitwise_equal(upstream["d_offs"], oracle["d_offs"])
+    expect, _, _ = backward(cache, oracle["d_conf"], oracle["d_offs"])
+    assert grads.keys() == expect.keys()
+    for name in grads:
+        assert_bitwise_equal(grads[name], expect[name])
+    assert record["forced_positives"] == oracle["forced"]
+    # another summation order moves a float64 sum of <= 64 terms by < 1e-14 relative
+    assert record["align"] == pytest.approx(np.mean(oracle["align"]), rel=1e-14)
+    assert record["box"] == pytest.approx(np.mean(oracle["box"]), rel=1e-14)
+    assert record["loss"] == record["align"] + config.mu * record["box"]
+    return oracle
+
+
+_ROW = st.tuples(st.floats(0, 1), st.sampled_from([0.0, 0.002, 0.05]) | st.floats(0, 0.6))
+
+
+class TestBatchObjective:
+    def test_fixed_batch_exercises_every_branch(self):
+        # slivers force rows; a large offset gain swaps and clamps endpoints
+        gt = np.array([[0.0, 0.02], [3.0, 7.5], [15.9, 16.0], [6.0, 6.0]])
+        oracle = check_against_per_item_oracle(4, 16, 2, gt, 0.6, 40.0, seed=1)
+        assert oracle["forced"] >= 2 and oracle["swaps"] > 0 and oracle["clamps"] > 0
+
+    @given(rows=st.lists(_ROW, min_size=1, max_size=4), T=st.sampled_from([8, 13]),
+           K=st.sampled_from([1, 2]), threshold=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0, 0.99),
+           offset_gain=st.sampled_from([0.0, 1.0, 30.0, 300.0]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_item_oracle(self, rows, T, K, threshold, offset_gain, seed):
+        gt = np.array([(min(s, 1 - w) * T, (min(s, 1 - w) + w) * T) for s, w in rows])
+        check_against_per_item_oracle(len(rows), T, K, np.clip(gt, 0, T), threshold,
+                                      offset_gain, seed)
 
 
 class TestLrSchedule:
@@ -131,11 +215,11 @@ class TestTrainLoop:
             state = OptimizerState.for_model(model)
             first = last = None
             for step in range(50):
-                breakdown, grads = batch_loss_and_grads(model, batch, aset, cfg, train=True)
+                record, grads = batch_loss_and_grads(model, batch, aset, cfg, train=True)
                 adam_step(model.params, grads, state, lr, cfg)
                 if first is None:
-                    first = breakdown.total
-                last = breakdown.total
+                    first = record["loss"]
+                last = record["loss"]
             if last < first:
                 decreased = True
         assert decreased
