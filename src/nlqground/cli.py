@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,9 +26,6 @@ from .data import (
 )
 from .evaluation import evaluate, report_to_json
 from .inference import (
-    RerankChannel,
-    _checked_proposal,
-    json_record,
     predict_dataset,
     read_channel_file,
     read_predictions,
@@ -58,7 +56,13 @@ class _Parser(argparse.ArgumentParser):
 @dataclasses.dataclass(frozen=True)
 class InferenceOptions:
     top_k: int = 5
-    nms_iou: float = 0.5
+    nms_iou: float = 0.5  # 0 means no suppression
+
+    def __post_init__(self):
+        if not isinstance(self.top_k, int) or self.top_k < 1:
+            raise ValueError(f"top_k must be an integer >= 1, got {self.top_k!r}")
+        if not 0 <= self.nms_iou <= 1:  # NaN fails the comparison
+            raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou!r}")
 
 
 _SECTIONS = {
@@ -75,6 +79,8 @@ def _build_section(cls, payload: dict, section: str):
     if unknown:
         raise CliError(f"config section {section!r} has unknown keys: {sorted(unknown)}")
     if "scales" in payload:
+        if not isinstance(payload["scales"], list):
+            raise CliError(f"config section {section!r}: 'scales' must be a list")
         payload = dict(payload, scales=tuple(payload["scales"]))
     try:
         return cls(**payload)
@@ -90,9 +96,14 @@ def load_run_config(path) -> dict:
         raise CliError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: the config must be a JSON object")
     unknown = set(doc) - set(_SECTIONS) - {"data"}
     if unknown:
         raise CliError(f"config has unknown top-level keys: {sorted(unknown)}")
+    for name, section in doc.items():
+        if not isinstance(section, dict):
+            raise CliError(f"config section {name!r} must be a JSON object")
     sections = {name: dict(doc.get(name, {})) for name in _SECTIONS}
     data_paths = dict(doc.get("data", {}))
     if set(data_paths) - {"train_dir", "val_dir"}:
@@ -169,6 +180,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    opts = InferenceOptions(top_k=args.topk, nms_iou=args.nms_iou)
     if not Path(args.ckpt).is_file():
         raise CliError(f"checkpoint not found: {args.ckpt}")
     if not Path(args.data).is_dir():
@@ -182,8 +194,8 @@ def _cmd_predict(args) -> int:
         raise CliError(
             f"--scales gives {len(anchor_config.scales)} scales but the checkpoint "
             f"predicts {model.config.num_scales}")
-    records = predict_dataset(model, dataset, anchor_config, topk=args.topk, nms_iou=args.nms_iou)
-    write_predictions(args.out, [json_record(*r) for r in records])
+    records = predict_dataset(model, dataset, anchor_config, topk=opts.top_k, nms_iou=opts.nms_iou)
+    write_predictions(args.out, records)
     print(f"wrote predictions for {len(records)} queries to {args.out}")
     return 0
 
@@ -199,31 +211,32 @@ def _cmd_rerank(args) -> int:
             w = float(weight) if weight else 1.0
         except ValueError:
             raise CliError(f"bad channel weight in {spec!r}") from None
+        if not math.isfinite(w):
+            raise CliError(f"channel weight in {spec!r} is not a finite number")
         channels.append((Path(path).stem, read_channel_file(path), w))
 
     out_records = []
-    for rec in records:
-        qid = rec["query_id"]
-        proposals = [_checked_proposal(qid, rank, p) for rank, p in enumerate(rec["proposals"], 1)]
+    for qid, vid, spans, scores in records:
         per_query = []
         for name, scores_by_query, w in channels:
             if qid not in scores_by_query:
                 raise CliError(f"channel {name!r} has no scores for query {qid!r}")
-            per_query.append(RerankChannel(name=name, scores=scores_by_query[qid], weight=w))
-        order, fused = rerank([score for _, _, score in proposals], per_query)
-        out_records.append({"query_id": qid, "video_id": rec.get("video_id", ""), "proposals": [
-            {"start_sec": proposals[i][0], "end_sec": proposals[i][1], "score": score}
-            for i, score in zip(order, fused)]})
+            if len(scores_by_query[qid]) != len(scores):
+                raise CliError(f"channel {name!r} has {len(scores_by_query[qid])} scores "
+                               f"for {len(scores)} proposals of query {qid!r}")
+            per_query.append((scores_by_query[qid], w))
+        order, fused = rerank(scores, per_query)
+        out_records.append((qid, vid, spans[order], fused))
     write_predictions(args.out, out_records)
     print(f"reranked {len(out_records)} queries into {args.out}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    predictions = read_predictions(args.preds)
+    records = read_predictions(args.preds)
     annotations, _ = read_annotations(args.annotations)
     report = evaluate(
-        predictions, annotations,
+        records, annotations,
         ranks=_parse_ints(args.ranks, "--ranks"),
         thresholds=_parse_floats(args.ious, "--ious"),
         strict=args.strict,

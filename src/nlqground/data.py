@@ -110,8 +110,30 @@ def write_annotations(path, videos: list[dict]) -> None:
         json.dump({"version": ANNOTATION_VERSION, "videos": videos}, f, indent=2)
 
 
+def _number(obj: dict, key: str, where: str) -> float:
+    """obj[key] as a float, or an AnnotationError naming `where` and the key."""
+    try:
+        return float(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise AnnotationError(f"{where}: {key!r} is not a number: {obj[key]!r}") from None
+
+
+def _objects(items, where: str) -> list:
+    """`items` if it is a list of JSON objects, else an AnnotationError
+    naming `where` or the offending element."""
+    if not isinstance(items, list):
+        raise AnnotationError(f"{where} must be a list")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise AnnotationError(f"{where}[{i}] must be an object")
+    return items
+
+
 def read_annotations(path) -> tuple[list[QueryAnnotation], dict[str, float]]:
-    """Parse and validate annotations; returns (flat query list, video -> duration)."""
+    """Parse and validate annotations; returns (flat query list, video -> duration).
+
+    Every error names the offending `videos[i]` or `videos[i].queries[j]`
+    and key; a video or query id used twice names both positions."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
@@ -120,27 +142,41 @@ def read_annotations(path) -> tuple[list[QueryAnnotation], dict[str, float]]:
         raise AnnotationError(f"{path}: missing top-level 'videos' key")
     annotations: list[QueryAnnotation] = []
     durations: dict[str, float] = {}
-    for vi, video in enumerate(doc["videos"]):
+    video_at: dict[str, str] = {}  # id -> position of its first use
+    query_at: dict[str, str] = {}
+    for vi, video in enumerate(_objects(doc["videos"], "videos")):
         for key in ("video_id", "duration_sec", "queries"):
             if key not in video:
                 raise AnnotationError(f"videos[{vi}]: missing key {key!r}")
         vid = video["video_id"]
-        duration = float(video["duration_sec"])
+        if not isinstance(vid, str):
+            raise AnnotationError(f"videos[{vi}]: 'video_id' must be a string, got {vid!r}")
+        if vid in video_at:
+            raise AnnotationError(f"videos[{vi}]: video_id {vid!r} repeats {video_at[vid]}")
+        video_at[vid] = f"videos[{vi}]"
+        duration = _number(video, "duration_sec", f"videos[{vi}] ({vid})")
         if not (0.0 < duration < math.inf):
             raise AnnotationError(
                 f"videos[{vi}] ({vid}): duration_sec must be positive and finite, got {duration}")
         durations[vid] = duration
-        for qi, q in enumerate(video["queries"]):
+        for qi, q in enumerate(_objects(video["queries"], f"videos[{vi}].queries")):
+            where = f"videos[{vi}].queries[{qi}]"
             for key in ("query_id", "start_sec", "end_sec"):
                 if key not in q:
-                    raise AnnotationError(f"videos[{vi}].queries[{qi}]: missing key {key!r}")
-            start, end = float(q["start_sec"]), float(q["end_sec"])
+                    raise AnnotationError(f"{where}: missing key {key!r}")
+            qid = q["query_id"]
+            if not isinstance(qid, str):
+                raise AnnotationError(f"{where}: 'query_id' must be a string, got {qid!r}")
+            if qid in query_at:
+                raise AnnotationError(f"{where}: query_id {qid!r} repeats {query_at[qid]}")
+            query_at[qid] = where
+            start, end = _number(q, "start_sec", where), _number(q, "end_sec", where)
             if not (0.0 <= start <= end <= duration):
                 raise AnnotationError(
-                    f"query {q['query_id']!r}: span [{start}, {end}] violates "
+                    f"{where} (query {qid!r}): span [{start}, {end}] violates "
                     f"0 <= start <= end <= duration ({duration})")
             annotations.append(QueryAnnotation(
-                video_id=vid, query_id=q["query_id"],
+                video_id=vid, query_id=qid,
                 text=q.get("text", ""), start_sec=start, end_sec=end))
     return annotations, durations
 

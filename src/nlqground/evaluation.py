@@ -4,7 +4,8 @@ A query is a hit for cell (n, m) when at least one of its top-n ranked
 predictions has IoU strictly greater than m with the ground truth; each cell
 reports the fraction of queries that hit.  Boundary IoU == m counts as a
 miss (strict inequality).  The running maximum of a query's IoUs over ranks
-is its best IoU within the top n, for every n at once.
+is its best IoU within the top n, for every n at once.  Predictions are
+`inference.Record`s, whose proposals the reader has already checked.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from .core import iou_batch
 from .data import QueryAnnotation
-from .inference import _checked_proposal
 
 DEFAULT_RANKS = (1, 5)
 DEFAULT_THRESHOLDS = (0.3, 0.5)
@@ -53,32 +53,28 @@ class MetricReport:
 
 
 def evaluate(
-    predictions: list[dict],
+    records: list[tuple],
     annotations: list[QueryAnnotation],
     ranks=DEFAULT_RANKS,
     thresholds=DEFAULT_THRESHOLDS,
     strict: bool = False,
 ) -> MetricReport:
-    """Score a predictions list (as parsed from the JSONL file) against
-    annotations.
+    """Score prediction records against annotations.
 
-    Every annotated query must appear in the predictions; missing queries
-    count as misses with a warning unless `strict`, in which case they are
-    an error.  Duplicate query ids in the predictions are always an error,
-    and so is a malformed proposal, named by query, rank and key, exactly as
-    `rerank` names it.  Ranks must be >= 1 and thresholds lie in (0, 1).
+    Every annotated query must appear in the records; missing queries count
+    as misses with a warning unless `strict`, in which case they are an
+    error.  Duplicate query ids in the records are always an error.  Ranks
+    must be >= 1 and thresholds lie in (0, 1).
     """
     ranks = tuple(int(n) for n in ranks)
     thresholds = tuple(float(m) for m in thresholds)
     if min(ranks, default=1) < 1 or not all(0.0 < m < 1.0 for m in thresholds):
         raise ValueError(f"ranks must be >= 1 and IoU thresholds in (0, 1), got {ranks}, {thresholds}")
-    by_query: dict[str, list] = {}
-    for rec in predictions:
-        qid = rec["query_id"]
+    by_query: dict[str, np.ndarray] = {}
+    for qid, _, spans, _ in records:
         if qid in by_query:
             raise ValueError(f"duplicate query_id {qid!r} in predictions")
-        by_query[qid] = [_checked_proposal(qid, rank, p)[:2]
-                         for rank, p in enumerate(rec["proposals"], 1)]
+        by_query[qid] = spans
 
     rows, gts = [], []  # proposal spans and ground truth of each predicted query
     for a in annotations:
@@ -94,7 +90,9 @@ def evaluate(
     width = max(map(len, rows), default=0)
     hit_counts = np.zeros((len(ranks), len(thresholds)), dtype=np.int64)
     if width:
-        padded = [spans + [[0.0, 0.0]] * (width - len(spans)) for spans in rows]
+        padded = np.zeros((len(rows), width, 2))
+        for i, spans in enumerate(rows):
+            padded[i, :len(spans)] = spans
         ious = iou_batch(padded, np.array(gts, dtype=np.float64)[:, None, :])
         best = np.maximum.accumulate(ious, axis=1)[:, [min(n, width) - 1 for n in ranks]]
         hit_counts = (best[:, :, None] > np.asarray(thresholds)).sum(axis=0)

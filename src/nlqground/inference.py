@@ -11,17 +11,17 @@ each query's proposals are then (N, 2) float64 spans in seconds plus a
 score vector, ranked by (-score, start, index).
 Greedy NMS (not part of the original selection rule, which just takes top-5)
 runs before top-k, stopping at k kept, so the top-5 are not near-duplicates
-of the best proposal.  Re-ranking adds external score channels onto the
-confidence.  The JSON-lines readers name `path:line` for a malformed line
-or a channel score that is not a finite number, and `_checked_proposal`
-names the query, rank and key of a bad proposal.
+of the best proposal.  Re-ranking adds weighted score channels onto the
+scores.  A prediction is one `Record` from decode to file and back, and
+only this module knows the file's keys.  The JSON-lines readers name
+`path:line` for a malformed line, a channel score that is not a finite
+number, or a bad proposal (with its query, rank and key).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +31,8 @@ from .core import index_to_sec, iou_batch
 from .nn.model import GroundingModel
 
 
-class ChannelAlignmentError(ValueError):
-    """A re-rank channel's score list does not align with the proposals."""
-
-
-@dataclass(frozen=True)
-class RerankChannel:
-    name: str
-    scores: list[float]
-    weight: float = 1.0
+# (query_id, video_id, spans (k, 2) float64 seconds, scores (k,) float64), rank order
+Record = tuple[str, str, np.ndarray, np.ndarray]
 
 
 def _rank(spans: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -130,29 +123,22 @@ def top_k(spans: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
 
 def select_proposals(spans: np.ndarray, scores: np.ndarray, k: int, nms_iou: float) -> np.ndarray:
     """Indices of the ranked top-k after NMS; nms_iou = 0 means no suppression."""
-    keep = nms(spans, scores, nms_iou, k) if nms_iou > 0 else np.arange(len(scores))
-    return keep[top_k(spans[keep], scores[keep], k)]
+    return nms(spans, scores, nms_iou, k) if nms_iou > 0 else top_k(spans, scores, k)
 
 
-def rerank(scores: list[float], channels: list[RerankChannel]) -> tuple[list[int], list[float]]:
-    """Additive score fusion: final = score + sum_c weight_c * score_c.
+def rerank(scores: np.ndarray, channels: list[tuple[np.ndarray, float]]):
+    """Additive score fusion: fused = score + sum_c weight_c * score_c, the
+    channels (scores (k,) aligned with `scores`, weight) added in order.
 
     Returns the new rank order (positions into `scores`) and the fused
     scores in that order.  The sort is stable, so all-tie channels leave the
     order unchanged.
     """
-    for ch in channels:
-        if len(ch.scores) != len(scores):
-            raise ChannelAlignmentError(
-                f"channel {ch.name!r} has {len(ch.scores)} scores for {len(scores)} proposals")
-    fused = []
-    for i, score in enumerate(scores):
-        final = float(score)
-        for ch in channels:
-            final += ch.weight * float(ch.scores[i])
-        fused.append(final)
-    order = sorted(range(len(fused)), key=lambda i: -fused[i])
-    return order, [fused[i] for i in order]
+    fused = np.array(scores, dtype=np.float64)
+    for channel, weight in channels:
+        fused += weight * channel
+    order = np.argsort(-fused, kind="stable")
+    return order, fused[order]
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +153,11 @@ def predict_dataset(
     topk: int = 5,
     nms_iou: float = 0.5,
     batch_size: int = 32,
-) -> list[tuple[str, str, np.ndarray, np.ndarray]]:
+) -> list[Record]:
     """Ranked top-k proposals for every query in a dataset (eval mode).
 
-    nms_iou = 0 is the sentinel for "no suppression".  Returns
-    (query_id, video_id, spans (k, 2) in seconds, scores (k,)) in
-    annotation order.
+    nms_iou = 0 is the sentinel for "no suppression".  Returns one record
+    per query, in annotation order.
     """
     from .data import make_batches  # local import; data is I/O-layer, no cycle
 
@@ -193,18 +178,13 @@ def predict_dataset(
 # ---------------------------------------------------------------------------
 
 
-def json_record(query_id: str, video_id: str, spans: np.ndarray, scores: np.ndarray) -> dict:
-    """One predictions-file object; `.tolist()` keeps each float's exact repr."""
-    return {"query_id": query_id, "video_id": video_id,
-            "proposals": [{"start_sec": s, "end_sec": e, "score": c}
-                          for (s, e), c in zip(spans.tolist(), scores.tolist())]}
-
-
-def write_predictions(path, records: list[dict]) -> None:
-    """JSON-lines, one `json_record`-shaped object per query."""
+def write_predictions(path, records: list[Record]) -> None:
+    """JSON-lines, one object per record; `.tolist()` keeps each float's exact repr."""
     with open(path, "w", encoding="utf-8") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
+        for qid, vid, spans, scores in records:
+            f.write(json.dumps({"query_id": qid, "video_id": vid, "proposals": [
+                {"start_sec": s, "end_sec": e, "score": c}
+                for (s, e), c in zip(spans.tolist(), scores.tolist())]}) + "\n")
 
 
 def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[tuple[int, dict]]:
@@ -230,11 +210,6 @@ def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[tuple[int, d
     return records
 
 
-def read_predictions(path) -> list[dict]:
-    """JSON-lines {"query_id", "proposals": [...]} objects, in file order."""
-    return [rec for _, rec in _read_jsonl(path, ("query_id", "proposals"), "proposals")]
-
-
 def _is_finite_number(v) -> bool:
     """True for a JSON number that is finite as a float; bools are not numbers."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -245,25 +220,58 @@ def _is_finite_number(v) -> bool:
         return False
 
 
-def _checked_proposal(query_id, rank: int, proposal) -> list:
+def _checked_proposal(where: str, rank: int, proposal) -> list:
     """[start_sec, end_sec, score] of a predictions-file proposal: finite
-    numbers with 0 <= start_sec <= end_sec, or a ValueError naming the query,
+    numbers with 0 <= start_sec <= end_sec, or a ValueError naming `where`,
     the rank and the key."""
     keys = ("start_sec", "end_sec", "score")
     values = [proposal.get(key) if isinstance(proposal, dict) else None for key in keys]
     for key, v in zip(keys, values):
         if not _is_finite_number(v):
-            raise ValueError(f"query {query_id!r} rank {rank}: {key!r} is missing or not a finite number")
+            raise ValueError(f"{where} rank {rank}: {key!r} is missing or not a finite number")
     if not 0 <= values[0] <= values[1]:
-        raise ValueError(f"query {query_id!r} rank {rank}: span {values[:2]} "
+        raise ValueError(f"{where} rank {rank}: span {values[:2]} "
                          "breaks 0 <= 'start_sec' <= 'end_sec'")
     return values
 
 
-def read_channel_file(path) -> dict[str, list[float]]:
-    """JSON-lines {"query_id", "channel", "scores"}; returns query -> scores.
-    A score that is not a finite number is a ValueError naming path:line and
-    its index."""
+def _float_table(lines) -> np.ndarray | None:
+    """The (N, 3) rows of every proposal on `lines` if all are finite floats
+    that pass `_checked_proposal`, checked at once; else None."""
+    try:
+        values = [(p["start_sec"], p["end_sec"], p["score"])
+                  for _, rec in lines for p in rec["proposals"]]
+    except (KeyError, TypeError):
+        return None
+    if not {type(v) for row in values for v in row} <= {float}:
+        return None
+    table = np.array(values, dtype=np.float64).reshape(-1, 3)
+    start, end = table[:, 0], table[:, 1]
+    return table if np.isfinite(table).all() and (0 <= start).all() and (start <= end).all() else None
+
+
+def read_predictions(path) -> list[Record]:
+    """The records of a predictions file, in file order (a missing
+    `video_id` reads as ""), every proposal checked as it is read."""
+    lines = _read_jsonl(path, ("query_id", "proposals"), "proposals")
+    table = _float_table(lines)
+    if table is None:  # integers, or a bad proposal: check one by one, naming the first offender
+        table = np.array([_checked_proposal(f"{path}:{ln}: query {rec['query_id']!r}", rank, p)
+                          for ln, rec in lines for rank, p in enumerate(rec["proposals"], 1)],
+                         dtype=np.float64).reshape(-1, 3)
+    records, start = [], 0
+    for _, rec in lines:
+        stop = start + len(rec["proposals"])
+        rows = table[start:stop]
+        records.append((rec["query_id"], rec.get("video_id", ""), rows[:, :2], rows[:, 2]))
+        start = stop
+    return records
+
+
+def read_channel_file(path) -> dict[str, np.ndarray]:
+    """JSON-lines {"query_id", "channel", "scores"}; returns query -> float64
+    scores.  A score that is not a finite number is a ValueError naming
+    path:line and its index."""
     scores_by_query = {}
     for ln, rec in _read_jsonl(path, ("query_id", "channel", "scores"), "scores"):
         scores = rec["scores"]
@@ -274,6 +282,6 @@ def read_channel_file(path) -> dict[str, list[float]]:
         if len(values) != len(scores) or not all(map(math.isfinite, values)):
             i, bad = next((i, v) for i, v in enumerate(scores) if not _is_finite_number(v))
             raise ValueError(f"{path}:{ln}: scores[{i}] is {bad!r}, not a finite number")
-        scores_by_query[rec["query_id"]] = values
+        scores_by_query[rec["query_id"]] = np.array(values, dtype=np.float64)
     return scores_by_query
 

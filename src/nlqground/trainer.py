@@ -22,8 +22,8 @@ import numpy as np
 from . import losses
 from .anchors import AnchorConfig, AnchorSet, build_lattice, label_anchors
 from .data import Batch, Dataset, make_batches
-from .evaluation import MetricReport, evaluate
-from .inference import decode_index_spans, json_record, predict_dataset
+from .evaluation import evaluate
+from .inference import decode_index_spans, predict_dataset
 from .nn import EncoderConfig, GroundingModel, init_model, save_checkpoint
 
 
@@ -174,12 +174,6 @@ class TrainResult:
     epochs_run: int
 
 
-def _evaluate_split(model, dataset, anchor_config, topk, nms_iou, batch_size) -> MetricReport:
-    records = predict_dataset(
-        model, dataset, anchor_config, topk=topk, nms_iou=nms_iou, batch_size=batch_size)
-    return evaluate([json_record(*r) for r in records], dataset.annotations)
-
-
 def train(
     train_data: Dataset,
     val_data: Dataset | None,
@@ -233,8 +227,9 @@ def train(
                 "loss_box": epoch_box / nbatches,
             }
             if val_data is not None:
-                report = _evaluate_split(model, val_data, anchor_config,
-                                         topk, nms_iou, train_config.batch_size)
+                predictions = predict_dataset(model, val_data, anchor_config, topk=topk,
+                                              nms_iou=nms_iou, batch_size=train_config.batch_size)
+                report = evaluate(predictions, val_data.annotations)
                 record.update({
                     "R1@0.3": report.recalls[(1, 0.3)], "R1@0.5": report.recalls[(1, 0.5)],
                     "R5@0.3": report.recalls[(5, 0.3)], "R5@0.5": report.recalls[(5, 0.5)],

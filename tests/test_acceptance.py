@@ -25,11 +25,7 @@ from nlqground.data import (
     write_features,
 )
 from nlqground.evaluation import evaluate
-from nlqground.inference import (
-    RerankChannel,
-    predict_dataset,
-    rerank,
-)
+from nlqground.inference import predict_dataset, rerank
 from nlqground.losses import alignment_loss, boundary_loss
 from nlqground.nn import (
     EncoderConfig,
@@ -145,25 +141,23 @@ def test_criterion_5_metric_oracle():
     monotone = True
     for _ in range(500):
         n_queries = int(rng.integers(1, 10))
-        anns, predictions = [], []
+        anns, records = [], []
         for q in range(n_queries):
             s = rng.uniform(0, 80)
             anns.append(QueryAnnotation("v", f"q{q}", "", s, s + rng.uniform(0.5, 15)))
-            props = []
+            spans = []
             for _ in range(int(rng.integers(0, 7))):
                 a = rng.uniform(0, 90)
-                props.append({"start_sec": a, "end_sec": a + rng.uniform(0.5, 12), "score": 0.0})
-            predictions.append({"query_id": f"q{q}", "video_id": "v", "proposals": props})
-        got = evaluate(predictions, anns, ranks=ranks, thresholds=ths)
-        by_qid = {p["query_id"]: p["proposals"] for p in predictions}
+                spans.append((a, a + rng.uniform(0.5, 12)))
+            records.append((f"q{q}", "v", np.array(spans).reshape(-1, 2), np.zeros(len(spans))))
+        got = evaluate(records, anns, ranks=ranks, thresholds=ths)
+        by_qid = {qid: spans.tolist() for qid, _, spans, _ in records}
         for n in ranks:
             for m in ths:
                 hits = 0
                 for a in anns:
                     gt = (a.start_sec, a.end_sec)
-                    hits += any(
-                        scalar_iou((p["start_sec"], p["end_sec"]), gt) > m
-                        for p in by_qid[a.query_id][:n])
+                    hits += any(scalar_iou(span, gt) > m for span in by_qid[a.query_id][:n])
                 if got.recalls[(n, m)] != hits / len(anns):
                     mismatches += 1
         monotone &= got.recalls[(5, 0.3)] >= got.recalls[(1, 0.3)]
@@ -188,18 +182,9 @@ def e2e(tmp_path_factory):
     return {"val": val_ds, "records": records, "elapsed": elapsed, "result": result}
 
 
-def _evaluate_records(records, annotations):
-    predictions = [
-        {"query_id": qid, "video_id": vid,
-         "proposals": [{"start_sec": start, "end_sec": end, "score": score}
-                       for start, end, score in zip(spans[:, 0], spans[:, 1], scores)]}
-        for qid, vid, spans, scores in records
-    ]
-    return evaluate(predictions, annotations)
-
 @pytest.mark.slow
 def test_criterion_6_end_to_end_learning(e2e):
-    rep = _evaluate_records(e2e["records"], e2e["val"].annotations)
+    rep = evaluate(e2e["records"], e2e["val"].annotations)
     r1 = rep.recalls[(1, 0.5)]
     r5 = rep.recalls[(5, 0.5)]
     ok = r1 >= 0.60 and r5 >= 0.90 and e2e["elapsed"] < 900.0
@@ -209,17 +194,14 @@ def test_criterion_6_end_to_end_learning(e2e):
 
 @pytest.mark.slow
 def test_criterion_7_rerank_with_iou_channel(e2e):
-    baseline = _evaluate_records(e2e["records"], e2e["val"].annotations)
+    baseline = evaluate(e2e["records"], e2e["val"].annotations)
     gt_by_query = {a.query_id: (a.start_sec, a.end_sec) for a in e2e["val"].annotations}
     reranked_records = []
     for qid, vid, spans, scores in e2e["records"]:
-        channel = RerankChannel(
-            name="true_iou",
-            scores=iou_batch(spans, gt_by_query[qid]).tolist(),
-            weight=1.0)
-        order, fused = rerank(scores.tolist(), [channel])
-        reranked_records.append((qid, vid, spans[order], np.array(fused)))
-    fused = _evaluate_records(reranked_records, e2e["val"].annotations)
+        true_iou = iou_batch(spans, gt_by_query[qid])
+        order, fused = rerank(scores, [(true_iou, 1.0)])
+        reranked_records.append((qid, vid, spans[order], fused))
+    fused = evaluate(reranked_records, e2e["val"].annotations)
     ok = (fused.recalls[(1, 0.3)] >= baseline.recalls[(1, 0.3)]
           and fused.recalls[(1, 0.5)] >= baseline.recalls[(1, 0.5)])
     report(7, ok,

@@ -121,6 +121,36 @@ class TestTrainCommand:
         assert code == 1
         assert "videos[1]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inference", [{"top_k": 0}, {"top_k": 2.5}, {"nms_iou": -0.5},
+                                           {"nms_iou": 1.5}, {"nms_iou": float("nan")}])
+    def test_bad_inference_option_rejected_before_training(self, pipeline, tmp_path, capsys,
+                                                           inference):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"train": {"epochs": 1}, "inference": inference}))
+        code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'inference'" in err and next(iter(inference)) in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc, named", [
+        ({"encoder": 5}, ["'encoder'"]),
+        ({"train": [1]}, ["'train'"]),
+        ({"data": "dir"}, ["'data'"]),
+        ({"anchors": {"scales": 5}}, ["'anchors'", "'scales'"]),
+        ([1, 2], ["JSON object"]),
+    ])
+    def test_non_object_section_names_section_and_key(self, pipeline, tmp_path, capsys,
+                                                      doc, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in named)
+
     def test_missing_data_dir_rejected(self, pipeline, tmp_path):
         code = run(["train", "--config", str(pipeline["cfg"]),
                     "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -137,6 +167,18 @@ class TestPredictCommand:
         assert len(rec["proposals"]) <= 5
         scores = [p["score"] for p in rec["proposals"]]
         assert scores == sorted(scores, reverse=True)
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--nms-iou", "-0.5", "nms_iou"), ("--nms-iou", "nan", "nms_iou"),
+        ("--nms-iou", "1.5", "nms_iou"), ("--topk", "0", "top_k")])
+    def test_bad_inference_option_rejected(self, pipeline, tmp_path, capsys, flag, value, field):
+        out = tmp_path / "p.jsonl"
+        code = run(["predict", "--ckpt", str(pipeline["out"] / "checkpoint_best.nlqc"),
+                    "--data", str(pipeline["data"]), "--out", str(out),
+                    "--frames", "20", "--scales", "0.15,0.4", flag, value])
+        assert code == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_scale_count_mismatch_rejected(self, pipeline, tmp_path):
         code = run(["predict", "--ckpt", str(pipeline["out"] / "checkpoint_best.nlqc"),
@@ -215,6 +257,43 @@ class TestEvalCommand:
                     "--strict"])
         assert code == 1
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d["videos"][1].update(duration_sec=None), ["videos[1]", "'duration_sec'"]),
+        (lambda d: d["videos"][1].update(duration_sec="abc"), ["videos[1]", "'duration_sec'"]),
+        (lambda d: d["videos"][0]["queries"][0].update(start_sec=None),
+         ["videos[0].queries[0]", "'start_sec'"]),
+        (lambda d: d["videos"][2]["queries"][0].update(end_sec=None),
+         ["videos[2].queries[0]", "'end_sec'"]),
+        (lambda d: d.update(videos={"v": 1}), ["videos must be a list"]),
+        (lambda d: d["videos"][1].update(queries=5), ["videos[1].queries must be a list"]),
+        (lambda d: d["videos"][2]["queries"][0].update(query_id=d["videos"][0]["queries"][0]["query_id"]),
+         ["videos[2].queries[0]", "videos[0].queries[0]"]),
+        (lambda d: d["videos"][2].update(video_id=d["videos"][1]["video_id"]),
+         ["videos[2]", "repeats videos[1]"]),
+    ], ids=["null_duration", "text_duration", "null_start", "null_end", "videos_not_list",
+            "queries_not_list", "repeated_query_id", "repeated_video_id"])
+    def test_bad_annotations_name_position_and_key(self, pipeline, tmp_path, capsys, edit, named):
+        doc = json.loads((pipeline["data"] / "annotations.json").read_text())
+        edit(doc)
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(json.dumps(doc))
+        code = run(["eval", "--preds", str(pipeline["preds"]), "--annotations", str(annotations)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert all(name in err for name in named)
+
+    def test_bad_proposal_names_path_and_line(self, pipeline, tmp_path, capsys):
+        lines = pipeline["preds"].read_text().splitlines()
+        bad = json.loads(lines[1])
+        bad["proposals"][0]["score"] = "high"
+        preds = tmp_path / "bad.jsonl"
+        preds.write_text("\n".join([lines[0], json.dumps(bad)] + lines[2:]) + "\n")
+        code = run(["eval", "--preds", str(preds),
+                    "--annotations", str(pipeline["data"] / "annotations.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{preds}:2: query {bad['query_id']!r} rank 1: 'score'" in err
+
     def test_missing_end_sec_names_query_rank_and_key(self, pipeline, tmp_path, capsys):
         anns, _ = read_annotations(pipeline["data"] / "annotations.json")
         qid = anns[0].query_id
@@ -268,14 +347,81 @@ class TestRerankCommand:
             assert [p["start_sec"] for p in b["proposals"]] == \
                    [p["start_sec"] for p in a["proposals"]]
 
-    def _rerank_one(self, tmp_path, proposals):
+    def _rerank_one(self, tmp_path, proposals, scores=None, weight=""):
         preds = tmp_path / "bad.jsonl"
         preds.write_text(json.dumps({"query_id": "q7", "video_id": "v", "proposals": proposals}) + "\n")
         channel = tmp_path / "chan.jsonl"
         channel.write_text(json.dumps({"query_id": "q7", "channel": "c",
-                                       "scores": [0.0] * len(proposals)}) + "\n")
-        return run(["rerank", "--preds", str(preds), "--channel", str(channel),
+                                       "scores": [0.0] * len(proposals) if scores is None
+                                       else scores}) + "\n")
+        return run(["rerank", "--preds", str(preds), "--channel", f"{channel}{weight}",
                     "--out", str(tmp_path / "o.jsonl")])
+
+    def test_output_matches_per_proposal_fusion(self, pipeline, tmp_path):
+        """Two weighted channels: the output file is, byte for byte, the one
+        the fusion rule gives when applied proposal by proposal to the
+        parsed input (Python floats, channels in order, stable sort)."""
+        records = [json.loads(l) for l in pipeline["preds"].read_text().splitlines()]
+        specs = []
+        for name, weight, value in (("a", 0.75, lambda i, r: 0.1 * i), ("b", -1.5, lambda i, r: r / 7)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(json.dumps({
+                "query_id": rec["query_id"], "channel": name,
+                "scores": [value(i, r) for r in range(len(rec["proposals"]))]}) + "\n"
+                for i, rec in enumerate(records)))
+            specs.append((path, weight, value))
+        out = tmp_path / "o.jsonl"
+        argv = ["rerank", "--preds", str(pipeline["preds"]), "--out", str(out)]
+        for path, weight, _ in specs:
+            argv += ["--channel", f"{path}:{weight}"]
+        assert run(argv) == 0
+        expect = []
+        for i, rec in enumerate(records):
+            fused = []
+            for r, p in enumerate(rec["proposals"]):
+                final = p["score"]
+                for _, weight, value in specs:
+                    final += weight * value(i, r)
+                fused.append(final)
+            order = sorted(range(len(fused)), key=lambda j: -fused[j])
+            expect.append(json.dumps({"query_id": rec["query_id"], "video_id": rec["video_id"],
+                                      "proposals": [dict(rec["proposals"][j], score=fused[j])
+                                                    for j in order]}) + "\n")
+        assert out.read_text() == "".join(expect)
+
+    def test_integer_values_written_as_floats(self, tmp_path):
+        assert self._rerank_one(tmp_path, [{"start_sec": 3, "end_sec": 7, "score": 1}],
+                                scores=[2]) == 0
+        assert json.loads((tmp_path / "o.jsonl").read_text())["proposals"] == [
+            {"start_sec": 3.0, "end_sec": 7.0, "score": 3.0}]
+        assert '"start_sec": 3.0, "end_sec": 7.0, "score": 3.0' in (tmp_path / "o.jsonl").read_text()
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_weight_names_spec(self, tmp_path, capsys, weight):
+        code = self._rerank_one(tmp_path, [{"start_sec": 0.0, "end_sec": 1.0, "score": 0.5}],
+                                weight=f":{weight}")
+        assert code == 1
+        assert repr(f"{tmp_path / 'chan.jsonl'}:{weight}") in capsys.readouterr().err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_misaligned_channel_names_channel_and_query(self, tmp_path, capsys):
+        code = self._rerank_one(tmp_path, [{"start_sec": 0.0, "end_sec": 1.0, "score": 0.5},
+                                           {"start_sec": 1.0, "end_sec": 2.0, "score": 0.4}],
+                                scores=[0.1])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'chan'" in err and "'q7'" in err and "1 scores for 2 proposals" in err
+
+    def test_channel_without_query_names_channel_and_query(self, tmp_path, capsys):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"query_id": "q8", "video_id": "v", "proposals": []}) + "\n")
+        channel = tmp_path / "chan.jsonl"
+        channel.write_text(json.dumps({"query_id": "q7", "channel": "c", "scores": []}) + "\n")
+        code = run(["rerank", "--preds", str(preds), "--channel", str(channel),
+                    "--out", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'chan'" in err and "'q8'" in err
 
     def test_missing_score_names_query_rank_and_key(self, tmp_path, capsys):
         code = self._rerank_one(tmp_path, [{"start_sec": 0.0, "end_sec": 1.0, "score": 0.5},

@@ -120,6 +120,77 @@ class TestAnnotations:
         with pytest.raises(AnnotationError, match=r"videos\[0\]"):
             read_annotations(path)
 
+    @staticmethod
+    def _read(tmp_path, videos):
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"version": "1.0", "videos": videos}))
+        return read_annotations(path)
+
+    @staticmethod
+    def _video(vid="v1", duration=60.0, *queries):
+        return {"video_id": vid, "duration_sec": duration, "queries": list(queries)}
+
+    @staticmethod
+    def _query(qid="q1", start=1.0, end=2.0):
+        return {"query_id": qid, "text": "", "start_sec": start, "end_sec": end}
+
+    @pytest.mark.parametrize("duration", [None, "abc", [60], 10**400])
+    def test_non_numeric_duration_names_video_and_key(self, tmp_path, duration):
+        videos = [self._video("v0"), self._video("v1", duration, self._query())]
+        with pytest.raises(AnnotationError, match=r"videos\[1\] \(v1\): 'duration_sec'"):
+            self._read(tmp_path, videos)
+
+    @pytest.mark.parametrize("key", ["start_sec", "end_sec"])
+    @pytest.mark.parametrize("value", [None, "abc", {}])
+    def test_non_numeric_endpoint_names_query_position_and_key(self, tmp_path, key, value):
+        bad = dict(self._query("q2"), **{key: value})
+        videos = [self._video("v0", 60.0, self._query("q0"), self._query("q1"), bad)]
+        with pytest.raises(AnnotationError, match=rf"videos\[0\]\.queries\[2\]: '{key}'"):
+            self._read(tmp_path, videos)
+
+    @pytest.mark.parametrize("videos, where", [
+        ({"v1": {}}, r"videos must be a list"),
+        ([5], r"videos\[0\] must be an object"),
+        ([{"video_id": "v1", "duration_sec": 60.0, "queries": "q1"}],
+         r"videos\[0\]\.queries must be a list"),
+        ([{"video_id": "v1", "duration_sec": 60.0, "queries": [None]}],
+         r"videos\[0\]\.queries\[0\] must be an object"),
+        ([{"video_id": 7, "duration_sec": 60.0, "queries": []}], r"videos\[0\]: 'video_id'"),
+        ([{"video_id": "v1", "duration_sec": 60.0,
+           "queries": [{"query_id": ["q"], "start_sec": 1.0, "end_sec": 2.0}]}],
+         r"videos\[0\]\.queries\[0\]: 'query_id'"),
+    ])
+    def test_wrong_shape_names_position(self, tmp_path, videos, where):
+        with pytest.raises(AnnotationError, match=where):
+            self._read(tmp_path, videos)
+
+    def test_repeated_query_id_names_both_positions(self, tmp_path):
+        across = [self._video("v0", 60.0, self._query("a"), self._query("q1")),
+                  self._video("v1", 60.0, self._query("b"), self._query("q1"))]
+        with pytest.raises(AnnotationError,
+                           match=r"videos\[1\]\.queries\[1\]: query_id 'q1' repeats videos\[0\]\.queries\[1\]"):
+            self._read(tmp_path, across)
+        within = [self._video("v0", 60.0, self._query("q1"), self._query("q1"))]
+        with pytest.raises(AnnotationError, match=r"videos\[0\]\.queries\[1\].*videos\[0\]\.queries\[0\]"):
+            self._read(tmp_path, within)
+
+    def test_repeated_video_id_names_both_positions(self, tmp_path):
+        # a second entry would otherwise replace the first one's duration
+        videos = [self._video("v0", 100.0, self._query("a", 80.0, 90.0)),
+                  self._video("v1"), self._video("v0", 10.0, self._query("b"))]
+        with pytest.raises(AnnotationError, match=r"videos\[2\]: video_id 'v0' repeats videos\[0\]"):
+            self._read(tmp_path, videos)
+        # ids are per kind: a query may share its id with a video
+        anns, _ = self._read(tmp_path, [self._video("x", 60.0, self._query("x"))])
+        assert [(a.video_id, a.query_id) for a in anns] == [("x", "x")]
+
+    def test_numbers_in_every_accepted_form_still_load(self, tmp_path):
+        anns, durations = self._read(tmp_path, [
+            self._video("v1", 60, self._query("q1", 1, 2)),
+            self._video("v2", "30.5", self._query("q2", "1.25", 3.5))])
+        assert durations == {"v1": 60.0, "v2": 30.5}
+        assert [(a.start_sec, a.end_sec) for a in anns] == [(1.0, 2.0), (1.25, 3.5)]
+
     def test_round_trip(self, tmp_path):
         videos = [{"video_id": "v1", "duration_sec": 30.0,
                    "queries": [{"query_id": "q1", "text": "find it",

@@ -7,9 +7,9 @@ from helpers import scalar_iou
 
 
 def pred(qid, spans, vid="v"):
-    return {"query_id": qid, "video_id": vid,
-            "proposals": [{"start_sec": s, "end_sec": e, "score": 1.0 - 0.1 * i}
-                          for i, (s, e) in enumerate(spans)]}
+    """A prediction record of ranked (start, end) spans."""
+    return (qid, vid, np.array(spans, dtype=np.float64).reshape(-1, 2),
+            1.0 - 0.1 * np.arange(len(spans)))
 
 
 def query_hit(spans, gt, n, m):
@@ -139,15 +139,15 @@ class TestOracleEquivalence:
         for _ in range(100):
             anns, predictions = self._random_instance(rng)
             report = evaluate(predictions, anns, ranks=ranks, thresholds=ths)
-            by_qid = {p["query_id"]: p["proposals"] for p in predictions}
+            by_qid = {qid: spans.tolist() for qid, _, spans, _ in predictions}
             for n in ranks:
                 for m in ths:
                     hits = 0
                     for a in anns:
                         gt = (a.start_sec, a.end_sec)
                         found = False
-                        for p in by_qid[a.query_id][:n]:
-                            if scalar_iou((p["start_sec"], p["end_sec"]), gt) > m:
+                        for span in by_qid[a.query_id][:n]:
+                            if scalar_iou(span, gt) > m:
                                 found = True
                         hits += found
                     assert report.recalls[(n, m)] == hits / len(anns)

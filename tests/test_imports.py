@@ -1,0 +1,48 @@
+"""Module boundaries inside the package, read from the source with `ast`:
+no module imports another module's private name, and `evaluation` depends
+only on `core` and `data`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import nlqground
+
+SOURCES = sorted(Path(nlqground.__file__).parent.rglob("*.py"))
+
+
+def package_imports(source: str) -> list[tuple[str, str]]:
+    """(module, name) of every `from <package module> import name`, the
+    module as written (relative dots kept)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "nlqground"):
+            module = "." * node.level + (node.module or "")
+            found += [(module, alias.name) for alias in node.names]
+    return found
+
+
+def private_imports(source: str) -> list[str]:
+    return [f"from {module} import {name}" for module, name in package_imports(source)
+            if name.startswith("_")]
+
+
+def test_checker_flags_relative_and_absolute_private_imports():
+    source = ("from __future__ import annotations\n"
+              "from .inference import _checked_proposal, nms\n"
+              "from nlqground.core import _helper\n"
+              "from . import data\n")
+    assert private_imports(source) == ["from .inference import _checked_proposal",
+                                       "from nlqground.core import _helper"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_evaluation_depends_only_on_core_and_data():
+    source = (Path(nlqground.__file__).parent / "evaluation.py").read_text(encoding="utf-8")
+    assert {module for module, _ in package_imports(source)} <= {".core", ".data"}

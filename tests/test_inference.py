@@ -1,21 +1,23 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice
+from nlqground.data import SyntheticSpec, generate_synthetic
 from nlqground.inference import (
-    ChannelAlignmentError,
-    RerankChannel,
     decode_index_spans,
     decode_proposals,
-    json_record,
     nms,
+    predict_dataset,
     read_predictions,
     rerank,
     select_proposals,
     top_k,
     write_predictions,
 )
+from nlqground.nn import EncoderConfig, init_model
 from helpers import (
     brute_force_decode,
     brute_force_selection,
@@ -240,56 +242,113 @@ class TestTopK:
         assert scores[top_k(spans, scores, 2)].tolist() == [0.9, 0.5]
 
 
+def loop_rerank(scores, channels):
+    """The fusion rule one proposal at a time in Python floats: each
+    channel's weighted score added in channel order, then a stable sort by
+    descending fused score."""
+    fused = []
+    for i, score in enumerate(scores):
+        final = float(score)
+        for channel, weight in channels:
+            final += weight * float(channel[i])
+        fused.append(final)
+    order = sorted(range(len(fused)), key=lambda i: -fused[i])
+    return order, [fused[i] for i in order]
+
+
 class TestRerank:
     def test_empty_channels_identity(self):
-        order, _ = rerank([0.9, 0.8], [])
-        assert order == [0, 1]
+        order, _ = rerank(np.array([0.9, 0.8]), [])
+        assert order.tolist() == [0, 1]
 
     def test_additive_fusion_swaps_order(self):
-        order, fused = rerank([0.5, 0.4], [RerankChannel("sim", [0.0, 0.3], weight=1.0)])
-        assert order == [1, 0]
+        order, fused = rerank(np.array([0.5, 0.4]), [(np.array([0.0, 0.3]), 1.0)])
+        assert order.tolist() == [1, 0]
         assert fused[0] == pytest.approx(0.7)
 
     def test_all_tie_preserves_order(self):
-        channel = RerankChannel("neg", [-0.5, -0.4, -0.3], weight=1.0)
-        order, fused = rerank([0.5, 0.4, 0.3], [channel])
-        assert order == [0, 1, 2]
+        order, fused = rerank(np.array([0.5, 0.4, 0.3]), [(np.array([-0.5, -0.4, -0.3]), 1.0)])
+        assert order.tolist() == [0, 1, 2]
         assert all(f == pytest.approx(0.0) for f in fused)
 
     def test_constant_shift_leaves_ordering(self):
         rng = np.random.default_rng(2)
         confs = rng.uniform(0, 1, 10)
         scores = rng.uniform(-1, 1, 10)
-        a, _ = rerank(confs.tolist(), [RerankChannel("c", list(scores))])
-        b, _ = rerank(confs.tolist(), [RerankChannel("c", list(scores + 42.0))])
-        assert a == b
+        a, _ = rerank(confs, [(scores, 1.0)])
+        b, _ = rerank(confs, [(scores + 42.0, 1.0)])
+        assert a.tolist() == b.tolist()
 
     def test_weighted_channels(self):
-        _, fused = rerank([0.5], [RerankChannel("a", [1.0], weight=0.25),
-                                  RerankChannel("b", [2.0], weight=0.5)])
+        _, fused = rerank(np.array([0.5]), [(np.array([1.0]), 0.25), (np.array([2.0]), 0.5)])
         assert fused[0] == pytest.approx(0.5 + 0.25 + 1.0)
 
-    def test_misaligned_channel_names_offender(self):
-        with pytest.raises(ChannelAlignmentError, match="short"):
-            rerank([0.5, 0.4], [RerankChannel("short", [0.1])])
+    @given(st.lists(st.sampled_from([0.0, 0.5, -0.25]) | st.floats(-2, 2), max_size=12),
+           st.lists(st.sampled_from([0.0, 1.0, 0.5]) | st.floats(-3, 3), max_size=3),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200)
+    def test_matches_python_loop_bitwise(self, scores, weights, seed):
+        """Same fused bits and same stable order as the per-proposal loop,
+        ties included."""
+        rng = np.random.default_rng(seed)
+        channels = [(rng.choice([0.0, 0.25, rng.uniform(-1, 1)], size=len(scores)), w)
+                    for w in weights]
+        order, fused = rerank(np.array(scores, dtype=np.float64), channels)
+        want_order, want_fused = loop_rerank(scores, channels)
+        assert order.tolist() == want_order
+        assert fused.tolist() == want_fused
+
+
+def tiny_records():
+    """predict_dataset's records for an untrained model on a tiny dataset."""
+    ds = generate_synthetic(SyntheticSpec(
+        num_videos=3, frames_per_video=40, feature_dim=8, text_dim=4, tokens_per_query=3,
+        queries_per_video=2, span_fraction_range=(0.1, 0.25), noise_sigma=0.3, seed=0))
+    enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
+                        video_input_dim=8, text_input_dim=4, num_scales=2)
+    return predict_dataset(init_model(enc, seed=0), ds,
+                           AnchorConfig(scales=(0.15, 0.4), num_frames=20), topk=5, nms_iou=0.5)
 
 
 class TestPredictionsFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "p.jsonl"
-        records = [json_record("q1", "v1", *props((0, 1, 0.9), (2, 3, 0.8))),
-                   json_record("q2", "v2", *props((5, 6, 0.7)))]
+        write_predictions(path, [("q1", "v1", *props((0, 1, 0.9), (2, 3, 0.8))),
+                                 ("q2", "v2", *props((5, 6, 0.7)))])
+        back = read_predictions(path)
+        assert [(qid, vid) for qid, vid, _, _ in back] == [("q1", "v1"), ("q2", "v2")]
+        assert back[0][2].tolist() == [[0.0, 1.0], [2.0, 3.0]] and back[0][3].tolist() == [0.9, 0.8]
+
+    def test_predict_dataset_records_survive_bit_for_bit(self, tmp_path):
+        records = tiny_records()
+        path = tmp_path / "p.jsonl"
         write_predictions(path, records)
         back = read_predictions(path)
-        assert [r["query_id"] for r in back] == ["q1", "q2"]
-        assert back[0]["proposals"][0] == {"start_sec": 0.0, "end_sec": 1.0, "score": 0.9}
+        assert len(back) == len(records) == 6
+        for (qid, vid, spans, scores), (bqid, bvid, bspans, bscores) in zip(records, back):
+            assert (bqid, bvid) == (qid, vid)
+            assert bspans.dtype == bscores.dtype == np.float64
+            assert bspans.shape == spans.shape and bscores.shape == scores.shape
+            assert bspans.tobytes() == spans.tobytes() and bscores.tobytes() == scores.tobytes()
 
     def test_rank_order_preserved(self, tmp_path):
         path = tmp_path / "p.jsonl"
-        write_predictions(path, [json_record("q", "v", *props((0, 1, 0.9), (2, 3, 0.5)))])
-        back = read_predictions(path)
-        scores = [p["score"] for p in back[0]["proposals"]]
+        write_predictions(path, [("q", "v", *props((0, 1, 0.9), (2, 3, 0.5)))])
+        scores = read_predictions(path)[0][3].tolist()
         assert scores == sorted(scores, reverse=True)
+
+    def test_integers_and_empty_lists_read_as_float64(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"query_id": "q", "proposals": [{"start_sec": 3, "end_sec": 7, "score": 1}]}\n'
+                        '{"query_id": "r", "video_id": "w", "proposals": []}\n')
+        (q, vq, sq, cq), (r, vr, sr, cr) = read_predictions(path)
+        assert (q, vq, r, vr) == ("q", "", "r", "w")
+        assert sq.tolist() == [[3.0, 7.0]] and cq.tolist() == [1.0]
+        assert sr.shape == (0, 2) and cr.shape == (0,) and sr.dtype == cr.dtype == np.float64
+        floats = tmp_path / "f.jsonl"
+        floats.write_text(path.read_text().replace("3,", "3.0,").replace("7,", "7.0,").replace("1}", "1.0}"))
+        for a, b in zip(read_predictions(path), read_predictions(floats)):
+            assert a[:2] == b[:2] and a[2].tobytes() == b[2].tobytes() and a[3].tobytes() == b[3].tobytes()
 
     def test_missing_key_rejected(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -305,4 +364,22 @@ class TestPredictionsFile:
         path = tmp_path / "p.jsonl"
         path.write_text('{"query_id": "q0", "proposals": []}\n' + line + "\n")
         with pytest.raises(ValueError, match=f"p.jsonl:2: {problem}"):
+            read_predictions(path)
+
+    @pytest.mark.parametrize("proposal, key", [
+        ({"start_sec": 1.0, "end_sec": 2.0}, "score"),
+        ({"start_sec": True, "end_sec": 2.0, "score": 0.5}, "start_sec"),
+        ({"start_sec": 1.0, "end_sec": 1e400, "score": 0.5}, "end_sec"),
+        ({"start_sec": 1.0, "end_sec": 2.0, "score": 10**400}, "score"),
+        ({"start_sec": 1.0, "end_sec": 2.0, "score": float("nan")}, "score"),
+        ({"start_sec": 3.0, "end_sec": 2.0, "score": 0.5}, "start_sec"),
+        ({"start_sec": -1.0, "end_sec": 2.0, "score": 0.5}, "start_sec"),
+        ("not a proposal", "start_sec"),
+    ])
+    def test_bad_proposal_names_path_line_query_rank_and_key(self, tmp_path, proposal, key):
+        path = tmp_path / "p.jsonl"
+        good = {"start_sec": 0.0, "end_sec": 1.0, "score": 0.9}
+        path.write_text('{"query_id": "q0", "proposals": []}\n\n'
+                        + json.dumps({"query_id": "q7", "proposals": [good, proposal]}) + "\n")
+        with pytest.raises(ValueError, match=f"p.jsonl:3: query 'q7' rank 2: .*'{key}'"):
             read_predictions(path)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice
-from nlqground.data import Batch, SyntheticSpec, generate_synthetic, make_batches
+from nlqground.cli import run as cli_run
+from nlqground.data import Batch, SyntheticSpec, generate_synthetic, make_batches, save_dataset
+from nlqground.inference import predict_dataset, write_predictions
 from nlqground.nn import EncoderConfig, init_model, load_checkpoint
 from nlqground.trainer import (
     DivergenceError,
@@ -203,6 +205,25 @@ class TestTrainLoop:
         s2 = r2.steps_log.read_text().splitlines()[:10]
         assert s1 == s2
         assert r1.last_checkpoint.read_bytes() == r2.last_checkpoint.read_bytes()
+
+    @pytest.mark.parametrize("nms_iou", [0.0, 0.5])
+    def test_validation_report_equals_eval_of_written_predictions(self, tmp_path, capsys, nms_iou):
+        """The last epoch's logged R@n equal `eval` run on the file that
+        `predict_dataset` plus `write_predictions` give for the same model."""
+        ds = tiny_dataset(videos=6)
+        cfg = TrainConfig(epochs=2, batch_size=2, base_lr=1e-3, warmup_steps=10, seed=0)
+        result = train(ds, ds, ENC, cfg, ANCHORS, tmp_path / "run", topk=5, nms_iou=nms_iou)
+        logged = json.loads(result.metrics_log.read_text().splitlines()[-1])
+        records = predict_dataset(load_checkpoint(result.last_checkpoint), ds, ANCHORS,
+                                  topk=5, nms_iou=nms_iou, batch_size=cfg.batch_size)
+        write_predictions(tmp_path / "p.jsonl", records)
+        save_dataset(ds, tmp_path / "data")
+        assert cli_run(["eval", "--preds", str(tmp_path / "p.jsonl"),
+                        "--annotations", str(tmp_path / "data" / "annotations.json")]) == 0
+        cells = json.loads(capsys.readouterr().out)["cells"]
+        assert {key: logged[key] for key in ("R1@0.3", "R1@0.5", "R5@0.3", "R5@0.5")} == {
+            "R1@0.3": cells["R@1,IoU=0.3"], "R1@0.5": cells["R@1,IoU=0.5"],
+            "R5@0.3": cells["R@5,IoU=0.3"], "R5@0.5": cells["R@5,IoU=0.5"]}
 
     def test_loss_decreases_on_fixed_batch(self):
         ds = tiny_dataset(videos=4)
