@@ -15,6 +15,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .anchors import AnchorConfig
 from .data import (
     SyntheticSpec,
@@ -216,17 +218,24 @@ def _cmd_rerank(args) -> int:
         channels.append((Path(path).stem, read_channel_file(path), w))
 
     out_records = []
-    for qid, vid, spans, scores in records:
-        per_query = []
-        for name, scores_by_query, w in channels:
-            if qid not in scores_by_query:
-                raise CliError(f"channel {name!r} has no scores for query {qid!r}")
-            if len(scores_by_query[qid]) != len(scores):
-                raise CliError(f"channel {name!r} has {len(scores_by_query[qid])} scores "
-                               f"for {len(scores)} proposals of query {qid!r}")
-            per_query.append((scores_by_query[qid], w))
-        order, fused = rerank(scores, per_query)
-        out_records.append((qid, vid, spans[order], fused))
+    # every weight and score is finite, so a fused score is not finite
+    # exactly when its arithmetic overflows (inf) or then cancels (inf - inf)
+    with np.errstate(over="raise", invalid="raise"):
+        for qid, vid, spans, scores in records:
+            per_query = []
+            for name, scores_by_query, w in channels:
+                if qid not in scores_by_query:
+                    raise CliError(f"channel {name!r} has no scores for query {qid!r}")
+                if len(scores_by_query[qid]) != len(scores):
+                    raise CliError(f"channel {name!r} has {len(scores_by_query[qid])} scores "
+                                   f"for {len(scores)} proposals of query {qid!r}")
+                per_query.append((scores_by_query[qid], w))
+            try:
+                order, fused = rerank(scores, per_query)
+            except FloatingPointError:
+                raise CliError(f"fused scores of query {qid!r} are not finite under "
+                               f"--channel {', '.join(map(repr, args.channel))}") from None
+            out_records.append((qid, vid, spans[order], fused))
     write_predictions(args.out, out_records)
     print(f"reranked {len(out_records)} queries into {args.out}")
     return 0

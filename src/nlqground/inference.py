@@ -14,8 +14,8 @@ runs before top-k, stopping at k kept, so the top-5 are not near-duplicates
 of the best proposal.  Re-ranking adds weighted score channels onto the
 scores.  A prediction is one `Record` from decode to file and back, and
 only this module knows the file's keys.  The JSON-lines readers name
-`path:line` for a malformed line, a channel score that is not a finite
-number, or a bad proposal (with its query, rank and key).
+`path:line` for a malformed line, a non-string id, a channel score that is
+not a finite number, or a bad proposal (with its query, rank and key).
 """
 
 from __future__ import annotations
@@ -189,8 +189,9 @@ def write_predictions(path, records: list[Record]) -> None:
 
 def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[tuple[int, dict]]:
     """The (line number, object) pairs of a JSON-lines file, blank lines
-    skipped.  Invalid JSON, a line that is not an object, a missing key or a
-    non-list `list_key` is a ValueError naming path:line."""
+    skipped.  Invalid JSON, a line that is not an object, a missing key, a
+    non-list `list_key` or a `query_id` or `video_id` that is not a string
+    is a ValueError naming path:line."""
     records = []
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -206,6 +207,9 @@ def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[tuple[int, d
                 raise ValueError(f"{path}:{ln}: missing key {key!r}")
         if not isinstance(rec[list_key], list):
             raise ValueError(f"{path}:{ln}: {list_key!r} must be a list")
+        for key in ("query_id", "video_id"):
+            if key in rec and not isinstance(rec[key], str):
+                raise ValueError(f"{path}:{ln}: {key!r} must be a string")
         records.append((ln, rec))
     return records
 

@@ -6,19 +6,29 @@ All functions are shape-polymorphic over leading axes (batch, sequence) and
 dtype-polymorphic (float32 for runs, float64 for gradient checks): each
 computes in its input's dtype.
 
-Attention is memory-bound: its (B, heads, S, S) tensors cost more than its
-FLOPs.  So softmax and its backward work in place on one fresh buffer (never
-on the caller's array), bit-identical to the textbook form that allocates a
-new array per step, and attention caches the kept probabilities so backward
-need not rebuild them.  Dropout draws 16-bit integers, not float64
-uniforms, and caches a bool keep mask plus its scale rounded in the input's
-dtype.  GELU is the tanh form (Hendrycks & Gimpel 2016, as in BERT and
-GPT-2), not the erf form.  Caches are for backward only: an eval forward
-(`forward_batch` without `want_cache`) drops each layer's cache as soon as
-the layer returns.
+Attention is memory-bound: its (B, heads, S, S) weights cost more than its
+FLOPs, and every pass over them (scores, scale, softmax, dropout, P.V)
+streams the whole tensor through DRAM when it is computed at once.  So
+attention, forward and backward, runs one tile of whole batch items at a
+time, each tile holding at most 2 MiB of weights (a per-core L2), or one
+item where an item holds more (the idea of FlashAttention, Dao et al. 2022,
+over the batch axis only).  Each row's
+arithmetic is unchanged, so outputs and gradients are bitwise those of the
+untiled form.  Softmax and its backward work in place on one fresh buffer
+(never on the caller's array).  The attention cache keeps the
+probabilities and the bool keep mask of its dropout; backward rebuilds each
+tile's kept probabilities from them, bit for bit.  Dropout draws 16-bit
+integers, not float64 uniforms, once per call (one draw rule for attention
+and the FFN), with its scale rounded in the input's dtype.  GELU is the
+tanh form (Hendrycks & Gimpel 2016, as in BERT and GPT-2), not the erf form.
+Caches are for backward only: an eval forward (`forward_batch` without
+`want_cache`) allocates no (B, heads, S, S) array and drops each layer's
+cache as soon as the layer returns.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -32,6 +42,9 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 # dropout draws uint16 values: the rate is quantised to a multiple of 1/2^16
 _DRAW_LEVELS = 1 << 16
+# attention works on tiles of whole batch items whose (heads, S, S) weights
+# fill at most this many bytes (a 2 MiB per-core L2), one item at least
+_TILE_BYTES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -82,18 +95,24 @@ def gelu_backward(dy: np.ndarray, cache) -> np.ndarray:
     return dt
 
 
-def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool):
-    """Inverted dropout: drop where a uniform uint16 draw is below
-    cut = round(rate * 2^16), and scale the kept values by 2^16 / (2^16 - cut),
-    rounded in x's dtype, so the layer is unbiased at the quantised rate.  The
-    bool keep mask and the scale are cached for backward."""
-    if not train or rate == 0.0:
-        return x, None
+def _dropout_draw(shape, rate: float, rng: np.random.Generator, dtype):
+    """One dropout draw over `shape`: uniform uint16 values, the cut
+    round(rate * 2^16) below which a value is dropped, and the kept values'
+    scale 2^16 / (2^16 - cut) rounded in `dtype`."""
     # a rate within 2^-17 of 1 would round to dropping every level
     cut = min(round(rate * _DRAW_LEVELS), _DRAW_LEVELS - 1)
-    draws = np.frombuffer(rng.bytes(2 * x.size), dtype="<u2").reshape(x.shape)
+    draws = np.frombuffer(rng.bytes(2 * math.prod(shape)), dtype="<u2").reshape(shape)
+    return draws, cut, np.asarray(_DRAW_LEVELS / (_DRAW_LEVELS - cut), dtype=dtype)
+
+
+def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool):
+    """Inverted dropout by `_dropout_draw`, so the layer is unbiased at the
+    quantised rate.  The bool keep mask and the scale are cached for
+    backward."""
+    if not train or rate == 0.0:
+        return x, None
+    draws, cut, scale = _dropout_draw(x.shape, rate, rng, x.dtype)
     keep = draws >= cut
-    scale = np.asarray(_DRAW_LEVELS / (_DRAW_LEVELS - cut), dtype=x.dtype)
     return _scale_kept(x, keep, scale), (keep, scale)
 
 
@@ -186,6 +205,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
+def _tiles(batch: int, heads: int, seq: int, itemsize: int) -> list[slice]:
+    """Runs of whole batch items whose (heads, seq, seq) weights fill at most
+    `_TILE_BYTES`, one item at least."""
+    step = max(1, _TILE_BYTES // (heads * seq * seq * itemsize))
+    return [slice(i, i + step) for i in range(0, batch, step)]
+
+
 def mha_forward(
     x: np.ndarray,
     key_mask: np.ndarray,
@@ -194,42 +220,65 @@ def mha_forward(
     drop_rate: float,
     rng: np.random.Generator,
     train: bool,
+    want_cache: bool,
 ):
     """Multi-head self-attention with key-padding mask and attention-weight
-    dropout.
+    dropout, one tile of batch items at a time.
 
     The key projection carries no bias: softmax is invariant to constant
     shifts along the key axis, so a key bias would be a permanently
-    gradient-free parameter.
+    gradient-free parameter.  The dropout draw covers the whole
+    (B, heads, S, S) tensor in one call, as a per-tile draw would shift the
+    generator's stream.  The cache (None unless `want_cache`) keeps the
+    probabilities and the dropout's (keep mask, scale).
     """
     q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
     k = x @ p["attn.wk"]
     k_cache = (x, p["attn.wk"])
     v, v_cache = linear_forward(x, p["attn.wv"], p["attn.bv"])
     qh, kh, vh = (_split_heads(a, num_heads) for a in (q, k, v))
+    B, _, S, _ = qh.shape
     scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=x.dtype)
-    scores = qh @ kh.swapaxes(-1, -2)
-    scores *= scale
-    probs = masked_softmax(scores, key_mask)
-    del scores  # not alive during the dropout draw
-    probs_kept, drop_mask = dropout_forward(probs, drop_rate, rng, train)
-    ctx = _merge_heads(probs_kept @ vh)
-    out, o_cache = linear_forward(ctx, p["attn.wo"], p["attn.bo"])
-    cache = (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, probs_kept, drop_mask,
-             scale, num_heads)
-    return out, cache
+    drop = None
+    if train and drop_rate > 0.0:
+        draws, cut, drop_scale = _dropout_draw((B, num_heads, S, S), drop_rate, rng, x.dtype)
+        drop = (np.empty(draws.shape, dtype=bool), drop_scale)
+    probs = np.empty((B, num_heads, S, S), dtype=x.dtype) if want_cache else None
+    ctx = np.empty(qh.shape, dtype=x.dtype)
+    for t in _tiles(B, num_heads, S, x.dtype.itemsize):
+        scores = qh[t] @ kh[t].swapaxes(-1, -2)
+        scores *= scale
+        pt = masked_softmax(scores, key_mask[t])
+        del scores
+        if probs is not None:
+            probs[t] = pt
+        if drop is not None:
+            pt = _scale_kept(pt, np.greater_equal(draws[t], cut, out=drop[0][t]), drop_scale)
+        np.matmul(pt, vh[t], out=ctx[t])
+        del pt  # at most two tile-sized buffers are alive at once
+    out, o_cache = linear_forward(_merge_heads(ctx), p["attn.wo"], p["attn.bo"])
+    if not want_cache:
+        return out, None
+    return out, (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, drop, scale, num_heads)
 
 
 def mha_backward(dy: np.ndarray, cache):
-    q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, probs_kept, drop_mask, scale, nh = cache
+    q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, drop, scale, nh = cache
     dctx, dwo, dbo = linear_backward(dy, o_cache)
     dctx_h = _split_heads(dctx, nh)
-    dvh = probs_kept.swapaxes(-1, -2) @ dctx_h
-    dprobs = dropout_backward(dctx_h @ vh.swapaxes(-1, -2), drop_mask)
-    dscores = softmax_backward(dprobs, probs)
-    dscores *= scale
-    dqh = dscores @ kh
-    dkh = dscores.swapaxes(-1, -2) @ qh
+    dqh, dkh, dvh = (np.empty(qh.shape, dtype=qh.dtype) for _ in range(3))
+    for t in _tiles(len(qh), nh, qh.shape[2], qh.dtype.itemsize):
+        pt = probs[t]
+        dprobs = dctx_h[t] @ vh[t].swapaxes(-1, -2)
+        kept = pt
+        if drop is not None:
+            kept = _scale_kept(pt, drop[0][t], drop[1])
+            dprobs = _scale_kept(dprobs, drop[0][t], drop[1])
+        np.matmul(kept.swapaxes(-1, -2), dctx_h[t], out=dvh[t])
+        dscores = softmax_backward(dprobs, pt)
+        dscores *= scale
+        np.matmul(dscores, kh[t], out=dqh[t])
+        np.matmul(dscores.swapaxes(-1, -2), qh[t], out=dkh[t])
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), q_cache)
     dk, dwk, _ = linear_backward(_merge_heads(dkh), (k_cache[0], k_cache[1]))
     dv, dwv, dbv = linear_backward(_merge_heads(dvh), v_cache)
@@ -256,13 +305,16 @@ def encoder_layer_forward(
     drop_rate: float,
     rng: np.random.Generator,
     train: bool,
+    want_cache: bool,
 ):
     """Pre-LN residual block: LN -> MHA -> add, then LN -> FFN(GELU) -> add.
 
-    Dropout sits on the attention weights and on the FFN activation.
+    Dropout sits on the attention weights and on the FFN activation.  Without
+    `want_cache` the attention keeps no cache and the returned cache is not
+    for backward.
     """
     h1, ln1_cache = layer_norm_forward(x, p["ln1.g"], p["ln1.b"])
-    attn, mha_cache = mha_forward(h1, key_mask, p, num_heads, drop_rate, rng, train)
+    attn, mha_cache = mha_forward(h1, key_mask, p, num_heads, drop_rate, rng, train, want_cache)
     x2 = x + attn
     h2, ln2_cache = layer_norm_forward(x2, p["ln2.g"], p["ln2.b"])
     f1, l1_cache = linear_forward(h2, p["ffn.w1"], p["ffn.b1"])

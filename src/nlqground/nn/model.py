@@ -145,7 +145,8 @@ class GroundingModel:
         cfg = self.config
         for i in range(count):
             x, c = encoder_layer_forward(x, key_mask, self._sub(f"{prefix}.{i}."), cfg.num_heads,
-                                         cfg.dropout_rate, self._dropout_rng, train)
+                                         cfg.dropout_rate, self._dropout_rng, train,
+                                         want_cache=caches is not None)
             if caches is not None:
                 caches.append(c)
             del c  # not alive during the next layer

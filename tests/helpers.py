@@ -1,5 +1,5 @@
 """Shared fixtures for the encoder gradient checks, anchor-lattice lookups,
-textbook kernels, and oracles for the array-native span path: IoU, the
+textbook kernels, the untiled attention, and oracles for the array-native span path: IoU, the
 seconds <-> frame-index maps, decode and selection one (start, end) pair at
 a time, and the training objective one batch item at a time."""
 
@@ -11,7 +11,15 @@ import numpy as np
 
 from nlqground.core import OutOfRangeError
 from nlqground.data import Batch
-from nlqground.nn.layers import MASK_NEG
+from nlqground.nn.layers import (
+    MASK_NEG,
+    dropout_backward,
+    dropout_forward,
+    linear_backward,
+    linear_forward,
+    masked_softmax,
+    softmax_backward,
+)
 from nlqground.trainer import batch_loss_and_grads
 
 
@@ -69,6 +77,58 @@ def textbook_dropout_forward(x, rate, rng, train):
 
 def textbook_dropout_backward(dy, mask):
     return dy if mask is None else dy * mask
+
+
+def _split_heads(a, nh):
+    b, s, h = a.shape
+    return a.reshape(b, s, nh, h // nh).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(a):
+    b, nh, s, dh = a.shape
+    return a.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
+
+
+def untiled_mha_forward(x, key_mask, p, num_heads, drop_rate, rng, train):
+    """Attention over the whole (B, heads, S, S) tensor at once, with the
+    attention dropout through `dropout_forward`: the reference the tiled
+    `mha_forward` must match bit for bit, draw for draw."""
+    def split(a):
+        b, s, h = a.shape
+        return a.reshape(b, s, num_heads, h // num_heads).transpose(0, 2, 1, 3)
+
+    q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
+    k = x @ p["attn.wk"]
+    v, v_cache = linear_forward(x, p["attn.wv"], p["attn.bv"])
+    qh, kh, vh = (_split_heads(a, num_heads) for a in (q, k, v))
+    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=x.dtype)
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores *= scale
+    probs = masked_softmax(scores, key_mask)
+    probs_kept, drop_mask = dropout_forward(probs, drop_rate, rng, train)
+    ctx = _merge_heads(probs_kept @ vh)
+    out, o_cache = linear_forward(ctx, p["attn.wo"], p["attn.bo"])
+    return out, (q_cache, (x, p["attn.wk"]), v_cache, o_cache, qh, kh, vh, probs, probs_kept,
+                 drop_mask, scale, num_heads)
+
+
+def untiled_mha_backward(dy, cache):
+    """The backward of `untiled_mha_forward`, on whole tensors."""
+    q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, probs_kept, drop_mask, scale, nh = cache
+    dctx, dwo, dbo = linear_backward(dy, o_cache)
+    dctx_h = _split_heads(dctx, nh)
+    dvh = probs_kept.swapaxes(-1, -2) @ dctx_h
+    dprobs = dropout_backward(dctx_h @ vh.swapaxes(-1, -2), drop_mask)
+    dscores = softmax_backward(dprobs, probs)
+    dscores *= scale
+    dqh = dscores @ kh
+    dkh = dscores.swapaxes(-1, -2) @ qh
+    dq, dwq, dbq = linear_backward(_merge_heads(dqh), q_cache)
+    dk, dwk, _ = linear_backward(_merge_heads(dkh), k_cache)
+    dv, dwv, dbv = linear_backward(_merge_heads(dvh), v_cache)
+    grads = {"attn.wq": dwq, "attn.bq": dbq, "attn.wk": dwk, "attn.wv": dwv, "attn.bv": dbv,
+             "attn.wo": dwo, "attn.bo": dbo}
+    return dq + dk + dv, grads
 
 
 def erf_gelu(x):

@@ -294,6 +294,18 @@ class TestEvalCommand:
         assert code == 1
         assert f"{preds}:2: query {bad['query_id']!r} rank 1: 'score'" in err
 
+    @pytest.mark.parametrize("key, value", [("query_id", ["q"]), ("query_id", 7), ("video_id", 5)])
+    def test_non_string_id_names_path_line_and_key(self, pipeline, tmp_path, capsys, key, value):
+        lines = pipeline["preds"].read_text().splitlines()
+        bad = dict(json.loads(lines[1]), **{key: value})
+        preds = tmp_path / "bad.jsonl"
+        preds.write_text("\n".join([lines[0], json.dumps(bad)] + lines[2:]) + "\n")
+        code = run(["eval", "--preds", str(preds),
+                    "--annotations", str(pipeline["data"] / "annotations.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{preds}:2: {key!r} must be a string" in err
+
     def test_missing_end_sec_names_query_rank_and_key(self, pipeline, tmp_path, capsys):
         anns, _ = read_annotations(pipeline["data"] / "annotations.json")
         qid = anns[0].query_id
@@ -403,6 +415,44 @@ class TestRerankCommand:
         assert code == 1
         assert repr(f"{tmp_path / 'chan.jsonl'}:{weight}") in capsys.readouterr().err
         assert not (tmp_path / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("score", [10.0, -10.0])
+    def test_overflowing_fused_score_names_query_and_channel(self, tmp_path, capsys, score):
+        code = self._rerank_one(tmp_path, [{"start_sec": 0.0, "end_sec": 1.0, "score": 0.5}],
+                                scores=[score], weight=":1e308")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'q7'" in err and repr(f"{tmp_path / 'chan.jsonl'}:1e308") in err
+        assert not (tmp_path / "o.jsonl").exists()
+
+    def test_opposite_overflows_name_query_and_both_channels(self, tmp_path, capsys):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"query_id": "q7", "video_id": "v", "proposals": [
+            {"start_sec": 0.0, "end_sec": 1.0, "score": 0.5}]}) + "\n")
+        specs = []
+        for name, weight in (("up", "1e308"), ("down", "-1e308")):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(json.dumps({"query_id": "q7", "channel": name, "scores": [10.0]}) + "\n")
+            specs.append(f"{path}:{weight}")
+        out = tmp_path / "o.jsonl"
+        code = run(["rerank", "--preds", str(preds), "--channel", specs[0], "--channel", specs[1],
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "'q7'" in err and repr(specs[0]) in err and repr(specs[1]) in err
+        assert not out.exists()
+
+    def test_non_string_channel_query_id_names_path_line_and_key(self, tmp_path, capsys):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"query_id": "q7", "video_id": "v", "proposals": []}) + "\n")
+        channel = tmp_path / "chan.jsonl"
+        channel.write_text(json.dumps({"query_id": "q7", "channel": "c", "scores": []}) + "\n"
+                           + json.dumps({"query_id": ["q8"], "channel": "c", "scores": []}) + "\n")
+        code = run(["rerank", "--preds", str(preds), "--channel", str(channel),
+                    "--out", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"{channel}:2: 'query_id' must be a string" in err
 
     def test_misaligned_channel_names_channel_and_query(self, tmp_path, capsys):
         code = self._rerank_one(tmp_path, [{"start_sec": 0.0, "end_sec": 1.0, "score": 0.5},

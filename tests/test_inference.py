@@ -11,6 +11,7 @@ from nlqground.inference import (
     decode_proposals,
     nms,
     predict_dataset,
+    read_channel_file,
     read_predictions,
     rerank,
     select_proposals,
@@ -365,6 +366,24 @@ class TestPredictionsFile:
         path.write_text('{"query_id": "q0", "proposals": []}\n' + line + "\n")
         with pytest.raises(ValueError, match=f"p.jsonl:2: {problem}"):
             read_predictions(path)
+
+    @pytest.mark.parametrize("fields, key", [
+        ({"query_id": ["q"]}, "query_id"),
+        ({"query_id": None}, "query_id"),
+        ({"query_id": 3}, "query_id"),
+        ({"query_id": "q", "video_id": {"v": 1}}, "video_id"),
+    ])
+    def test_non_string_id_names_path_line_and_key(self, tmp_path, fields, key):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"query_id": "q0", "proposals": []}\n'
+                        + json.dumps({**fields, "proposals": []}) + "\n")
+        with pytest.raises(ValueError, match=f"p.jsonl:2: '{key}' must be a string"):
+            read_predictions(path)
+        channel = tmp_path / "c.jsonl"
+        channel.write_text('{"query_id": "q0", "channel": "c", "scores": []}\n'
+                           + json.dumps({**fields, "channel": "c", "scores": []}) + "\n")
+        with pytest.raises(ValueError, match=f"c.jsonl:2: '{key}' must be a string"):
+            read_channel_file(channel)
 
     @pytest.mark.parametrize("proposal, key", [
         ({"start_sec": 1.0, "end_sec": 2.0}, "score"),

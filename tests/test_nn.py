@@ -1,4 +1,5 @@
 import errno
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,8 @@ from helpers import (
     textbook_softmax_backward,
     tiny_training_batch,
     training_loss_fn,
+    untiled_mha_backward,
+    untiled_mha_forward,
 )
 
 from nlqground.anchors import AnchorConfig, build_lattice
@@ -28,7 +31,7 @@ from nlqground.nn import (
     save_checkpoint,
     sinusoidal_positions,
 )
-from nlqground.nn import checkpoint
+from nlqground.nn import checkpoint, layers
 from nlqground.nn.checkpoint import CheckpointError
 from nlqground.nn.layers import (
     dropout_backward,
@@ -36,6 +39,8 @@ from nlqground.nn.layers import (
     gelu_backward,
     gelu_forward,
     masked_softmax,
+    mha_backward,
+    mha_forward,
     softmax_backward,
 )
 from nlqground.trainer import TrainConfig
@@ -241,6 +246,50 @@ class TestKernelOracles:
         out, (keep, scale) = dropout_forward(x, 1.0 - 2.0 ** -18, np.random.default_rng(0), True)
         assert scale == 65536.0 and np.isfinite(out).all()
 
+    @staticmethod
+    def _attention_inputs(B, nh, S, dtype, padded):
+        rng = np.random.default_rng(15)
+        H = 3 * nh
+        shapes = {"attn.wq": (H, H), "attn.bq": (1, H), "attn.wk": (H, H), "attn.wv": (H, H),
+                  "attn.bv": (1, H), "attn.wo": (H, H), "attn.bo": (1, H)}
+        p = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
+        x = rng.normal(size=(B, S, H)).astype(dtype)
+        dy = rng.normal(size=(B, S, H)).astype(dtype)
+        mask = np.ones((B, S), bool)
+        if padded:
+            mask[0, S - 3:] = False
+            mask[-1, 1:4] = False
+        return x, mask, p, dy
+
+    # (B, heads, S, items per tile): three tiles with a ragged last one; an
+    # odd heads * S * S, whose per-item uint16 draw is not a whole number of
+    # the generator's 4-byte words; one default-sized tile
+    @pytest.mark.parametrize("B, nh, S, per_tile", [(5, 2, 6, 2), (3, 1, 17, 1), (4, 2, 9, None)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_tiled_attention_matches_untiled_bitwise(self, monkeypatch, B, nh, S, per_tile,
+                                                     dtype, padded, train):
+        itemsize = np.dtype(dtype).itemsize
+        if per_tile is not None:
+            monkeypatch.setattr(layers, "_TILE_BYTES", per_tile * nh * S * S * itemsize)
+            assert len(layers._tiles(B, nh, S, itemsize)) == -(-B // per_tile) > 1
+        x, mask, p, dy = self._attention_inputs(B, nh, S, dtype, padded)
+        rngs = [np.random.default_rng(16) for _ in range(3)]
+        ref_out, ref_cache = untiled_mha_forward(x, mask, p, nh, 0.3, rngs[0], train)
+        out, cache = mha_forward(x, mask, p, nh, 0.3, rngs[1], train, want_cache=True)
+        bare_out, no_cache = mha_forward(x, mask, p, nh, 0.3, rngs[2], train, want_cache=False)
+        assert_bitwise_equal(out, ref_out)
+        assert_bitwise_equal(bare_out, ref_out)
+        assert no_cache is None
+        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+        ref_dx, ref_grads = untiled_mha_backward(dy, ref_cache)
+        dx, grads = mha_backward(dy, cache)
+        assert_bitwise_equal(dx, ref_dx)
+        assert grads.keys() == ref_grads.keys()
+        for k in grads:
+            assert_bitwise_equal(grads[k], ref_grads[k])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tanh_gelu_tracks_erf_gelu(self, dtype):
         # measured on this grid: forward 4.733e-4 at x = -2.70, derivative
@@ -277,16 +326,59 @@ class TestDtypeDiscipline:
         floats = [a for a in leaves if isinstance(a, (np.ndarray, np.generic, float))
                   and np.asarray(a).dtype.kind == "f"]
         assert floats and all(np.asarray(a).dtype == np.float32 for a in floats)
-        layers = cache["intra_v"] + cache["intra_t"] + cache["cross"]
-        assert len(layers) == 4
-        for ln1, mha, ln2, l1, gelu, ffn_drop, l2 in layers:
-            attn_drop = mha[-3]  # (..., probs_kept, drop_mask, scale, num_heads)
+        layer_caches = cache["intra_v"] + cache["intra_t"] + cache["cross"]
+        assert len(layer_caches) == 4
+        for ln1, mha, ln2, l1, gelu, ffn_drop, l2 in layer_caches:
+            attn_drop = mha[-3]  # (..., probs, drop_mask, scale, num_heads)
             for keep, scale in (attn_drop, ffn_drop):
                 assert keep.dtype == bool
                 assert scale.dtype == np.float32
         grads, d_video, d_text = model.backward(cache, np.ones_like(conf), np.ones_like(offs))
         for g in [*grads.values(), d_video, d_text]:
             assert g.dtype == np.float32
+
+
+class TestAttentionMemory:
+    """Byte bounds on the attention tensors, from tracemalloc (numpy reports
+    its buffers to it) and from the cache itself."""
+
+    CFG = EncoderConfig(hidden_dim=8, num_heads=4, intra_layers=1, cross_layers=2,
+                        video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.2)
+
+    def test_eval_forward_never_holds_a_whole_attention_tensor(self, monkeypatch):
+        B, T, L = 8, 72, 8
+        nh, S = self.CFG.num_heads, T + L
+        whole = B * nh * S * S * 4
+        monkeypatch.setattr(layers, "_TILE_BYTES", nh * S * S * 4)  # one item per tile
+        model = init_model(self.CFG, seed=3, dtype=np.float32)
+        video, text, tmask = tiny_inputs(B=B, T=T, L=L)
+        tmask[1, 5:] = False
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _, _, cache = model.forward_batch(video, text, tmask, train=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert cache is None
+        assert 0 < peak < whole
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_cache_keeps_one_float_attention_tensor_per_layer(self, train):
+        B, T, L = 3, 10, 4
+        nh = self.CFG.num_heads
+        model = init_model(self.CFG, seed=3, dtype=np.float32)
+        video, text, tmask = tiny_inputs(B=B, T=T, L=L)
+        tmask[1, 3:] = False
+        _, _, cache = model.forward_batch(video, text, tmask, train=train, want_cache=True)
+        per_layer = [(c, T) for c in cache["intra_v"]] + [(c, L) for c in cache["intra_t"]] \
+            + [(c, T + L) for c in cache["cross"]]
+        assert len(per_layer) == 4
+        for layer, S in per_layer:
+            attention = [a for a in _leaves(layer) if np.shape(a) == (B, nh, S, S)]
+            # the probabilities, plus the dropout's keep mask when training
+            assert sorted(a.dtype.str for a in attention) == (["<f4", "|b1"] if train else ["<f4"])
 
 
 class TestBackward:
@@ -349,6 +441,11 @@ class TestGradcheck:
         report = gradcheck(fn, model, step=1e-5, tolerance=1e-4, num_samples=200, seed=0)
         assert report.num_checked >= 200
         assert report.max_rel_error < 1e-4, report.worst_parameter
+
+    def test_full_training_loss_through_dropout_one_item_per_tile(self, monkeypatch):
+        monkeypatch.setattr(layers, "_TILE_BYTES", 1)
+        assert len(layers._tiles(2, TINY.num_heads, 8, 8)) == 2
+        self.test_full_training_loss_through_dropout()
 
     def test_zero_step_rejected(self):
         model = init_model(TINY, seed=1)
