@@ -65,27 +65,46 @@ def write_features(path, matrices: dict[str, np.ndarray]) -> dict:
 
 
 def read_features(path) -> dict[str, np.ndarray]:
+    """Read a container written by `write_features`.
+
+    The manifest must be a JSON object whose 'files' maps each id to a plain
+    file name inside the directory, and every payload must be finite.  Each
+    error names the manifest or the file, and the id.
+    """
     path = Path(path)
     manifest_path = path / "manifest.json"
     if not manifest_path.exists():
         raise FeatureFormatError(f"missing manifest.json under {path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as e:  # undecodable bytes or bad JSON
+        raise FeatureFormatError(f"{manifest_path}: not valid JSON: {e}") from e
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict):
+        raise FeatureFormatError(f"{manifest_path}: 'files' must map ids to file names")
     out: dict[str, np.ndarray] = {}
-    for mid, fname in manifest["files"].items():
+    for mid, fname in files.items():
+        if not isinstance(fname, str) or fname in ("", "..") or Path(fname).name != fname:
+            raise FeatureFormatError(
+                f"{manifest_path}: id {mid!r} names {fname!r}, not a file name inside {path}")
         fpath = path / fname
         if not fpath.exists():
-            raise FeatureFormatError(f"manifest names {fname} for id {mid!r} but the file is missing")
+            raise FeatureFormatError(
+                f"{manifest_path} names {fname} for id {mid!r} but the file is missing")
+        where = f"{fpath} (id {mid!r})"
         blob = fpath.read_bytes()
         if blob[:4] != FEATURE_MAGIC:
-            raise FeatureFormatError(f"{mid!r}: bad magic {blob[:4]!r}")
+            raise FeatureFormatError(f"{where}: bad magic {blob[:4]!r}")
         if len(blob) < 12:
-            raise FeatureFormatError(f"{mid!r}: truncated header")
+            raise FeatureFormatError(f"{where}: truncated header")
         rows, cols = struct.unpack_from("<II", blob, 4)
         expected = 12 + rows * cols * 4
         if len(blob) != expected:
             raise FeatureFormatError(
-                f"{mid!r}: payload size {len(blob)} != expected {expected} for {rows}x{cols}")
+                f"{where}: payload size {len(blob)} != expected {expected} for {rows}x{cols}")
         out[mid] = np.frombuffer(blob, dtype="<f4", offset=12).reshape(rows, cols).copy()
+        if not np.isfinite(out[mid]).all():
+            raise FeatureFormatError(f"{where}: payload holds NaN or Inf")
     return out
 
 
@@ -360,11 +379,23 @@ def save_dataset(dataset: Dataset, out_dir) -> None:
     ])
 
 
+def _read_one_width(path) -> dict[str, np.ndarray]:
+    """`read_features`, where every matrix must have the first one's column
+    count, as a dataset's batches need."""
+    matrices = read_features(path)
+    first_id = next(iter(matrices), None)
+    for mid, m in matrices.items():
+        if m.shape[1] != matrices[first_id].shape[1]:
+            raise FeatureFormatError(f"{path}: id {mid!r} has {m.shape[1]} columns, but id "
+                                     f"{first_id!r} has {matrices[first_id].shape[1]}")
+    return matrices
+
+
 def load_dataset(data_dir) -> Dataset:
     data_dir = Path(data_dir)
     annotations, durations = read_annotations(data_dir / "annotations.json")
-    video_features = read_features(data_dir / "video_features")
-    text_features = read_features(data_dir / "text_features")
+    video_features = _read_one_width(data_dir / "video_features")
+    text_features = _read_one_width(data_dir / "text_features")
     for a in annotations:
         if a.video_id not in video_features:
             raise AnnotationError(f"annotation {a.query_id!r} references missing video {a.video_id!r}")

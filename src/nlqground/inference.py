@@ -28,6 +28,7 @@ import numpy as np
 
 from .anchors import AnchorConfig, AnchorSet, build_lattice
 from .core import index_to_sec, iou_batch
+from .data import make_batches
 from .nn.model import GroundingModel
 
 
@@ -159,8 +160,6 @@ def predict_dataset(
     nms_iou = 0 is the sentinel for "no suppression".  Returns one record
     per query, in annotation order.
     """
-    from .data import make_batches  # local import; data is I/O-layer, no cycle
-
     anchor_set = build_lattice(anchor_config)
     results = {}
     for batch in make_batches(dataset, batch_size, anchor_config.num_frames,

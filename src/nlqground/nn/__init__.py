@@ -1,5 +1,4 @@
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .gradcheck import GradCheckReport, gradcheck
 from .model import (
     CONF_EPS,
     EncoderConfig,
@@ -14,10 +13,8 @@ __all__ = [
     "CONF_EPS",
     "CheckpointError",
     "EncoderConfig",
-    "GradCheckReport",
     "GroundingModel",
     "InvalidStateError",
-    "gradcheck",
     "init_model",
     "load_checkpoint",
     "parameter_shapes",

@@ -115,12 +115,7 @@ def load_checkpoint(path) -> GroundingModel:
     seed = header.get("seed", 0)
     if type(seed) is not int:
         raise CheckpointError(f"{path}: seed {seed!r} is not an integer")
-    return GroundingModel(
-        config=config,
-        rng_seed=seed,
-        params=params,
-        dtype=np.dtype(np.float32),
-    )
+    return GroundingModel(config=config, rng_seed=seed, params=params)
 
 
 def _checked_config(path: Path, header: dict) -> EncoderConfig:

@@ -21,9 +21,9 @@ tile's kept probabilities from them, bit for bit.  Dropout draws 16-bit
 integers, not float64 uniforms, once per call (one draw rule for attention
 and the FFN), with its scale rounded in the input's dtype.  GELU is the
 tanh form (Hendrycks & Gimpel 2016, as in BERT and GPT-2), not the erf form.
-Caches are for backward only: an eval forward (`forward_batch` without
-`want_cache`) allocates no (B, heads, S, S) array and drops each layer's
-cache as soon as the layer returns.
+`train` selects the mode: a train forward applies dropout and returns the
+cache for backward; an eval forward returns None as its cache, allocates no
+(B, heads, S, S) array and keeps no layer's activations past the layer.
 """
 
 from __future__ import annotations
@@ -220,7 +220,6 @@ def mha_forward(
     drop_rate: float,
     rng: np.random.Generator,
     train: bool,
-    want_cache: bool,
 ):
     """Multi-head self-attention with key-padding mask and attention-weight
     dropout, one tile of batch items at a time.
@@ -229,7 +228,7 @@ def mha_forward(
     shifts along the key axis, so a key bias would be a permanently
     gradient-free parameter.  The dropout draw covers the whole
     (B, heads, S, S) tensor in one call, as a per-tile draw would shift the
-    generator's stream.  The cache (None unless `want_cache`) keeps the
+    generator's stream.  The cache (None in eval mode) keeps the
     probabilities and the dropout's (keep mask, scale).
     """
     q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
@@ -243,7 +242,7 @@ def mha_forward(
     if train and drop_rate > 0.0:
         draws, cut, drop_scale = _dropout_draw((B, num_heads, S, S), drop_rate, rng, x.dtype)
         drop = (np.empty(draws.shape, dtype=bool), drop_scale)
-    probs = np.empty((B, num_heads, S, S), dtype=x.dtype) if want_cache else None
+    probs = np.empty((B, num_heads, S, S), dtype=x.dtype) if train else None
     ctx = np.empty(qh.shape, dtype=x.dtype)
     for t in _tiles(B, num_heads, S, x.dtype.itemsize):
         scores = qh[t] @ kh[t].swapaxes(-1, -2)
@@ -257,7 +256,7 @@ def mha_forward(
         np.matmul(pt, vh[t], out=ctx[t])
         del pt  # at most two tile-sized buffers are alive at once
     out, o_cache = linear_forward(_merge_heads(ctx), p["attn.wo"], p["attn.bo"])
-    if not want_cache:
+    if not train:
         return out, None
     return out, (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, drop, scale, num_heads)
 
@@ -280,7 +279,7 @@ def mha_backward(dy: np.ndarray, cache):
         np.matmul(dscores, kh[t], out=dqh[t])
         np.matmul(dscores.swapaxes(-1, -2), qh[t], out=dkh[t])
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), q_cache)
-    dk, dwk, _ = linear_backward(_merge_heads(dkh), (k_cache[0], k_cache[1]))
+    dk, dwk, _ = linear_backward(_merge_heads(dkh), k_cache)
     dv, dwv, dbv = linear_backward(_merge_heads(dvh), v_cache)
     dx = dq + dk + dv
     grads = {
@@ -305,16 +304,14 @@ def encoder_layer_forward(
     drop_rate: float,
     rng: np.random.Generator,
     train: bool,
-    want_cache: bool,
 ):
     """Pre-LN residual block: LN -> MHA -> add, then LN -> FFN(GELU) -> add.
 
-    Dropout sits on the attention weights and on the FFN activation.  Without
-    `want_cache` the attention keeps no cache and the returned cache is not
-    for backward.
+    Dropout sits on the attention weights and on the FFN activation.  An eval
+    forward returns None as its cache.
     """
     h1, ln1_cache = layer_norm_forward(x, p["ln1.g"], p["ln1.b"])
-    attn, mha_cache = mha_forward(h1, key_mask, p, num_heads, drop_rate, rng, train, want_cache)
+    attn, mha_cache = mha_forward(h1, key_mask, p, num_heads, drop_rate, rng, train)
     x2 = x + attn
     h2, ln2_cache = layer_norm_forward(x2, p["ln2.g"], p["ln2.b"])
     f1, l1_cache = linear_forward(h2, p["ffn.w1"], p["ffn.b1"])
@@ -322,8 +319,9 @@ def encoder_layer_forward(
     a1d, ffn_drop = dropout_forward(a1, drop_rate, rng, train)
     f2, l2_cache = linear_forward(a1d, p["ffn.w2"], p["ffn.b2"])
     out = x2 + f2
-    cache = (ln1_cache, mha_cache, ln2_cache, l1_cache, gelu_cache, ffn_drop, l2_cache)
-    return out, cache
+    if not train:
+        return out, None
+    return out, (ln1_cache, mha_cache, ln2_cache, l1_cache, gelu_cache, ffn_drop, l2_cache)
 
 
 def encoder_layer_backward(dy: np.ndarray, cache):

@@ -11,9 +11,10 @@ The forward pipeline is
 
 Only text is padded: every sampled frame is valid, so the model builds the
 all-valid video half of the attention mask itself and takes a text mask
-alone.  Both forward and reverse passes are written by hand; `backward`
-consumes the activation cache produced by `forward_batch` and returns
-gradients for every parameter plus the input features.
+alone.  `train` alone selects the mode: a train forward applies dropout and
+keeps the cache that the hand-written `backward` walks in reverse to return
+gradients for every parameter plus the input features; an eval forward does
+neither.
 """
 
 from __future__ import annotations
@@ -64,8 +65,17 @@ class EncoderConfig:
                      "video_input_dim", "text_input_dim", "num_scales", "feedforward_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.hidden_dim % 2 != 0:
+            raise ValueError(f"hidden_dim must be even for sin/cos positions, got {self.hidden_dim}")
         if not (0.0 <= self.dropout_rate < 1.0):
             raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+
+
+def _stacks(config: EncoderConfig) -> dict[str, int]:
+    """Layer count of each encoder stack, by parameter prefix, in forward
+    order."""
+    return {"intra_video": config.intra_layers, "intra_text": config.intra_layers,
+            "cross": config.cross_layers}
 
 
 def sinusoidal_positions(length: int, dim: int, dtype=np.float64) -> np.ndarray:
@@ -107,7 +117,6 @@ class GroundingModel:
     config: EncoderConfig
     rng_seed: int
     params: dict[str, np.ndarray]
-    dtype: np.dtype = np.dtype(np.float32)
     _dropout_rng: np.random.Generator = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -116,49 +125,35 @@ class GroundingModel:
 
     # -- structure ---------------------------------------------------------
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
-    def to_dtype(self, dtype) -> "GroundingModel":
-        """Copy of the model with parameters cast to `dtype` (float64 copies
-        are used for gradient checking)."""
-        dt = np.dtype(dtype)
-        return GroundingModel(
-            config=self.config,
-            rng_seed=self.rng_seed,
-            params={k: v.astype(dt) for k, v in self.params.items()},
-            dtype=dt,
-        )
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, in which the model computes."""
+        return self.params["type_emb"].dtype
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def _sub(self, prefix: str) -> dict[str, np.ndarray]:
-        plen = len(prefix)
-        return {k[plen:]: v for k, v in self.params.items() if k.startswith(prefix)}
-
     # -- forward -----------------------------------------------------------
 
-    def _encode(self, x, key_mask, prefix, count, train, caches):
-        """Run `count` encoder layers, appending each layer's cache to
-        `caches` unless it is None."""
+    def _encode(self, x, key_mask, prefix, train, cache):
+        """Run the stack `prefix`, appending its layer caches (None in eval
+        mode) to cache[prefix]."""
         cfg = self.config
-        for i in range(count):
-            x, c = encoder_layer_forward(x, key_mask, self._sub(f"{prefix}.{i}."), cfg.num_heads,
-                                         cfg.dropout_rate, self._dropout_rng, train,
-                                         want_cache=caches is not None)
-            if caches is not None:
-                caches.append(c)
-            del c  # not alive during the next layer
+        for i in range(_stacks(cfg)[prefix]):
+            pre = f"{prefix}.{i}."
+            p = {k[len(pre):]: v for k, v in self.params.items() if k.startswith(pre)}
+            x, c = encoder_layer_forward(x, key_mask, p, cfg.num_heads, cfg.dropout_rate,
+                                         self._dropout_rng, train)
+            cache.setdefault(prefix, []).append(c)
         return x
 
-    def forward_batch(self, video, text, text_mask, train: bool = False, want_cache: bool = False):
+    def forward_batch(self, video, text, text_mask, train: bool = False):
         """Batched forward.
 
         video: (B, T, Dv), text: (B, L, Dt), text_mask boolean (B, L).
         Returns (confidence (B,T,K) strictly inside (0, 1), raw offsets
-        (B,T,2K), cache).  The cache for `backward` is kept only with
-        `want_cache`; otherwise it is None and no layer's cache outlives
+        (B,T,2K), cache).  The cache for `backward` comes from a train
+        forward; an eval forward returns None, and no layer's cache outlives
         its layer.
         """
         cfg = self.config
@@ -190,9 +185,9 @@ class GroundingModel:
         v = v + pos_v
         t = t + pos_t
 
-        intra_v_caches, intra_t_caches, cross_caches = ([], [], []) if want_cache else (None,) * 3
-        v = self._encode(v, frame_mask, "intra_video", cfg.intra_layers, train, intra_v_caches)
-        t = self._encode(t, text_mask, "intra_text", cfg.intra_layers, train, intra_t_caches)
+        cache = {}
+        v = self._encode(v, frame_mask, "intra_video", train, cache)
+        t = self._encode(t, text_mask, "intra_text", train, cache)
 
         type_emb = self.params["type_emb"]
         v = v + type_emb[0] + pos_v
@@ -200,7 +195,7 @@ class GroundingModel:
 
         x = np.concatenate([v, t], axis=1)
         joint_mask = np.concatenate([frame_mask, text_mask], axis=1)
-        x = self._encode(x, joint_mask, "cross", cfg.cross_layers, train, cross_caches)
+        x = self._encode(x, joint_mask, "cross", train, cache)
         x, final_ln_cache = layer_norm_forward(x, self.params["final_ln.g"], self.params["final_ln.b"])
         fused = x[:, :T, :]
 
@@ -217,20 +212,23 @@ class GroundingModel:
         ra, reg_gelu = gelu_forward(r1)
         offsets, reg_l2 = linear_forward(ra, self.params["reg_head.w2"], self.params["reg_head.b2"])
 
-        cache = None
-        if want_cache:
-            cache = {
-                "B": B, "T": T, "L": L,
-                "vproj": vproj_cache, "tproj": tproj_cache,
-                "intra_v": intra_v_caches, "intra_t": intra_t_caches,
-                "cross": cross_caches, "final_ln": final_ln_cache,
-                "conf": (conf_l1, conf_gelu, conf_l2, s, conf_clamped),
-                "reg": (reg_l1, reg_gelu, reg_l2),
-                "param_ids": id(self.params),
-            }
+        if not train:
+            return confidence, offsets, None
+        cache.update(B=B, T=T, L=L, vproj=vproj_cache, tproj=tproj_cache, final_ln=final_ln_cache,
+                     conf=(conf_l1, conf_gelu, conf_l2, s, conf_clamped),
+                     reg=(reg_l1, reg_gelu, reg_l2), param_ids=id(self.params))
         return confidence, offsets, cache
 
     # -- backward ----------------------------------------------------------
+
+    def _encode_backward(self, dx, prefix, cache, grads):
+        """Reverse of `_encode`: back through the stack `prefix`, last layer
+        first, writing each layer's parameter gradients into `grads`."""
+        for i in reversed(range(len(cache[prefix]))):
+            dx, layer_grads = encoder_layer_backward(dx, cache[prefix][i])
+            for k, v in layer_grads.items():
+                grads[f"{prefix}.{i}.{k}"] = v
+        return dx
 
     def backward(self, cache, d_confidence, d_offsets):
         """Reverse pass through the cached forward.
@@ -266,27 +264,13 @@ class GroundingModel:
         dx, dg, db = layer_norm_backward(dx, cache["final_ln"])
         grads["final_ln.g"], grads["final_ln.b"] = dg, db
 
-        for i in reversed(range(cfg.cross_layers)):
-            dx, layer_grads = encoder_layer_backward(dx, cache["cross"][i])
-            for k, v in layer_grads.items():
-                grads[f"cross.{i}.{k}"] = v
+        dx = self._encode_backward(dx, "cross", cache, grads)
+        dv, dt = dx[:, :T, :], dx[:, T:, :]
+        grads["type_emb"] = np.stack([dv.reshape(-1, cfg.hidden_dim).sum(axis=0),
+                                      dt.reshape(-1, cfg.hidden_dim).sum(axis=0)])
 
-        dv = dx[:, :T, :]
-        dt = dx[:, T:, :]
-        dtype_emb = np.stack([
-            dv.reshape(-1, cfg.hidden_dim).sum(axis=0),
-            dt.reshape(-1, cfg.hidden_dim).sum(axis=0),
-        ])
-        grads["type_emb"] = dtype_emb
-
-        for i in reversed(range(cfg.intra_layers)):
-            dv, layer_grads = encoder_layer_backward(dv, cache["intra_v"][i])
-            for k, v in layer_grads.items():
-                grads[f"intra_video.{i}.{k}"] = v
-        for i in reversed(range(cfg.intra_layers)):
-            dt, layer_grads = encoder_layer_backward(dt, cache["intra_t"][i])
-            for k, v in layer_grads.items():
-                grads[f"intra_text.{i}.{k}"] = v
+        dv = self._encode_backward(dv, "intra_video", cache, grads)
+        dt = self._encode_backward(dt, "intra_text", cache, grads)
 
         d_video, dw, db = linear_backward(dv, cache["vproj"])
         grads["video_proj.w"], grads["video_proj.b"] = dw, db
@@ -305,12 +289,9 @@ def parameter_shapes(config: EncoderConfig) -> list[tuple[str, int, int]]:
         ("text_proj.w", config.text_input_dim, H), ("text_proj.b", 1, H),
         ("type_emb", 2, H),
     ]
-    for i in range(config.intra_layers):
-        shapes += [(f"intra_video.{i}.{n}", r, c) for n, r, c in _layer_param_shapes(H, F)]
-    for i in range(config.intra_layers):
-        shapes += [(f"intra_text.{i}.{n}", r, c) for n, r, c in _layer_param_shapes(H, F)]
-    for i in range(config.cross_layers):
-        shapes += [(f"cross.{i}.{n}", r, c) for n, r, c in _layer_param_shapes(H, F)]
+    for prefix, depth in _stacks(config).items():
+        for i in range(depth):
+            shapes += [(f"{prefix}.{i}.{n}", r, c) for n, r, c in _layer_param_shapes(H, F)]
     shapes += [
         ("final_ln.g", 1, H), ("final_ln.b", 1, H),
         ("conf_head.w1", H, H), ("conf_head.b1", 1, H),
@@ -335,4 +316,4 @@ def init_model(config: EncoderConfig, seed: int, dtype=np.float32) -> GroundingM
             params[name] = np.ones((rows, cols), dtype=dt)
         else:  # biases, shifts, modality embeddings
             params[name] = np.zeros((rows, cols), dtype=dt)
-    return GroundingModel(config=config, rng_seed=int(seed), params=params, dtype=dt)
+    return GroundingModel(config=config, rng_seed=int(seed), params=params)

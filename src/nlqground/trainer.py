@@ -134,9 +134,8 @@ def batch_loss_and_grads(
     batch: Batch,
     anchor_set: AnchorSet,
     config: TrainConfig,
-    train: bool = True,
 ):
-    """Forward, combined objective, and parameter gradients for one batch.
+    """Train-mode forward, combined objective, and parameter gradients for one batch.
 
     Returns (record, param_grads), where record holds the step-log fields:
     the batch means 'align' and 'box', 'loss' = align + mu * box, and
@@ -144,8 +143,7 @@ def batch_loss_and_grads(
     The box term only sees each item's positive anchors, with residuals
     normalized by T.
     """
-    conf, offs, cache = model.forward_batch(
-        batch.video, batch.text, batch.text_mask, train=train, want_cache=True)
+    conf, offs, cache = model.forward_batch(batch.video, batch.text, batch.text_mask, train=True)
     B, T, K = conf.shape
     targets, positive, forced = label_anchors(anchor_set, batch.gt_index, config.positive_threshold)
     spans, decode_back = decode_index_spans(offs, anchor_set)

@@ -1,16 +1,19 @@
-"""Shared fixtures for the encoder gradient checks, anchor-lattice lookups,
-textbook kernels, the untiled attention, and oracles for the array-native span path: IoU, the
+"""Shared fixtures for the encoder gradient checks, the finite-difference
+gradient checker, anchor-lattice lookups, textbook kernels, the untiled
+attention, and oracles for the array-native span path: IoU, the
 seconds <-> frame-index maps, decode and selection one (start, end) pair at
 a time, and the training objective one batch item at a time."""
 
 import json
 import math
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from nlqground.core import OutOfRangeError
 from nlqground.data import Batch
+from nlqground.nn import GroundingModel, InvalidStateError
 from nlqground.nn.layers import (
     MASK_NEG,
     dropout_backward,
@@ -23,22 +26,97 @@ from nlqground.nn.layers import (
 from nlqground.trainer import batch_loss_and_grads
 
 
-def training_loss_fn(batch, anchor_set, train_config):
-    """Wrap the full training objective as a gradcheck-compatible callable."""
-    def fn(model):
-        record, grads = batch_loss_and_grads(model, batch, anchor_set, train_config, train=False)
-        return record["loss"], grads
-    return fn
-
-
-def dropout_training_loss_fn(batch, anchor_set, train_config, seed=0):
-    """The training objective in train mode, with the dropout generator
-    reseeded before every forward so each call draws the same masks."""
+def training_loss_fn(batch, anchor_set, train_config, seed=0):
+    """The full training objective as a gradcheck-compatible callable, with
+    the dropout generator reseeded before every forward so each call draws
+    the same masks (none at dropout rate 0)."""
     def fn(model):
         model._dropout_rng = np.random.default_rng(seed)
-        record, grads = batch_loss_and_grads(model, batch, anchor_set, train_config, train=True)
+        record, grads = batch_loss_and_grads(model, batch, anchor_set, train_config)
         return record["loss"], grads
     return fn
+
+
+# Central finite differences against the hand-written backward.  Meaningful
+# only in float64; float32 rounding drowns the signal at usable step sizes.
+
+REL_ERR_FLOOR = 1e-8
+
+
+@dataclass(frozen=True)
+class GradCheckReport:
+    max_rel_error: float
+    worst_parameter: str
+    num_checked: int
+    tolerance: float
+
+
+def num_parameters(model):
+    return sum(p.size for p in model.params.values())
+
+
+def to_dtype(model, dtype):
+    """Copy of the model with its parameters cast to `dtype`."""
+    dt = np.dtype(dtype)
+    return GroundingModel(config=model.config, rng_seed=model.rng_seed,
+                          params={k: v.astype(dt) for k, v in model.params.items()})
+
+
+def _sample_coordinates(model, num_samples, seed):
+    """At least `num_samples` flat coordinates, stratified so every block
+    contributes at least two (or all, for single-element blocks)."""
+    rng = np.random.default_rng(seed)
+    total = num_parameters(model)
+    picks = []
+    for name, p in model.params.items():
+        share = max(2, int(round(num_samples * p.size / total)))
+        share = min(share, p.size)
+        idx = rng.choice(p.size, size=share, replace=False)
+        picks.extend((name, int(i)) for i in idx)
+    return picks
+
+
+def gradcheck(loss_fn, model, step=1e-5, tolerance=1e-4, num_samples=200, seed=0):
+    """Compare analytic gradients against (f(x+h) - f(x-h)) / 2h on a
+    float64 copy of `model`, at a deterministic sample of coordinates that
+    covers every parameter block.
+
+    `loss_fn` maps a model to (scalar loss, per-parameter gradient dict) and
+    must be deterministic; two evaluations at the same point are compared to
+    detect dropout or other hidden state.
+    """
+    if not (step > 0):
+        raise ValueError(f"finite-difference step must be positive, got {step}")
+    model = to_dtype(model, np.float64)
+
+    loss0, analytic = loss_fn(model)
+    loss1, _ = loss_fn(model)
+    if loss0 != loss1:
+        raise InvalidStateError(
+            f"loss_fn is not deterministic ({loss0!r} != {loss1!r}); disable dropout"
+        )
+
+    worst = ("", 0.0)
+    picks = _sample_coordinates(model, num_samples, seed)
+    for name, flat_idx in picks:
+        p = model.params[name]
+        orig = p.flat[flat_idx]
+        p.flat[flat_idx] = orig + step
+        f_plus, _ = loss_fn(model)
+        p.flat[flat_idx] = orig - step
+        f_minus, _ = loss_fn(model)
+        p.flat[flat_idx] = orig
+        numeric = (f_plus - f_minus) / (2.0 * step)
+        exact = float(analytic[name].flat[flat_idx])
+        rel = abs(exact - numeric) / max(abs(exact), abs(numeric), REL_ERR_FLOOR)
+        if rel > worst[1]:
+            worst = (f"{name}[{flat_idx}]", rel)
+    return GradCheckReport(
+        max_rel_error=worst[1],
+        worst_parameter=worst[0],
+        num_checked=len(picks),
+        tolerance=tolerance,
+    )
 
 
 def assert_bitwise_equal(a, b):

@@ -27,15 +27,9 @@ from nlqground.data import (
 from nlqground.evaluation import evaluate
 from nlqground.inference import predict_dataset, rerank
 from nlqground.losses import alignment_loss, boundary_loss
-from nlqground.nn import (
-    EncoderConfig,
-    gradcheck,
-    init_model,
-    load_checkpoint,
-    save_checkpoint,
-)
+from nlqground.nn import EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from nlqground.trainer import TrainConfig, batch_loss_and_grads, train
-from helpers import scalar_iou, tiny_training_batch, training_loss_fn
+from helpers import gradcheck, scalar_iou, tiny_training_batch, training_loss_fn
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
@@ -111,7 +105,7 @@ def test_criterion_3_loss_hand_values():
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
                         video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.0)
     record, _ = batch_loss_and_grads(init_model(enc, seed=0), tiny_training_batch(T=8, L=4),
-                                     anchors, TrainConfig(mu=1.0, seed=0), train=False)
+                                     anchors, TrainConfig(mu=1.0, seed=0))
     ok = (
         abs(align - 0.346574) < 1e-6
         and abs(box - 0.0025) < 1e-9

@@ -1,6 +1,8 @@
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nlqground.anchors import AnchorConfig, build_lattice
@@ -121,6 +123,17 @@ class TestTrainCommand:
         assert code == 1
         assert "videos[1]" in capsys.readouterr().err
 
+    def test_odd_hidden_dim_names_section_before_training(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"encoder": {"hidden_dim": 9, "num_heads": 3},
+                                   "train": {"epochs": 1}}))
+        code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'encoder'" in err and "hidden_dim must be even" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("inference", [{"top_k": 0}, {"top_k": 2.5}, {"nms_iou": -0.5},
                                            {"nms_iou": 1.5}, {"nms_iou": float("nan")}])
     def test_bad_inference_option_rejected_before_training(self, pipeline, tmp_path, capsys,
@@ -195,6 +208,43 @@ class TestPredictCommand:
                     "--out", str(tmp_path / "p.jsonl"), "--frames", "20", "--scales", "0.15,0.4"])
         assert code == 1
         assert f"{ckpt}: parameter 'video_proj.w' missing" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("mutation", ["no_files", "list_files", "not_json", "outside_dir",
+                                          "nan_payload", "wider_matrix"])
+    def test_bad_feature_container_names_file_and_id(self, pipeline, tmp_path, capsys,
+                                                     mutation):
+        data = tmp_path / "data"
+        for name, blob in files_snapshot(pipeline["data"]).items():
+            (data / name).parent.mkdir(parents=True, exist_ok=True)
+            (data / name).write_bytes(blob)
+        manifest_path = data / "text_features" / "manifest.json"
+        *_, (qid, fname) = json.loads(manifest_path.read_text())["files"].items()
+        egf = manifest_path.parent / fname
+        rows, cols = struct.unpack_from("<II", egf.read_bytes(), 4)
+        named = [str(manifest_path)]
+        if mutation == "no_files":
+            manifest_path.write_text('{"version": "1.0"}')
+        elif mutation == "list_files":
+            manifest_path.write_text(json.dumps({"files": [fname]}))
+        elif mutation == "not_json":
+            manifest_path.write_text('{"files": {')
+            named.append("line 1")
+        elif mutation == "outside_dir":
+            manifest_path.write_text(json.dumps({"files": {qid: "../annotations.json"}}))
+            named.append(repr(qid))
+        else:
+            bad = np.zeros((rows, cols + (mutation == "wider_matrix")), dtype="<f4")
+            bad[0, 0] = np.nan if mutation == "nan_payload" else 0.0
+            egf.write_bytes(b"EGF1" + struct.pack("<II", *bad.shape) + bad.tobytes())
+            named = ([f"{egf} (id {qid!r})"] if mutation == "nan_payload"
+                     else [str(egf.parent), repr(qid)])
+        code = run(["predict", "--ckpt", str(pipeline["out"] / "checkpoint_best.nlqc"),
+                    "--data", str(data), "--out", str(tmp_path / "p.jsonl"),
+                    "--frames", "20", "--scales", "0.15,0.4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert all(name in err for name in named), err
 
 
 class TestSelectionIdentity:

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -62,6 +63,47 @@ class TestFeatureCodec:
         bad = np.full((2, 2), np.nan, dtype=np.float32)
         with pytest.raises(ValueError):
             write_features(tmp_path / "f", {"m": bad})
+
+    @pytest.mark.parametrize("manifest, named", [
+        ('{"version": "1.0"}', "'files'"),
+        ('{"files": ["m.egf"]}', "'files'"),
+        ('{"files": {"m": "m.egf"', "line 1"),
+        ('{"files": {"m": "../annotations.json"}}', "id 'm'"),
+        ('{"files": {"m": "ROOT/annotations.json"}}', "id 'm'"),
+        ('{"files": {"m": ".."}}', "id 'm'"),
+    ], ids=["no_files", "list_files", "not_json", "parent_dir", "absolute", "dotdot"])
+    def test_bad_manifest_names_manifest(self, tmp_path, manifest, named):
+        write_features(tmp_path / "f", {"m": np.zeros((2, 3), dtype=np.float32)})
+        (tmp_path / "annotations.json").write_bytes(b"EGF1" + bytes(8))  # a valid empty matrix
+        (tmp_path / "f" / "manifest.json").write_text(manifest.replace("ROOT", str(tmp_path)))
+        with pytest.raises(FeatureFormatError) as info:
+            read_features(tmp_path / "f")
+        assert str(tmp_path / "f" / "manifest.json") in str(info.value)
+        assert named in str(info.value)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_payload_names_file_and_id(self, tmp_path, value):
+        write_features(tmp_path / "f", {"m": np.zeros((2, 3), dtype=np.float32)})
+        p = tmp_path / "f" / "m.egf"
+        blob = bytearray(p.read_bytes())
+        blob[-4:] = np.array([value], dtype="<f4").tobytes()
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FeatureFormatError, match="NaN or Inf") as info:
+            read_features(tmp_path / "f")
+        assert f"{p} (id 'm')" in str(info.value)
+
+    def test_dataset_column_count_differs_names_container_and_both_ids(self, tmp_path):
+        # a container may mix widths; a dataset's batches need one
+        ds = generate_synthetic(SyntheticSpec(num_videos=2, frames_per_video=8, feature_dim=3,
+                                              text_dim=2, tokens_per_query=2, seed=0))
+        save_dataset(ds, tmp_path / "d")
+        feats = tmp_path / "d" / "text_features"
+        files = json.loads((feats / "manifest.json").read_text())["files"]
+        (first, _), *_, (qid, fname) = files.items()
+        (feats / fname).write_bytes(b"EGF1" + struct.pack("<II", 2, 3) + bytes(24))
+        with pytest.raises(FeatureFormatError) as info:
+            load_dataset(tmp_path / "d")
+        assert str(info.value) == f"{feats}: id {qid!r} has 3 columns, but id {first!r} has 2"
 
 
 class TestAnnotations:

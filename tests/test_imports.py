@@ -1,6 +1,6 @@
 """Module boundaries inside the package, read from the source with `ast`:
-no module imports another module's private name, and `evaluation` depends
-only on `core` and `data`."""
+no module imports another module's private name, no function imports
+anything, and `evaluation` depends only on `core` and `data`."""
 
 import ast
 from pathlib import Path
@@ -29,6 +29,14 @@ def private_imports(source: str) -> list[str]:
             if name.startswith("_")]
 
 
+def function_imports(source: str) -> list[str]:
+    """'<function>:<line>' of every import statement inside a function body."""
+    return [f"{fn.name}:{node.lineno}"
+            for fn in ast.walk(ast.parse(source))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 def test_checker_flags_relative_and_absolute_private_imports():
     source = ("from __future__ import annotations\n"
               "from .inference import _checked_proposal, nms\n"
@@ -46,3 +54,18 @@ def test_no_module_imports_a_private_name(path):
 def test_evaluation_depends_only_on_core_and_data():
     source = (Path(nlqground.__file__).parent / "evaluation.py").read_text(encoding="utf-8")
     assert {module for module, _ in package_imports(source)} <= {".core", ".data"}
+
+
+def test_function_import_checker_flags_nested_imports():
+    source = ("import json\n"
+              "def f():\n"
+              "    if True:\n"
+              "        from .data import make_batches\n"
+              "    def g():\n"
+              "        import math\n")
+    assert function_imports(source) == ["f:4", "f:6", "g:6"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_function_body_imports(path):
+    assert function_imports(path.read_text(encoding="utf-8")) == []

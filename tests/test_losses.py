@@ -148,7 +148,7 @@ class TestTotalLoss:
             model.params["reg_head.b2"][:] = 0.0
         batch = batch or tiny_training_batch(T=8, L=4)
         config = TrainConfig(mu=mu, seed=0)
-        return batch_loss_and_grads(model, batch, self.anchors, config, train=False)
+        return batch_loss_and_grads(model, batch, self.anchors, config)
 
     def test_composition_of_hand_values(self):
         rec, _ = self.record(mu=2.5)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from helpers import (
     assert_bitwise_equal,
-    dropout_training_loss_fn,
     edit_checkpoint_header,
     erf_gelu,
+    gradcheck,
+    num_parameters,
     textbook_dropout_backward,
     textbook_dropout_forward,
     textbook_masked_softmax,
@@ -24,7 +25,6 @@ from nlqground.nn import (
     EncoderConfig,
     GroundingModel,
     InvalidStateError,
-    gradcheck,
     init_model,
     load_checkpoint,
     parameter_shapes,
@@ -100,13 +100,18 @@ class TestInitModel:
             assert shapes[f"cross.0.attn.{w}"] == (512, 512)
 
     def test_param_count_deterministic_function_of_config(self):
-        n1 = init_model(TINY, seed=1).num_parameters()
-        n2 = init_model(TINY, seed=99).num_parameters()
+        n1 = num_parameters(init_model(TINY, seed=1))
+        n2 = num_parameters(init_model(TINY, seed=99))
         assert n1 == n2
 
     def test_heads_must_divide_hidden(self):
         with pytest.raises(ValueError):
             EncoderConfig(hidden_dim=10, num_heads=4)
+
+    def test_odd_hidden_dim_rejected(self):
+        # the sinusoidal positions pair sin and cos columns
+        with pytest.raises(ValueError, match="hidden_dim must be even"):
+            EncoderConfig(hidden_dim=9, num_heads=3)
 
 
 class TestForward:
@@ -169,17 +174,22 @@ class TestForward:
         with pytest.raises(ValueError):
             model.forward_batch(video, text, tmask)
 
-    def test_eval_forward_without_cache_matches_cached(self):
-        model = init_model(TINY, seed=3, dtype=np.float32)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_train_flag_alone_selects_the_mode(self, dtype):
+        """An eval forward returns no cache; at dropout rate 0 a train
+        forward gives the same bits and draws nothing from the dropout
+        generator."""
+        model = init_model(TINY, seed=3, dtype=dtype)
         video, text, tmask = tiny_inputs()
         tmask[1, 3:] = False
         conf, offs, cache = model.forward_batch(video, text, tmask, train=False)
         assert cache is None
-        conf_c, offs_c, cache_c = model.forward_batch(video, text, tmask, train=False,
-                                                      want_cache=True)
-        assert cache_c is not None
-        assert_bitwise_equal(conf, conf_c)
-        assert_bitwise_equal(offs, offs_c)
+        state = model._dropout_rng.bit_generator.state
+        conf_t, offs_t, cache_t = model.forward_batch(video, text, tmask, train=True)
+        assert cache_t is not None
+        assert model._dropout_rng.bit_generator.state == state
+        assert_bitwise_equal(conf, conf_t)
+        assert_bitwise_equal(offs, offs_t)
 
     def test_train_mode_dropout_changes_outputs(self):
         cfg = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
@@ -275,14 +285,17 @@ class TestKernelOracles:
             monkeypatch.setattr(layers, "_TILE_BYTES", per_tile * nh * S * S * itemsize)
             assert len(layers._tiles(B, nh, S, itemsize)) == -(-B // per_tile) > 1
         x, mask, p, dy = self._attention_inputs(B, nh, S, dtype, padded)
-        rngs = [np.random.default_rng(16) for _ in range(3)]
+        rngs = [np.random.default_rng(16) for _ in range(2)]
         ref_out, ref_cache = untiled_mha_forward(x, mask, p, nh, 0.3, rngs[0], train)
-        out, cache = mha_forward(x, mask, p, nh, 0.3, rngs[1], train, want_cache=True)
-        bare_out, no_cache = mha_forward(x, mask, p, nh, 0.3, rngs[2], train, want_cache=False)
+        out, cache = mha_forward(x, mask, p, nh, 0.3, rngs[1], train)
         assert_bitwise_equal(out, ref_out)
-        assert_bitwise_equal(bare_out, ref_out)
-        assert no_cache is None
-        assert rngs[0].random() == rngs[1].random() == rngs[2].random()
+        assert rngs[0].random() == rngs[1].random()
+        if not train:
+            assert cache is None
+            # the backward without dropout, from a train forward at rate 0
+            ref_out, ref_cache = untiled_mha_forward(x, mask, p, nh, 0.0, rngs[0], True)
+            out, cache = mha_forward(x, mask, p, nh, 0.0, rngs[1], True)
+            assert_bitwise_equal(out, ref_out)
         ref_dx, ref_grads = untiled_mha_backward(dy, ref_cache)
         dx, grads = mha_backward(dy, cache)
         assert_bitwise_equal(dx, ref_dx)
@@ -321,12 +334,12 @@ class TestDtypeDiscipline:
         model = init_model(replace(TINY, dropout_rate=0.2), seed=3, dtype=np.float32)
         video, text, tmask = tiny_inputs()
         tmask[1, 3:] = False
-        conf, offs, cache = model.forward_batch(video, text, tmask, train=True, want_cache=True)
+        conf, offs, cache = model.forward_batch(video, text, tmask, train=True)
         leaves = list(_leaves(cache))
         floats = [a for a in leaves if isinstance(a, (np.ndarray, np.generic, float))
                   and np.asarray(a).dtype.kind == "f"]
         assert floats and all(np.asarray(a).dtype == np.float32 for a in floats)
-        layer_caches = cache["intra_v"] + cache["intra_t"] + cache["cross"]
+        layer_caches = cache["intra_video"] + cache["intra_text"] + cache["cross"]
         assert len(layer_caches) == 4
         for ln1, mha, ln2, l1, gelu, ffn_drop, l2 in layer_caches:
             attn_drop = mha[-3]  # (..., probs, drop_mask, scale, num_heads)
@@ -364,29 +377,27 @@ class TestAttentionMemory:
         assert cache is None
         assert 0 < peak < whole
 
-    @pytest.mark.parametrize("train", [False, True])
-    def test_cache_keeps_one_float_attention_tensor_per_layer(self, train):
+    def test_cache_keeps_one_float_attention_tensor_per_layer(self):
         B, T, L = 3, 10, 4
         nh = self.CFG.num_heads
         model = init_model(self.CFG, seed=3, dtype=np.float32)
         video, text, tmask = tiny_inputs(B=B, T=T, L=L)
         tmask[1, 3:] = False
-        _, _, cache = model.forward_batch(video, text, tmask, train=train, want_cache=True)
-        per_layer = [(c, T) for c in cache["intra_v"]] + [(c, L) for c in cache["intra_t"]] \
+        _, _, cache = model.forward_batch(video, text, tmask, train=True)
+        per_layer = [(c, T) for c in cache["intra_video"]] + [(c, L) for c in cache["intra_text"]] \
             + [(c, T + L) for c in cache["cross"]]
         assert len(per_layer) == 4
         for layer, S in per_layer:
             attention = [a for a in _leaves(layer) if np.shape(a) == (B, nh, S, S)]
-            # the probabilities, plus the dropout's keep mask when training
-            assert sorted(a.dtype.str for a in attention) == (["<f4", "|b1"] if train else ["<f4"])
+            # the probabilities and the dropout's keep mask
+            assert sorted(a.dtype.str for a in attention) == ["<f4", "|b1"]
 
 
 class TestBackward:
     def _run(self, scale):
         model = init_model(TINY, seed=4, dtype=np.float64)
         video, text, tmask = tiny_inputs()
-        conf, offs, cache = model.forward_batch(
-            video, text, tmask, train=False, want_cache=True)
+        conf, offs, cache = model.forward_batch(video, text, tmask, train=True)
         d_conf = np.full_like(conf, 0.1 * scale)
         d_offs = np.full_like(offs, -0.2 * scale)
         grads, d_video, d_text = model.backward(cache, d_conf, d_offs)
@@ -408,7 +419,7 @@ class TestBackward:
         model = init_model(TINY, seed=4)
         other = init_model(TINY, seed=5)
         video, text, tmask = tiny_inputs()
-        conf, offs, cache = model.forward_batch(video, text, tmask, want_cache=True)
+        conf, offs, cache = model.forward_batch(video, text, tmask, train=True)
         with pytest.raises(InvalidStateError):
             other.backward(cache, np.zeros_like(conf), np.zeros_like(offs))
 
@@ -437,7 +448,7 @@ class TestGradcheck:
     def test_full_training_loss_through_dropout(self):
         model = init_model(replace(TINY, dropout_rate=0.3), seed=42, dtype=np.float64)
         anchor_set = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
-        fn = dropout_training_loss_fn(tiny_training_batch(), anchor_set, TrainConfig(seed=0), seed=5)
+        fn = training_loss_fn(tiny_training_batch(), anchor_set, TrainConfig(seed=0), seed=5)
         report = gradcheck(fn, model, step=1e-5, tolerance=1e-4, num_samples=200, seed=0)
         assert report.num_checked >= 200
         assert report.max_rel_error < 1e-4, report.worst_parameter

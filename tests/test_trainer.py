@@ -76,10 +76,13 @@ def check_against_per_item_oracle(B, T, K, gt_index, threshold, offset_gain, see
         upstream.update(d_conf=d_conf, d_offs=d_offs)
         return backward(cache, d_conf, d_offs)
     model.backward = spy
-    record, grads = batch_loss_and_grads(model, batch, anchors, config, train=False)
+    # each forward draws the same dropout masks from a reseeded generator
+    model._dropout_rng = np.random.default_rng(seed)
+    record, grads = batch_loss_and_grads(model, batch, anchors, config)
 
+    model._dropout_rng = np.random.default_rng(seed)
     conf, offs, cache = model.forward_batch(batch.video, batch.text, batch.text_mask,
-                                            want_cache=True)
+                                            train=True)
     oracle = per_item_objective(conf, offs, batch.gt_index, anchors, config)
     assert_bitwise_equal(upstream["d_conf"], oracle["d_conf"])
     assert_bitwise_equal(upstream["d_offs"], oracle["d_offs"])
@@ -236,7 +239,7 @@ class TestTrainLoop:
             state = OptimizerState.for_model(model)
             first = last = None
             for step in range(50):
-                record, grads = batch_loss_and_grads(model, batch, aset, cfg, train=True)
+                record, grads = batch_loss_and_grads(model, batch, aset, cfg)
                 adam_step(model.params, grads, state, lr, cfg)
                 if first is None:
                     first = record["loss"]
