@@ -2,8 +2,8 @@
 
 One process per invocation; every subcommand is deterministic given its
 inputs, flags and seed.  Exit codes: 0 success, 1 validation error (bad
-flags, bad config, bad file contents), 2 runtime error (divergence, I/O
-failure mid-run).
+flags, bad config, a missing input file, bad file contents), 2 runtime error
+(divergence, I/O failure mid-run).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ class InferenceOptions:
     nms_iou: float = 0.5  # 0 means no suppression
 
     def __post_init__(self):
-        if not isinstance(self.top_k, int) or self.top_k < 1:
+        if self.top_k < 1:
             raise ValueError(f"top_k must be an integer >= 1, got {self.top_k!r}")
         if not 0 <= self.nms_iou <= 1:  # NaN fails the comparison
             raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou!r}")
@@ -76,10 +76,14 @@ _SECTIONS = {
 
 
 def _build_section(cls, payload: dict, section: str):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(payload) - known
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(payload) - set(types)
     if unknown:
         raise CliError(f"config section {section!r} has unknown keys: {sorted(unknown)}")
+    for key, value in payload.items():
+        if types[key] in (int, "int") and type(value) is not int:  # refuses 2.0 and true
+            raise CliError(f"config section {section!r}: {key!r} must be an integer, "
+                           f"got {value!r}")
     if "scales" in payload:
         if not isinstance(payload["scales"], list):
             raise CliError(f"config section {section!r}: 'scales' must be a list")
@@ -94,8 +98,6 @@ def load_run_config(path) -> dict:
     """Parse the unified run-config JSON; unknown keys anywhere are an error."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as e:
-        raise CliError(f"config file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
@@ -151,10 +153,6 @@ def _cmd_train(args) -> int:
     val_dir = args.val or cfg["data"].get("val_dir")
     if not train_dir:
         raise CliError("no training data: pass --data or set data.train_dir in the config")
-    if not Path(train_dir).is_dir():
-        raise CliError(f"training data directory does not exist: {train_dir}")
-    if val_dir and not Path(val_dir).is_dir():
-        raise CliError(f"validation data directory does not exist: {val_dir}")
 
     train_data = load_dataset(train_dir)
     val_data = load_dataset(val_dir) if val_dir else None
@@ -183,10 +181,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     opts = InferenceOptions(top_k=args.topk, nms_iou=args.nms_iou)
-    if not Path(args.ckpt).is_file():
-        raise CliError(f"checkpoint not found: {args.ckpt}")
-    if not Path(args.data).is_dir():
-        raise CliError(f"data directory not found: {args.data}")
     model = load_checkpoint(args.ckpt)
     dataset = load_dataset(args.data)
     target_t = args.frames
@@ -207,8 +201,6 @@ def _cmd_rerank(args) -> int:
     channels = []
     for spec in args.channel:
         path, _, weight = spec.partition(":")
-        if not Path(path).is_file():
-            raise CliError(f"channel file not found: {path}")
         try:
             w = float(weight) if weight else 1.0
         except ValueError:
@@ -342,6 +334,9 @@ def run(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:  # a bad input path
+        print(f"error: {e.strerror}: {e.filename}", file=sys.stderr)
         return 1
     except SystemExit as e:  # argparse --help path
         return int(e.code or 0)

@@ -1,18 +1,19 @@
 """Dataset I/O, key-frame sampling, batching, and the synthetic
 planted-signal generator.
 
-Feature matrices travel in a bit-exact binary container (directory with a
-manifest plus one "EGF1" file per id); annotations are a small JSON schema.
-The synthetic generator plants a per-query signature vector into the frames
-of the ground-truth span through a fixed linear map, so localization is
-solvable only by cross-modal matching, which is exactly the mechanism under
-test.
+Named float32 matrices (frame features, token embeddings, model parameters)
+travel in one bit-exact binary format, the matrix file; annotations are a
+small JSON schema.  The synthetic generator plants a per-query signature
+vector into the frames of the ground-truth span through a fixed linear map,
+so localization is solvable only by cross-modal matching, which is exactly
+the mechanism under test.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,12 +22,13 @@ import numpy as np
 
 from .core import sec_to_index
 
-FEATURE_MAGIC = b"EGF1"
+MATRIX_MAGIC = b"NLQC"
+MATRIX_VERSION = 1
 ANNOTATION_VERSION = "1.0"
 
 
-class FeatureFormatError(ValueError):
-    """Corrupt feature container: bad magic, truncation, manifest mismatch."""
+class MatrixFileError(ValueError):
+    """Malformed matrix file, or one whose contents its reader refuses."""
 
 
 class AnnotationError(ValueError):
@@ -34,78 +36,104 @@ class AnnotationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# feature container
+# matrix file
 # ---------------------------------------------------------------------------
 
 
-def write_features(path, matrices: dict[str, np.ndarray]) -> dict:
-    """Write an id -> matrix map as manifest.json plus one EGF1 file per id.
-
-    File layout: magic "EGF1", u32 LE rows, u32 LE cols, then rows*cols
-    little-endian float32 values in row-major order.
-    """
+def write_matrices(path, matrices: dict[str, np.ndarray], header: dict) -> None:
+    """Write named matrices, in the map's order, as one matrix file: magic
+    "NLQC", u32 LE version, u64 LE header length, a JSON header (`header`'s
+    keys, then "manifest": {name, rows, cols, offset} per matrix, offsets
+    counted from the header's end), then the row-major LE float32 payloads.
+    The file is written beside `path` and renamed over it, so a failed write
+    leaves the previous file intact."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    manifest = {}
-    for mid in sorted(matrices):
-        m = np.ascontiguousarray(matrices[mid], dtype="<f4")
-        if m.ndim != 2:
-            raise ValueError(f"feature matrix {mid!r} must be 2-D, got shape {m.shape}")
+    manifest, payloads, offset = [], [], 0
+    for name, m in matrices.items():
+        raw = np.ascontiguousarray(m, dtype="<f4")
+        if raw.ndim != 2 or 0 in raw.shape:
+            raise ValueError(f"{path}: matrix {name!r} must be 2-D with at least one row "
+                             f"and one column, got shape {raw.shape}")
+        manifest.append(dict(name=name, rows=raw.shape[0], cols=raw.shape[1], offset=offset))
+        payloads.append(raw)
+        offset += raw.nbytes
+    blob = json.dumps({**header, "manifest": manifest}).encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MATRIX_MAGIC + struct.pack("<IQ", MATRIX_VERSION, len(blob)) + blob)
+            for raw in payloads:
+                f.write(raw.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def read_matrices(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(header less its manifest, name -> matrix) of a matrix file.  Each
+    entry must lie inside the payloads, which are read into one buffer and
+    copied out per matrix.  Every error names the file, and the manifest
+    entry where there is one."""
+    path = Path(path)
+    with open(path, "rb") as f:
+        head = f.read(16)
+        if head[:4] != MATRIX_MAGIC:
+            raise MatrixFileError(f"{path}: bad magic {head[:4]!r}, expected {MATRIX_MAGIC!r}")
+        if len(head) < 16:
+            raise MatrixFileError(f"{path}: truncated header")
+        version, header_len = struct.unpack_from("<IQ", head, 4)
+        if version != MATRIX_VERSION:
+            raise MatrixFileError(f"{path}: unsupported format version {version}")
+        raw = f.read(header_len)
+        if len(raw) < header_len:
+            raise MatrixFileError(f"{path}: truncated JSON header")
+        payload = f.read()
+    try:
+        header = json.loads(raw)
+    except ValueError as e:  # undecodable bytes or bad JSON
+        raise MatrixFileError(f"{path}: invalid JSON header: {e}") from e
+    manifest = header.pop("manifest", None) if isinstance(header, dict) else None
+    if not isinstance(manifest, list):
+        raise MatrixFileError(f"{path}: the JSON header is not an object with a manifest list")
+    matrices: dict[str, np.ndarray] = {}
+    for i, entry in enumerate(manifest):
+        try:
+            name, rows, cols, offset = entry["name"], entry["rows"], entry["cols"], entry["offset"]
+        except (KeyError, TypeError):
+            raise MatrixFileError(f"{path}: malformed manifest entry {i}: {entry!r}") from None
+        if not isinstance(name, str) or name in matrices:
+            raise MatrixFileError(f"{path}: manifest entry {i} has a bad or repeated name {name!r}")
+        where = f"{path} (id {name!r})"
+        if type(rows) is not int or type(cols) is not int or rows < 1 or cols < 1:
+            raise MatrixFileError(f"{where}: size {rows!r}x{cols!r} is not at least 1x1")
+        if type(offset) is not int or offset < 0:
+            raise MatrixFileError(f"{where}: offset {offset!r} is not an integer >= 0")
+        if offset + rows * cols * 4 > len(payload):
+            raise MatrixFileError(f"{where}: payload truncated")
+        flat = np.frombuffer(payload, "<f4", rows * cols, offset)
+        matrices[name] = flat.reshape(rows, cols).copy()
+    return header, matrices
+
+
+def write_features(path, matrices: dict[str, np.ndarray]) -> None:
+    """Write an id -> matrix map of finite values, in id order."""
+    matrices = {mid: np.asarray(matrices[mid], dtype="<f4") for mid in sorted(matrices)}
+    for mid, m in matrices.items():
         if not np.isfinite(m).all():
-            raise ValueError(f"feature matrix {mid!r} contains NaN/Inf")
-        fname = f"{mid}.egf"
-        with open(path / fname, "wb") as f:
-            f.write(FEATURE_MAGIC)
-            f.write(struct.pack("<II", m.shape[0], m.shape[1]))
-            f.write(m.tobytes())
-        manifest[mid] = fname
-    with open(path / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump({"version": ANNOTATION_VERSION, "files": manifest}, f, indent=2, sort_keys=True)
-    return manifest
+            raise ValueError(f"{path}: feature matrix {mid!r} contains NaN/Inf")
+    write_matrices(path, matrices, {})
 
 
 def read_features(path) -> dict[str, np.ndarray]:
-    """Read a container written by `write_features`.
-
-    The manifest must be a JSON object whose 'files' maps each id to a plain
-    file name inside the directory, and every payload must be finite.  Each
-    error names the manifest or the file, and the id.
-    """
-    path = Path(path)
-    manifest_path = path / "manifest.json"
-    if not manifest_path.exists():
-        raise FeatureFormatError(f"missing manifest.json under {path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as e:  # undecodable bytes or bad JSON
-        raise FeatureFormatError(f"{manifest_path}: not valid JSON: {e}") from e
-    files = manifest.get("files") if isinstance(manifest, dict) else None
-    if not isinstance(files, dict):
-        raise FeatureFormatError(f"{manifest_path}: 'files' must map ids to file names")
-    out: dict[str, np.ndarray] = {}
-    for mid, fname in files.items():
-        if not isinstance(fname, str) or fname in ("", "..") or Path(fname).name != fname:
-            raise FeatureFormatError(
-                f"{manifest_path}: id {mid!r} names {fname!r}, not a file name inside {path}")
-        fpath = path / fname
-        if not fpath.exists():
-            raise FeatureFormatError(
-                f"{manifest_path} names {fname} for id {mid!r} but the file is missing")
-        where = f"{fpath} (id {mid!r})"
-        blob = fpath.read_bytes()
-        if blob[:4] != FEATURE_MAGIC:
-            raise FeatureFormatError(f"{where}: bad magic {blob[:4]!r}")
-        if len(blob) < 12:
-            raise FeatureFormatError(f"{where}: truncated header")
-        rows, cols = struct.unpack_from("<II", blob, 4)
-        expected = 12 + rows * cols * 4
-        if len(blob) != expected:
-            raise FeatureFormatError(
-                f"{where}: payload size {len(blob)} != expected {expected} for {rows}x{cols}")
-        out[mid] = np.frombuffer(blob, dtype="<f4", offset=12).reshape(rows, cols).copy()
-        if not np.isfinite(out[mid]).all():
-            raise FeatureFormatError(f"{where}: payload holds NaN or Inf")
-    return out
+    """Read `write_features` output; a NaN or Inf names the file and id."""
+    _, matrices = read_matrices(path)
+    for mid, m in matrices.items():
+        if not np.isfinite(m).all():
+            raise MatrixFileError(f"{path} (id {mid!r}): payload holds NaN or Inf")
+    return matrices
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +390,12 @@ def split_dataset(dataset: Dataset, train_videos: int) -> tuple[Dataset, Dataset
 
 def save_dataset(dataset: Dataset, out_dir) -> None:
     """Materialize a dataset as the on-disk layout consumed by the CLI:
-    video_features/ and text_features/ containers plus annotations.json."""
+    annotations.json plus the matrix files video_features.nlqc and
+    text_features.nlqc."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_features(out_dir / "video_features", dataset.video_features)
-    write_features(out_dir / "text_features", dataset.text_features)
+    write_features(out_dir / "video_features.nlqc", dataset.video_features)
+    write_features(out_dir / "text_features.nlqc", dataset.text_features)
     by_video: dict[str, list] = {vid: [] for vid in dataset.video_features}
     for a in dataset.annotations:
         by_video.setdefault(a.video_id, []).append({
@@ -386,16 +415,16 @@ def _read_one_width(path) -> dict[str, np.ndarray]:
     first_id = next(iter(matrices), None)
     for mid, m in matrices.items():
         if m.shape[1] != matrices[first_id].shape[1]:
-            raise FeatureFormatError(f"{path}: id {mid!r} has {m.shape[1]} columns, but id "
-                                     f"{first_id!r} has {matrices[first_id].shape[1]}")
+            raise MatrixFileError(f"{path}: id {mid!r} has {m.shape[1]} columns, but id "
+                                  f"{first_id!r} has {matrices[first_id].shape[1]}")
     return matrices
 
 
 def load_dataset(data_dir) -> Dataset:
     data_dir = Path(data_dir)
     annotations, durations = read_annotations(data_dir / "annotations.json")
-    video_features = _read_one_width(data_dir / "video_features")
-    text_features = _read_one_width(data_dir / "text_features")
+    video_features = _read_one_width(data_dir / "video_features.nlqc")
+    text_features = _read_one_width(data_dir / "text_features.nlqc")
     for a in annotations:
         if a.video_id not in video_features:
             raise AnnotationError(f"annotation {a.query_id!r} references missing video {a.video_id!r}")

@@ -1,4 +1,4 @@
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .model import (
     CONF_EPS,
     EncoderConfig,
@@ -11,7 +11,6 @@ from .model import (
 
 __all__ = [
     "CONF_EPS",
-    "CheckpointError",
     "EncoderConfig",
     "GroundingModel",
     "InvalidStateError",

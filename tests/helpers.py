@@ -215,15 +215,20 @@ def erf_gelu(x):
     return x * phi, phi
 
 
-def edit_checkpoint_header(path, edit):
-    """Rewrite a saved checkpoint's JSON header through `edit`, keeping the
+def matrix_file_bytes(raw_header: bytes, payload: bytes = b"") -> bytes:
+    """A matrix file (magic, version 1, header length) around these header
+    bytes and this payload, however malformed either is."""
+    return b"NLQC" + struct.pack("<IQ", 1, len(raw_header)) + raw_header + payload
+
+
+def edit_matrix_header(path, edit):
+    """Rewrite a matrix file's JSON header through `edit`, keeping the
     payload."""
     blob = path.read_bytes()
     (n,) = struct.unpack_from("<Q", blob, 8)
     header = json.loads(blob[16:16 + n])
     edit(header)
-    raw = json.dumps(header).encode("utf-8")
-    path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + n:])
+    path.write_bytes(matrix_file_bytes(json.dumps(header).encode("utf-8"), blob[16 + n:]))
 
 
 def tiny_training_batch(T=8, L=4, seed=9):

@@ -234,8 +234,8 @@ def test_criterion_9_format_round_trips(tmp_path):
     rng = np.random.default_rng(77)
     mats = {f"m{i}": rng.normal(size=(int(rng.integers(1, 40)), int(rng.integers(1, 24))))
             .astype(np.float32) for i in range(5)}
-    write_features(tmp_path / "feat", mats)
-    feats_ok = all(np.array_equal(read_features(tmp_path / "feat")[k], mats[k]) for k in mats)
+    write_features(tmp_path / "feat.nlqc", mats)
+    feats_ok = all(np.array_equal(read_features(tmp_path / "feat.nlqc")[k], mats[k]) for k in mats)
 
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
                         video_input_dim=5, text_input_dim=3, num_scales=2)

@@ -1,5 +1,4 @@
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -7,13 +6,20 @@ import pytest
 
 from nlqground.anchors import AnchorConfig, build_lattice
 from nlqground.cli import run
-from nlqground.data import load_dataset, make_batches, read_annotations
+from nlqground.data import (
+    load_dataset,
+    make_batches,
+    read_annotations,
+    read_features,
+    write_matrices,
+)
 from nlqground.inference import decode_proposals, select_proposals
 from nlqground.nn import load_checkpoint
 from helpers import (
     brute_force_decode,
     brute_force_selection,
-    edit_checkpoint_header,
+    edit_matrix_header,
+    matrix_file_bytes,
     per_item_decode,
 )
 
@@ -164,6 +170,23 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert all(name in err for name in named)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "epochs", 1.5), ("train", "batch_size", 2.5), ("train", "seed", 1.5),
+        ("encoder", "hidden_dim", 8.0), ("encoder", "cross_layers", 1.0),
+        ("anchors", "num_frames", 16.0), ("train", "epochs", True), ("train", "seed", True),
+        ("inference", "top_k", True), ("train", "warmup_steps", 2.5)])
+    def test_non_integer_for_integer_field_names_section_and_key(self, pipeline, tmp_path,
+                                                                capsys, section, key, value):
+        doc = json.loads(pipeline["cfg"].read_text())
+        doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"config section {section!r}: {key!r} must be an integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_dir_rejected(self, pipeline, tmp_path):
         code = run(["train", "--config", str(pipeline["cfg"]),
                     "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -203,48 +226,80 @@ class TestPredictCommand:
                                                                    capsys):
         ckpt = tmp_path / "m.nlqc"
         ckpt.write_bytes((pipeline["out"] / "checkpoint_best.nlqc").read_bytes())
-        edit_checkpoint_header(ckpt, lambda h: h["manifest"].pop(0))
+        edit_matrix_header(ckpt, lambda h: h["manifest"].pop(0))
         code = run(["predict", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
                     "--out", str(tmp_path / "p.jsonl"), "--frames", "20", "--scales", "0.15,0.4"])
         assert code == 1
         assert f"{ckpt}: parameter 'video_proj.w' missing" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("mutation", ["no_files", "list_files", "not_json", "outside_dir",
-                                          "nan_payload", "wider_matrix"])
-    def test_bad_feature_container_names_file_and_id(self, pipeline, tmp_path, capsys,
-                                                     mutation):
+    @staticmethod
+    def copy_data(pipeline, tmp_path) -> Path:
         data = tmp_path / "data"
         for name, blob in files_snapshot(pipeline["data"]).items():
             (data / name).parent.mkdir(parents=True, exist_ok=True)
             (data / name).write_bytes(blob)
-        manifest_path = data / "text_features" / "manifest.json"
-        *_, (qid, fname) = json.loads(manifest_path.read_text())["files"].items()
-        egf = manifest_path.parent / fname
-        rows, cols = struct.unpack_from("<II", egf.read_bytes(), 4)
-        named = [str(manifest_path)]
+        return data
+
+    @staticmethod
+    def predict(pipeline, data, tmp_path) -> int:
+        return run(["predict", "--ckpt", str(pipeline["out"] / "checkpoint_best.nlqc"),
+                    "--data", str(data), "--out", str(tmp_path / "p.jsonl"),
+                    "--frames", "20", "--scales", "0.15,0.4"])
+
+    @pytest.mark.parametrize("mutation", [
+        "no_files",  # the header has no manifest
+        "list_files",  # the manifest is not a list
+        "not_json",  # the header is not JSON
+        "outside_dir",  # the last entry reaches past the end of the file
+        "nan_payload", "wider_matrix"])
+    def test_bad_feature_container_names_file_and_id(self, pipeline, tmp_path, capsys,
+                                                     mutation):
+        data = self.copy_data(pipeline, tmp_path)
+        path = data / "text_features.nlqc"
+        mats = read_features(path)
+        *_, qid = mats
+        rows, cols = mats[qid].shape
+        named = [str(path)]
         if mutation == "no_files":
-            manifest_path.write_text('{"version": "1.0"}')
+            edit_matrix_header(path, lambda h: h.pop("manifest"))
         elif mutation == "list_files":
-            manifest_path.write_text(json.dumps({"files": [fname]}))
+            edit_matrix_header(path, lambda h: h.update(manifest={qid: h["manifest"][-1]}))
         elif mutation == "not_json":
-            manifest_path.write_text('{"files": {')
+            path.write_bytes(matrix_file_bytes(b'{"manifest": [', bytes(4 * rows * cols)))
             named.append("line 1")
         elif mutation == "outside_dir":
-            manifest_path.write_text(json.dumps({"files": {qid: "../annotations.json"}}))
-            named.append(repr(qid))
+            edit_matrix_header(path, lambda h: h["manifest"][-1].update(rows=rows + 1))
+            named.append(f"(id {qid!r}): payload truncated")
         else:
             bad = np.zeros((rows, cols + (mutation == "wider_matrix")), dtype="<f4")
             bad[0, 0] = np.nan if mutation == "nan_payload" else 0.0
-            egf.write_bytes(b"EGF1" + struct.pack("<II", *bad.shape) + bad.tobytes())
-            named = ([f"{egf} (id {qid!r})"] if mutation == "nan_payload"
-                     else [str(egf.parent), repr(qid)])
-        code = run(["predict", "--ckpt", str(pipeline["out"] / "checkpoint_best.nlqc"),
-                    "--data", str(data), "--out", str(tmp_path / "p.jsonl"),
-                    "--frames", "20", "--scales", "0.15,0.4"])
-        assert code == 1
+            write_matrices(path, {**mats, qid: bad}, {})
+            named = ([f"{path} (id {qid!r})"] if mutation == "nan_payload"
+                     else [str(path), repr(qid)])
+        assert self.predict(pipeline, data, tmp_path) == 1
         err = capsys.readouterr().err
         assert all(name in err for name in named), err
+
+    @pytest.mark.parametrize("name", ["text_features.nlqc", "video_features.nlqc"])
+    def test_zero_row_matrix_names_file_and_id(self, pipeline, tmp_path, capsys, name):
+        data = self.copy_data(pipeline, tmp_path)
+        path = data / name
+        mats = read_features(path)
+        *_, mid = mats
+        edit_matrix_header(path, lambda h: h["manifest"][-1].update(rows=0))
+        path.write_bytes(path.read_bytes()[:-mats[mid].nbytes])
+        assert self.predict(pipeline, data, tmp_path) == 1
+        assert f"{path} (id {mid!r}): size 0x{mats[mid].shape[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("missing", ["annotations.json", "video_features.nlqc",
+                                         "text_features.nlqc"])
+    def test_missing_dataset_file_names_path(self, pipeline, tmp_path, capsys, missing):
+        data = self.copy_data(pipeline, tmp_path)
+        (data / missing).unlink()
+        assert self.predict(pipeline, data, tmp_path) == 1
+        assert str(data / missing) in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
 
 
 class TestSelectionIdentity:
@@ -587,6 +642,27 @@ class TestRerankCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--preds"), ("eval", "--annotations"), ("rerank", "--preds"),
+        ("rerank", "--channel"), ("predict", "--ckpt"), ("train", "--config"),
+        ("train", "--data")])
+    def test_missing_input_file_names_path(self, pipeline, tmp_path, capsys, command, flag):
+        out = str(tmp_path / "o")
+        given = {
+            "eval": {"--preds": pipeline["preds"],
+                     "--annotations": pipeline["data"] / "annotations.json"},
+            "rerank": {"--preds": pipeline["preds"], "--channel": pipeline["preds"],
+                       "--out": out},
+            "predict": {"--ckpt": pipeline["out"] / "checkpoint_best.nlqc",
+                        "--data": pipeline["data"], "--out": out},
+            "train": {"--config": pipeline["cfg"], "--data": pipeline["data"], "--out": out},
+        }[command]
+        nope = tmp_path / "nope"
+        argv = [command] + [str(x) for f, v in given.items() for x in (f, nope if f == flag else v)]
+        assert run(argv) == 1
+        assert str(nope) in capsys.readouterr().err
+        assert not Path(out).exists()
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
 

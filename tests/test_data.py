@@ -1,12 +1,13 @@
 import json
-import struct
+import re
 
 import numpy as np
 import pytest
+from helpers import edit_matrix_header, matrix_file_bytes
 
 from nlqground.data import (
     AnnotationError,
-    FeatureFormatError,
+    MatrixFileError,
     QueryAnnotation,
     SyntheticSpec,
     generate_synthetic,
@@ -21,87 +22,133 @@ from nlqground.data import (
 )
 
 
+def two_matrices(path, m_shape=(2, 3)):
+    """Write 'a' (1x3 ones) then 'm' (zeros) as a feature file; return its path."""
+    write_features(path, {"a": np.ones((1, 3), dtype=np.float32),
+                          "m": np.zeros(m_shape, dtype=np.float32)})
+    return path
+
+
 class TestFeatureCodec:
     def test_round_trip_bitwise(self, tmp_path):
         rng = np.random.default_rng(0)
         mats = {"a": rng.normal(size=(7, 3)).astype(np.float32),
                 "b": rng.normal(size=(1, 9)).astype(np.float32)}
-        write_features(tmp_path / "f", mats)
-        back = read_features(tmp_path / "f")
+        write_features(tmp_path / "f.nlqc", mats)
+        back = read_features(tmp_path / "f.nlqc")
         assert back.keys() == mats.keys()
         for k in mats:
             np.testing.assert_array_equal(back[k], mats[k])
 
     def test_file_size_arithmetic(self, tmp_path):
-        write_features(tmp_path / "f", {"m": np.zeros((2, 3), dtype=np.float32)})
-        # magic + rows + cols + 6 floats = 4 + 4 + 4 + 24
-        assert (tmp_path / "f" / "m.egf").stat().st_size == 36
+        path = tmp_path / "f.nlqc"
+        write_features(path, {"m": np.zeros((2, 3), dtype=np.float32)})
+        header = b'{"manifest": [{"name": "m", "rows": 2, "cols": 3, "offset": 0}]}'
+        assert path.read_bytes()[16:16 + len(header)] == header
+        # magic + version + header length + header + 6 floats
+        assert path.stat().st_size == 4 + 4 + 8 + len(header) + 24
 
     def test_bad_magic_rejected(self, tmp_path):
-        write_features(tmp_path / "f", {"m": np.zeros((2, 3), dtype=np.float32)})
-        p = tmp_path / "f" / "m.egf"
-        blob = bytearray(p.read_bytes())
-        blob[3] = ord("2")  # EGF1 -> EGF2
-        p.write_bytes(bytes(blob))
-        with pytest.raises(FeatureFormatError, match="m"):
-            read_features(tmp_path / "f")
+        path = two_matrices(tmp_path / "f.nlqc")
+        blob = bytearray(path.read_bytes())
+        blob[3] = ord("X")  # NLQC -> NLQX
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MatrixFileError, match=f"{re.escape(str(path))}: bad magic"):
+            read_features(path)
+
+    @pytest.mark.parametrize("mutate, named", [
+        (lambda b: b[:4] + (2).to_bytes(4, "little") + b[8:], "unsupported format version 2"),
+        (lambda b: b[:10], "truncated header"),
+        (lambda b: b[:30], "truncated JSON header"),
+    ], ids=["version", "short_file", "short_header"])
+    def test_foreign_or_truncated_header_names_file(self, tmp_path, mutate, named):
+        path = two_matrices(tmp_path / "f.nlqc")
+        path.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(MatrixFileError, match=f"{re.escape(str(path))}: {named}"):
+            read_features(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        write_features(tmp_path / "f", {"m": np.zeros((2, 3), dtype=np.float32)})
-        p = tmp_path / "f" / "m.egf"
-        p.write_bytes(p.read_bytes()[:-4])
-        with pytest.raises(FeatureFormatError):
-            read_features(tmp_path / "f")
+        path = two_matrices(tmp_path / "f.nlqc")
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(MatrixFileError) as info:
+            read_features(path)
+        assert f"{path} (id 'm'): payload truncated" in str(info.value)
 
     def test_manifest_mismatch_rejected(self, tmp_path):
-        write_features(tmp_path / "f", {"m": np.zeros((2, 3), dtype=np.float32)})
-        (tmp_path / "f" / "m.egf").unlink()
-        with pytest.raises(FeatureFormatError, match="m"):
-            read_features(tmp_path / "f")
+        # an entry that reaches past the end of the payload
+        path = two_matrices(tmp_path / "f.nlqc")
+        edit_matrix_header(path, lambda h: h["manifest"][1].update(rows=3))
+        with pytest.raises(MatrixFileError) as info:
+            read_features(path)
+        assert f"{path} (id 'm'): payload truncated" in str(info.value)
 
     def test_nan_rejected_at_write(self, tmp_path):
         bad = np.full((2, 2), np.nan, dtype=np.float32)
         with pytest.raises(ValueError):
-            write_features(tmp_path / "f", {"m": bad})
+            write_features(tmp_path / "f.nlqc", {"m": bad})
 
-    @pytest.mark.parametrize("manifest, named", [
-        ('{"version": "1.0"}', "'files'"),
-        ('{"files": ["m.egf"]}', "'files'"),
-        ('{"files": {"m": "m.egf"', "line 1"),
-        ('{"files": {"m": "../annotations.json"}}', "id 'm'"),
-        ('{"files": {"m": "ROOT/annotations.json"}}', "id 'm'"),
-        ('{"files": {"m": ".."}}', "id 'm'"),
-    ], ids=["no_files", "list_files", "not_json", "parent_dir", "absolute", "dotdot"])
-    def test_bad_manifest_names_manifest(self, tmp_path, manifest, named):
-        write_features(tmp_path / "f", {"m": np.zeros((2, 3), dtype=np.float32)})
-        (tmp_path / "annotations.json").write_bytes(b"EGF1" + bytes(8))  # a valid empty matrix
-        (tmp_path / "f" / "manifest.json").write_text(manifest.replace("ROOT", str(tmp_path)))
-        with pytest.raises(FeatureFormatError) as info:
-            read_features(tmp_path / "f")
-        assert str(tmp_path / "f" / "manifest.json") in str(info.value)
+    @pytest.mark.parametrize("raw, named", [
+        (b'{"version": "1.0"}', "manifest list"),  # no manifest
+        (b'{"manifest": {"m": {"rows": 2}}}', "manifest list"),  # not a list
+        (b'{"manifest": [', "line 1"),  # not JSON
+    ], ids=["no_files", "list_files", "not_json"])
+    def test_bad_manifest_names_manifest(self, tmp_path, raw, named):
+        path = tmp_path / "f.nlqc"
+        path.write_bytes(matrix_file_bytes(raw, bytes(24)))
+        with pytest.raises(MatrixFileError) as info:
+            read_features(path)
+        assert str(path) in str(info.value)
         assert named in str(info.value)
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: m[1].pop("offset"), "malformed manifest entry 1"),
+        (lambda m: m[1].update(name="a"), "manifest entry 1 has a bad or repeated name 'a'"),
+        (lambda m: m[1].update(name=7), "manifest entry 1 has a bad or repeated name 7"),
+        (lambda m: m[1].update(cols=3.0), "(id 'm'): size 2x3.0"),
+        (lambda m: m[1].update(offset=-4), "(id 'm'): offset -4 is not an integer >= 0"),
+        (lambda m: m[1].update(offset=16), "(id 'm'): payload truncated"),
+    ], ids=["no_offset", "repeated_name", "int_name", "float_cols", "negative_offset",
+            "past_payload"])
+    def test_bad_manifest_entry_names_file_and_entry(self, tmp_path, edit, named):
+        path = two_matrices(tmp_path / "f.nlqc")
+        edit_matrix_header(path, lambda h: edit(h["manifest"]))
+        with pytest.raises(MatrixFileError) as info:
+            read_features(path)
+        assert f"{path}" in str(info.value) and named in str(info.value)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+    def test_zero_size_matrix_refused_on_write_and_read(self, tmp_path, shape):
+        path = tmp_path / "f.nlqc"
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: matrix 'm' must be 2-D"):
+            two_matrices(path, shape)
+        assert not path.exists()
+        two_matrices(path)
+        edit_matrix_header(path, lambda h: h["manifest"][1].update(rows=shape[0], cols=shape[1]))
+        path.write_bytes(path.read_bytes()[:-24])
+        with pytest.raises(MatrixFileError) as info:
+            read_features(path)
+        assert f"{path} (id 'm'): size {shape[0]}x{shape[1]} is not at least 1x1" in str(info.value)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_payload_names_file_and_id(self, tmp_path, value):
-        write_features(tmp_path / "f", {"m": np.zeros((2, 3), dtype=np.float32)})
-        p = tmp_path / "f" / "m.egf"
-        blob = bytearray(p.read_bytes())
+        path = two_matrices(tmp_path / "f.nlqc")
+        blob = bytearray(path.read_bytes())
         blob[-4:] = np.array([value], dtype="<f4").tobytes()
-        p.write_bytes(bytes(blob))
-        with pytest.raises(FeatureFormatError, match="NaN or Inf") as info:
-            read_features(tmp_path / "f")
-        assert f"{p} (id 'm')" in str(info.value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(MatrixFileError, match="NaN or Inf") as info:
+            read_features(path)
+        assert f"{path} (id 'm')" in str(info.value)
 
     def test_dataset_column_count_differs_names_container_and_both_ids(self, tmp_path):
-        # a container may mix widths; a dataset's batches need one
+        # a feature file may mix widths; a dataset's batches need one
         ds = generate_synthetic(SyntheticSpec(num_videos=2, frames_per_video=8, feature_dim=3,
                                               text_dim=2, tokens_per_query=2, seed=0))
         save_dataset(ds, tmp_path / "d")
-        feats = tmp_path / "d" / "text_features"
-        files = json.loads((feats / "manifest.json").read_text())["files"]
-        (first, _), *_, (qid, fname) = files.items()
-        (feats / fname).write_bytes(b"EGF1" + struct.pack("<II", 2, 3) + bytes(24))
-        with pytest.raises(FeatureFormatError) as info:
+        feats = tmp_path / "d" / "text_features.nlqc"
+        mats = read_features(feats)
+        first, *_, qid = mats
+        write_features(feats, {**mats, qid: np.zeros((2, 3), dtype=np.float32)})
+        with pytest.raises(MatrixFileError) as info:
             load_dataset(tmp_path / "d")
         assert str(info.value) == f"{feats}: id {qid!r} has 3 columns, but id {first!r} has 2"
 
@@ -320,6 +367,8 @@ class TestSyntheticGeneration:
     def test_disk_round_trip(self, tmp_path):
         ds = generate_synthetic(self.spec)
         save_dataset(ds, tmp_path / "d")
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            "annotations.json", "text_features.nlqc", "video_features.nlqc"]
         back = load_dataset(tmp_path / "d")
         assert back.annotations == ds.annotations
         for k in ds.video_features:

@@ -1,6 +1,7 @@
 """Module boundaries inside the package, read from the source with `ast`:
 no module imports another module's private name, no function imports
-anything, and `evaluation` depends only on `core` and `data`."""
+anything, `evaluation` depends only on `core` and `data`, and only `data`
+reads or writes binary layouts (`struct`)."""
 
 import ast
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import nlqground
 
-SOURCES = sorted(Path(nlqground.__file__).parent.rglob("*.py"))
+PACKAGE = Path(nlqground.__file__).parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
 
 
 def package_imports(source: str) -> list[tuple[str, str]]:
@@ -21,6 +23,17 @@ def package_imports(source: str) -> list[tuple[str, str]]:
                 node.level > 0 or (node.module or "").split(".")[0] == "nlqground"):
             module = "." * node.level + (node.module or "")
             found += [(module, alias.name) for alias in node.names]
+    return found
+
+
+def top_level_imports(source: str) -> set[str]:
+    """First component of every absolute module an import statement names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
     return found
 
 
@@ -52,8 +65,21 @@ def test_no_module_imports_a_private_name(path):
 
 
 def test_evaluation_depends_only_on_core_and_data():
-    source = (Path(nlqground.__file__).parent / "evaluation.py").read_text(encoding="utf-8")
+    source = (PACKAGE / "evaluation.py").read_text(encoding="utf-8")
     assert {module for module, _ in package_imports(source)} <= {".core", ".data"}
+
+
+def test_top_level_import_checker_sees_both_forms():
+    source = ("import os.path\n"
+              "from struct import pack\n"
+              "from .data import write_matrices\n")
+    assert top_level_imports(source) == {"os", "struct"}
+
+
+def test_only_data_imports_struct():
+    importers = [path.relative_to(PACKAGE).as_posix() for path in SOURCES
+                 if "struct" in top_level_imports(path.read_text(encoding="utf-8"))]
+    assert importers == ["data.py"]
 
 
 def test_function_import_checker_flags_nested_imports():

@@ -1,4 +1,5 @@
 import errno
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import (
     assert_bitwise_equal,
-    edit_checkpoint_header,
+    edit_matrix_header,
     erf_gelu,
     gradcheck,
     num_parameters,
@@ -31,8 +32,9 @@ from nlqground.nn import (
     save_checkpoint,
     sinusoidal_positions,
 )
-from nlqground.nn import checkpoint, layers
-from nlqground.nn.checkpoint import CheckpointError
+from nlqground import data
+from nlqground.data import MatrixFileError, write_features
+from nlqground.nn import layers
 from nlqground.nn.layers import (
     dropout_backward,
     dropout_forward,
@@ -496,10 +498,19 @@ class TestCheckpoint:
         for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
 
+    def test_header_holds_config_seed_and_manifest_in_order(self, tmp_path):
+        path = tmp_path / "m.nlqc"
+        save_checkpoint(init_model(TINY, seed=8), path)
+        blob = path.read_bytes()
+        header = json.loads(blob[16:16 + int.from_bytes(blob[8:16], "little")])
+        assert list(header) == ["config", "seed", "manifest"]
+        assert header["seed"] == 8
+        assert [e["name"] for e in header["manifest"]] == [n for n, _, _ in parameter_shapes(TINY)]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "m.nlqc"
         path.write_bytes(b"XLQC" + b"\x00" * 64)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(MatrixFileError):
             load_checkpoint(path)
 
     def test_truncated_payload_rejected(self, tmp_path):
@@ -508,7 +519,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         blob = path.read_bytes()
         path.write_bytes(blob[:-40])
-        with pytest.raises(CheckpointError):
+        with pytest.raises(MatrixFileError):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit, named", [
@@ -521,14 +532,18 @@ class TestCheckpoint:
     def test_bad_header_names_path_and_offender(self, tmp_path, edit, named):
         path = tmp_path / "m.nlqc"
         save_checkpoint(init_model(TINY, seed=8), path)
-        edit_checkpoint_header(path, edit)
-        with pytest.raises(CheckpointError) as info:
+        edit_matrix_header(path, edit)
+        with pytest.raises(MatrixFileError) as info:
             load_checkpoint(path)
         assert str(path) in str(info.value) and named in str(info.value)
 
-    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("write", [
+        lambda path, seed: save_checkpoint(init_model(TINY, seed=seed), path),
+        lambda path, seed: write_features(path, init_model(TINY, seed=seed).params),
+    ], ids=["save_checkpoint", "write_features"])
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, monkeypatch, write):
         path = tmp_path / "m.nlqc"
-        save_checkpoint(init_model(TINY, seed=8), path)
+        write(path, 8)
         before = path.read_bytes()
 
         class DiskFull:
@@ -550,9 +565,9 @@ class TestCheckpoint:
             def __exit__(self, *exc):
                 self.f.close()
 
-        monkeypatch.setattr(checkpoint, "open", lambda p, mode: DiskFull(open(p, mode)),
+        monkeypatch.setattr(data, "open", lambda p, mode: DiskFull(open(p, mode)),
                             raising=False)
         with pytest.raises(OSError):
-            save_checkpoint(init_model(TINY, seed=9), path)
+            write(path, 9)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]
