@@ -75,8 +75,8 @@ def write_matrices(path, matrices: dict[str, np.ndarray], header: dict) -> None:
 def read_matrices(path) -> tuple[dict, dict[str, np.ndarray]]:
     """(header less its manifest, name -> matrix) of a matrix file.  Each
     entry must lie inside the payloads, which are read into one buffer and
-    copied out per matrix.  Every error names the file, and the manifest
-    entry where there is one."""
+    copied out per matrix, and hold finite values only.  Every error names
+    the file, and the manifest entry where there is one."""
     path = Path(path)
     with open(path, "rb") as f:
         head = f.read(16)
@@ -114,6 +114,8 @@ def read_matrices(path) -> tuple[dict, dict[str, np.ndarray]]:
         if offset + rows * cols * 4 > len(payload):
             raise MatrixFileError(f"{where}: payload truncated")
         flat = np.frombuffer(payload, "<f4", rows * cols, offset)
+        if not np.isfinite(flat).all():
+            raise MatrixFileError(f"{where}: payload holds NaN or Inf")
         matrices[name] = flat.reshape(rows, cols).copy()
     return header, matrices
 
@@ -128,12 +130,8 @@ def write_features(path, matrices: dict[str, np.ndarray]) -> None:
 
 
 def read_features(path) -> dict[str, np.ndarray]:
-    """Read `write_features` output; a NaN or Inf names the file and id."""
-    _, matrices = read_matrices(path)
-    for mid, m in matrices.items():
-        if not np.isfinite(m).all():
-            raise MatrixFileError(f"{path} (id {mid!r}): payload holds NaN or Inf")
-    return matrices
+    """Read `write_features` output."""
+    return read_matrices(path)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +439,8 @@ def load_dataset(data_dir) -> Dataset:
 
 @dataclass
 class Batch:
-    video: np.ndarray  # (B, T, Dv) float32, every frame valid
+    videos: np.ndarray  # (U, T, Dv) float32, each distinct video once, first-seen order
+    video_rows: np.ndarray  # (B,) intp, each item's row of `videos`
     text: np.ndarray  # (B, Lmax, Dt) float32, zero-padded
     text_mask: np.ndarray  # (B, Lmax) bool
     gt_index: np.ndarray  # (B, 2) float64, index units
@@ -456,8 +455,9 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
     list keyed by (shuffle_seed, epoch).
 
     Videos are resampled to exactly target_t rows (sampled once per video and
-    reused); ground truth is converted to index units on each video's
-    timeline of target_t frames over its duration.
+    reused), and a batch carries each distinct video once however many of
+    its queries it holds; ground truth is converted to index units on each
+    video's timeline of target_t frames over its duration.
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -472,22 +472,23 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
         chunk = [dataset.annotations[i] for i in order[start:start + batch_size]]
         b = len(chunk)
         lmax = max(dataset.text_features[a.query_id].shape[0] for a in chunk)
-        dv = next(iter(dataset.video_features.values())).shape[1]
         dt = next(iter(dataset.text_features.values())).shape[1]
-        video = np.zeros((b, target_t, dv), dtype=np.float32)
         text = np.zeros((b, lmax, dt), dtype=np.float32)
         text_mask = np.zeros((b, lmax), dtype=bool)
+        rows: dict[str, int] = {}  # video id -> its row of `videos`
         for j, a in enumerate(chunk):
+            rows.setdefault(a.video_id, len(rows))
             if a.video_id not in sampled:
                 sampled[a.video_id] = sample_frames(dataset.video_features[a.video_id], target_t)
-            video[j] = sampled[a.video_id]
             tokens = dataset.text_features[a.query_id]
             text[j, :tokens.shape[0]] = tokens
             text_mask[j, :tokens.shape[0]] = True
         durations = np.array([dataset.durations[a.video_id] for a in chunk], dtype=np.float64)
         gt_index = sec_to_index([(a.start_sec, a.end_sec) for a in chunk], target_t, durations)
         yield Batch(
-            video=video, text=text, text_mask=text_mask, gt_index=gt_index, durations=durations,
+            videos=np.stack([sampled[vid] for vid in rows], dtype=np.float32),
+            video_rows=np.array([rows[a.video_id] for a in chunk], dtype=np.intp),
+            text=text, text_mask=text_mask, gt_index=gt_index, durations=durations,
             query_ids=[a.query_id for a in chunk],
             video_ids=[a.video_id for a in chunk],
         )

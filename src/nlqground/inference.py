@@ -157,14 +157,16 @@ def predict_dataset(
 ) -> list[Record]:
     """Ranked top-k proposals for every query in a dataset (eval mode).
 
-    nms_iou = 0 is the sentinel for "no suppression".  Returns one record
-    per query, in annotation order.
+    Each batch encodes each of its distinct videos once, whatever the number
+    of queries about it.  nms_iou = 0 is the sentinel for "no suppression".
+    Returns one record per query, in annotation order.
     """
     anchor_set = build_lattice(anchor_config)
     results = {}
     for batch in make_batches(dataset, batch_size, anchor_config.num_frames,
                               shuffle_seed=0, shuffle=False):
-        conf, offs, _ = model.forward_batch(batch.video, batch.text, batch.text_mask, train=False)
+        conf, offs, _ = model.forward_batch(batch.videos, batch.video_rows, batch.text,
+                                            batch.text_mask, train=False)
         spans, scores = decode_proposals(conf, offs, anchor_set, batch.durations)
         for qid, vid, item_spans, item_scores in zip(batch.query_ids, batch.video_ids, spans, scores):
             keep = select_proposals(item_spans, item_scores, topk, nms_iou)

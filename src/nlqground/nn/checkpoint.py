@@ -4,7 +4,8 @@ A checkpoint is a matrix file (`data.write_matrices`) of the model's
 parameters in `parameter_shapes` order, whose header adds the encoder config
 and the initialisation seed ahead of the manifest.  Loading checks the config
 keys, and the parameter names and shapes against those the config implies,
-and names the offending key or parameter.
+and names the offending key or parameter; the matrix file reader has already
+refused a parameter holding NaN or Inf.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ over the concatenated [video; text] sequence, and twin prediction heads.
 The forward pipeline is
 
     project -> +positions -> intra-modal encoder (per modality)
+            -> gather each query's video rows
             -> +modality-type embedding -> +positions
             -> concat -> cross encoder (joint self-attention, padding-masked)
             -> final LN -> fused video states
@@ -11,10 +12,11 @@ The forward pipeline is
 
 Only text is padded: every sampled frame is valid, so the model builds the
 all-valid video half of the attention mask itself and takes a text mask
-alone.  `train` alone selects the mode: a train forward applies dropout and
-keeps the cache that the hand-written `backward` walks in reverse to return
-gradients for every parameter plus the input features; an eval forward does
-neither.
+alone.  `train` alone selects the mode: a train forward gathers each
+query's video row before the projection, applies dropout and keeps the
+cache that the hand-written `backward` walks in reverse to return gradients
+for every parameter plus the input features; an eval forward does neither,
+and encodes each distinct video once.
 """
 
 from __future__ import annotations
@@ -147,54 +149,63 @@ class GroundingModel:
             cache.setdefault(prefix, []).append(c)
         return x
 
-    def forward_batch(self, video, text, text_mask, train: bool = False):
+    def forward_batch(self, videos, video_rows, text, text_mask, train: bool = False):
         """Batched forward.
 
-        video: (B, T, Dv), text: (B, L, Dt), text_mask boolean (B, L).
+        videos: (U, T, Dv) distinct videos, video_rows: (B,) each item's
+        row of `videos`, text: (B, L, Dt), text_mask boolean (B, L).
         Returns (confidence (B,T,K) strictly inside (0, 1), raw offsets
-        (B,T,2K), cache).  The cache for `backward` comes from a train
-        forward; an eval forward returns None, and no layer's cache outlives
+        (B,T,2K), cache).  A train forward gathers the rows before the video
+        projection, so each item draws its own dropout masks, and returns
+        the cache for `backward`; an eval forward gathers them after the
+        intra-video stack and returns None, and no layer's cache outlives
         its layer.
         """
         cfg = self.config
-        video = np.ascontiguousarray(video, dtype=self.dtype)
+        videos = np.ascontiguousarray(videos, dtype=self.dtype)
+        video_rows = np.asarray(video_rows)
         text = np.ascontiguousarray(text, dtype=self.dtype)
         text_mask = np.asarray(text_mask, dtype=bool)
-        if video.ndim != 3 or text.ndim != 3:
+        if videos.ndim != 3 or text.ndim != 3:
             raise ValueError("forward_batch expects 3-D feature arrays (B, S, D)")
-        if video.shape[-1] != cfg.video_input_dim:
+        if videos.shape[-1] != cfg.video_input_dim:
             raise ValueError(
-                f"video feature dim {video.shape[-1]} != config {cfg.video_input_dim}")
+                f"video feature dim {videos.shape[-1]} != config {cfg.video_input_dim}")
         if text.shape[-1] != cfg.text_input_dim:
             raise ValueError(
                 f"text feature dim {text.shape[-1]} != config {cfg.text_input_dim}")
+        if video_rows.shape != text.shape[:1]:
+            raise ValueError("video_rows must hold one row of videos per text item")
         if text_mask.shape != text.shape[:2]:
             raise ValueError("text mask shape must match the (B, L) feature prefix")
         if not text_mask.any(axis=1).all():
             raise ValueError("each item needs at least one valid text position")
 
-        B, T, _ = video.shape
-        L = text.shape[1]
-        frame_mask = np.ones((B, T), dtype=bool)
+        if train:
+            videos = videos[video_rows]
+        T = videos.shape[1]
+        B, L, _ = text.shape
         H = cfg.hidden_dim
         pos_v = sinusoidal_positions(T, H, self.dtype)
         pos_t = sinusoidal_positions(L, H, self.dtype)
 
-        v, vproj_cache = linear_forward(video, self.params["video_proj.w"], self.params["video_proj.b"])
+        v, vproj_cache = linear_forward(videos, self.params["video_proj.w"], self.params["video_proj.b"])
         t, tproj_cache = linear_forward(text, self.params["text_proj.w"], self.params["text_proj.b"])
         v = v + pos_v
         t = t + pos_t
 
         cache = {}
-        v = self._encode(v, frame_mask, "intra_video", train, cache)
+        v = self._encode(v, np.ones(v.shape[:2], dtype=bool), "intra_video", train, cache)
         t = self._encode(t, text_mask, "intra_text", train, cache)
+        if not train:
+            v = v[video_rows]
 
         type_emb = self.params["type_emb"]
         v = v + type_emb[0] + pos_v
         t = t + type_emb[1] + pos_t
 
         x = np.concatenate([v, t], axis=1)
-        joint_mask = np.concatenate([frame_mask, text_mask], axis=1)
+        joint_mask = np.concatenate([np.ones((B, T), dtype=bool), text_mask], axis=1)
         x = self._encode(x, joint_mask, "cross", train, cache)
         x, final_ln_cache = layer_norm_forward(x, self.params["final_ln.g"], self.params["final_ln.b"])
         fused = x[:, :T, :]
@@ -234,7 +245,8 @@ class GroundingModel:
         """Reverse pass through the cached forward.
 
         Returns (param_grads, d_video, d_text) from the upstream gradients on
-        the confidence and offset outputs.
+        the confidence and offset outputs; d_video (B, T, Dv) is per item,
+        the gradient with respect to `videos[video_rows]`.
         """
         if cache is None or cache.get("param_ids") != id(self.params):
             raise InvalidStateError("backward requires the cache from this model's forward_batch")

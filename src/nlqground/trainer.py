@@ -143,7 +143,8 @@ def batch_loss_and_grads(
     The box term only sees each item's positive anchors, with residuals
     normalized by T.
     """
-    conf, offs, cache = model.forward_batch(batch.video, batch.text, batch.text_mask, train=True)
+    conf, offs, cache = model.forward_batch(batch.videos, batch.video_rows, batch.text,
+                                            batch.text_mask, train=True)
     B, T, K = conf.shape
     targets, positive, forced = label_anchors(anchor_set, batch.gt_index, config.positive_threshold)
     spans, decode_back = decode_index_spans(offs, anchor_set)

@@ -1,8 +1,9 @@
 """Shared fixtures for the encoder gradient checks, the finite-difference
 gradient checker, anchor-lattice lookups, textbook kernels, the untiled
-attention, and oracles for the array-native span path: IoU, the
-seconds <-> frame-index maps, decode and selection one (start, end) pair at
-a time, and the training objective one batch item at a time."""
+attention, the per-row forward, and oracles for the array-native span path:
+IoU, the seconds <-> frame-index maps, decode and selection one
+(start, end) pair at a time, and the training objective one batch item at a
+time."""
 
 import json
 import math
@@ -13,14 +14,17 @@ import numpy as np
 
 from nlqground.core import OutOfRangeError
 from nlqground.data import Batch
-from nlqground.nn import GroundingModel, InvalidStateError
+from nlqground.nn import CONF_EPS, GroundingModel, InvalidStateError, sinusoidal_positions
 from nlqground.nn.layers import (
     MASK_NEG,
     dropout_backward,
     dropout_forward,
+    gelu_forward,
+    layer_norm_forward,
     linear_backward,
     linear_forward,
     masked_softmax,
+    sigmoid,
     softmax_backward,
 )
 from nlqground.trainer import batch_loss_and_grads
@@ -209,6 +213,47 @@ def untiled_mha_backward(dy, cache):
     return dq + dk + dv, grads
 
 
+def per_row_forward(model, video, text, text_mask, train=False):
+    """`GroundingModel.forward_batch` on one video row per item, (B, T, Dv),
+    every row encoded in full whether or not another item shares its video:
+    the reference a forward on (videos, video_rows) must match bit for bit,
+    draw for draw.  Returns (confidence, offsets, cache) in the model's
+    cache layout, so `model.backward` runs on its train cache."""
+    video = np.ascontiguousarray(video, dtype=model.dtype)
+    text = np.ascontiguousarray(text, dtype=model.dtype)
+    p = model.params
+    B, T, _ = video.shape
+    L = text.shape[1]
+    frame_mask = np.ones((B, T), dtype=bool)
+    H = model.config.hidden_dim
+    pos_v = sinusoidal_positions(T, H, model.dtype)
+    pos_t = sinusoidal_positions(L, H, model.dtype)
+    v, vproj_cache = linear_forward(video, p["video_proj.w"], p["video_proj.b"])
+    t, tproj_cache = linear_forward(text, p["text_proj.w"], p["text_proj.b"])
+    cache = {}
+    v = model._encode(v + pos_v, frame_mask, "intra_video", train, cache)
+    t = model._encode(t + pos_t, text_mask, "intra_text", train, cache)
+    x = np.concatenate([v + p["type_emb"][0] + pos_v, t + p["type_emb"][1] + pos_t], axis=1)
+    x = model._encode(x, np.concatenate([frame_mask, text_mask], axis=1), "cross", train, cache)
+    x, final_ln_cache = layer_norm_forward(x, p["final_ln.g"], p["final_ln.b"])
+    fused = x[:, :T, :]
+    c1, conf_l1 = linear_forward(fused, p["conf_head.w1"], p["conf_head.b1"])
+    ca, conf_gelu = gelu_forward(c1)
+    conf_logits, conf_l2 = linear_forward(ca, p["conf_head.w2"], p["conf_head.b2"])
+    s = sigmoid(conf_logits)
+    lo = np.asarray(CONF_EPS, dtype=model.dtype)
+    hi = np.asarray(1.0, dtype=model.dtype) - lo
+    r1, reg_l1 = linear_forward(fused, p["reg_head.w1"], p["reg_head.b1"])
+    ra, reg_gelu = gelu_forward(r1)
+    offsets, reg_l2 = linear_forward(ra, p["reg_head.w2"], p["reg_head.b2"])
+    if not train:
+        return np.clip(s, lo, hi), offsets, None
+    cache.update(B=B, T=T, L=L, vproj=vproj_cache, tproj=tproj_cache, final_ln=final_ln_cache,
+                 conf=(conf_l1, conf_gelu, conf_l2, s, (s < lo) | (s > hi)),
+                 reg=(reg_l1, reg_gelu, reg_l2), param_ids=id(p))
+    return np.clip(s, lo, hi), offsets, cache
+
+
 def erf_gelu(x):
     """The exact GELU, x * Phi(x), in float64."""
     phi = 0.5 * (1.0 + np.vectorize(math.erf)(np.asarray(x, np.float64) / math.sqrt(2.0)))
@@ -236,7 +281,8 @@ def tiny_training_batch(T=8, L=4, seed=9):
     every head column receives gradient."""
     rng = np.random.default_rng(seed)
     return Batch(
-        video=rng.normal(size=(2, T, 5)),
+        videos=rng.normal(size=(2, T, 5)),
+        video_rows=np.arange(2),
         text=rng.normal(size=(2, L, 3)),
         text_mask=np.array([[True] * L, [True] * (L - 1) + [False]]),
         gt_index=np.array([[3.0, 5.0], [1.0, 7.0]]),

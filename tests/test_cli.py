@@ -14,7 +14,7 @@ from nlqground.data import (
     write_matrices,
 )
 from nlqground.inference import decode_proposals, select_proposals
-from nlqground.nn import load_checkpoint
+from nlqground.nn import load_checkpoint, save_checkpoint
 from helpers import (
     brute_force_decode,
     brute_force_selection,
@@ -232,6 +232,19 @@ class TestPredictCommand:
         assert code == 1
         assert f"{ckpt}: parameter 'video_proj.w' missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_names_path_and_parameter(self, pipeline, tmp_path, capsys,
+                                                           value):
+        model = load_checkpoint(pipeline["out"] / "checkpoint_best.nlqc")
+        model.params["video_proj.w"][0, 0] = value
+        ckpt = tmp_path / "m.nlqc"
+        save_checkpoint(model, ckpt)
+        code = run(["predict", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "p.jsonl"), "--frames", "20", "--scales", "0.15,0.4"])
+        assert code == 1
+        assert f"{ckpt} (id 'video_proj.w'): payload holds NaN or Inf" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
+
 
     @staticmethod
     def copy_data(pipeline, tmp_path) -> Path:
@@ -312,7 +325,8 @@ class TestSelectionIdentity:
         written = {r["query_id"]: r for r in map(json.loads, pipeline["preds"].read_text().splitlines())}
         checked = 0
         for batch in make_batches(load_dataset(pipeline["data"]), 32, 20, shuffle_seed=0, shuffle=False):
-            conf, offs, _ = model.forward_batch(batch.video, batch.text, batch.text_mask, train=False)
+            conf, offs, _ = model.forward_batch(batch.videos, batch.video_rows, batch.text,
+                                                batch.text_mask, train=False)
             batch_spans, batch_scores = decode_proposals(conf, offs, anchors, batch.durations)
             for j, qid in enumerate(batch.query_ids):
                 spans, scores = batch_spans[j], batch_scores[j]

@@ -406,12 +406,25 @@ class TestMakeBatches:
         for batch in make_batches(self.ds, 3, 15, shuffle_seed=1):
             assert (batch.gt_index >= 0).all()
             assert (batch.gt_index <= 15).all()
-            assert batch.video.shape[1] == 15
+            assert batch.videos.shape[1] == 15
 
     def test_durations_are_each_items_video_length(self):
         for batch in make_batches(self.ds, 3, 15, shuffle_seed=1):
             assert batch.durations.dtype == np.float64
             assert batch.durations.tolist() == [self.ds.durations[v] for v in batch.video_ids]
+
+    def test_each_distinct_video_once_in_first_seen_order(self):
+        ds = generate_synthetic(SyntheticSpec(
+            num_videos=3, frames_per_video=30, feature_dim=6, text_dim=3, tokens_per_query=2,
+            queries_per_video=3, seed=2))
+        for batch in make_batches(ds, 4, 15, shuffle_seed=5):
+            distinct = list(dict.fromkeys(batch.video_ids))
+            assert batch.videos.shape == (len(distinct), 15, 6)
+            assert batch.videos.dtype == np.float32
+            assert batch.video_rows.tolist() == [distinct.index(v) for v in batch.video_ids]
+            for row, vid in zip(batch.video_rows, batch.video_ids):
+                np.testing.assert_array_equal(batch.videos[row],
+                                              sample_frames(ds.video_features[vid], 15))
 
     def test_empty_dataset_rejected(self):
         import dataclasses

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice
 from nlqground.data import SyntheticSpec, generate_synthetic
+from nlqground.nn import layers
+from nlqground.nn import model as model_module
 from nlqground.inference import (
     decode_index_spans,
     decode_proposals,
@@ -24,6 +27,7 @@ from helpers import (
     brute_force_selection,
     flat_index,
     per_item_decode,
+    per_row_forward,
     scalar_iou,
 )
 
@@ -298,6 +302,64 @@ class TestRerank:
         want_order, want_fused = loop_rerank(scores, channels)
         assert order.tolist() == want_order
         assert fused.tolist() == want_fused
+
+
+SHARED_ENC = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
+                           video_input_dim=6, text_input_dim=4, num_scales=2)
+SHARED_DATA = generate_synthetic(SyntheticSpec(
+    num_videos=4, frames_per_video=64, feature_dim=6, text_dim=4, tokens_per_query=3,
+    queries_per_video=4, span_fraction_range=(0.1, 0.25), noise_sigma=0.3, seed=5))
+
+
+class TestEachVideoEncodedOnce:
+    """predict_dataset encodes each distinct video of a batch once; its
+    records must be those of the per-row forward, bit for bit."""
+
+    @staticmethod
+    def dataset(counts, rnd):
+        """SHARED_DATA with counts[i] queries of video i, shuffled by `rnd`."""
+        by_video = {}
+        for a in SHARED_DATA.annotations:
+            by_video.setdefault(a.video_id, []).append(a)
+        anns = [a for n, group in zip(counts, by_video.values()) for a in group[:n]]
+        rnd.shuffle(anns)
+        return dataclasses.replace(SHARED_DATA, annotations=anns)
+
+    # at T = 600 every item is an attention tile of its own, at T = 16 the
+    # whole batch is one tile
+    @pytest.mark.parametrize("T, tiles_of_two", [(16, 1), (600, 2)])
+    @given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+           rnd=st.randoms(use_true_random=False), batch_size=st.sampled_from([1, 2, 3, 32]))
+    @settings(max_examples=15, deadline=None)
+    def test_records_match_the_per_row_oracle_bitwise(self, T, tiles_of_two, counts, rnd,
+                                                      batch_size):
+        assert len(layers._tiles(2, SHARED_ENC.num_heads, T, 4)) == tiles_of_two
+        ds = self.dataset(counts, rnd)
+        anchors = AnchorConfig(scales=(0.1, 0.3), num_frames=T)
+        model, oracle = init_model(SHARED_ENC, seed=1), init_model(SHARED_ENC, seed=1)
+        oracle.forward_batch = lambda videos, rows, text, mask, train: per_row_forward(
+            oracle, videos[rows], text, mask, train)
+        got = predict_dataset(model, ds, anchors, batch_size=batch_size)
+        want = predict_dataset(oracle, ds, anchors, batch_size=batch_size)
+        assert [r[:2] for r in got] == [r[:2] for r in want] == [
+            (a.query_id, a.video_id) for a in ds.annotations]
+        for (_, _, spans, scores), (_, _, want_spans, want_scores) in zip(got, want):
+            assert spans.tobytes() == want_spans.tobytes()
+            assert scores.tobytes() == want_scores.tobytes()
+
+    def test_intra_video_stack_sees_each_batch_video_once(self, monkeypatch):
+        sizes = []
+
+        def spy(x, key_mask, p, *args):
+            if x.shape[1] == 16:  # the intra-video stack: T rows, not L or T + L
+                sizes.append(len(x))
+            return layers.encoder_layer_forward(x, key_mask, p, *args)
+
+        monkeypatch.setattr(model_module, "encoder_layer_forward", spy)
+        predict_dataset(init_model(SHARED_ENC, seed=1), SHARED_DATA,
+                        AnchorConfig(scales=(0.1, 0.3), num_frames=16), batch_size=6)
+        # 16 queries in annotation order, 4 per video: batches of 6, 6 and 4
+        assert sizes == [2, 2, 1]
 
 
 def tiny_records():

@@ -11,6 +11,7 @@ from helpers import (
     erf_gelu,
     gradcheck,
     num_parameters,
+    per_row_forward,
     textbook_dropout_backward,
     textbook_dropout_forward,
     textbook_masked_softmax,
@@ -35,6 +36,7 @@ from nlqground.nn import (
 from nlqground import data
 from nlqground.data import MatrixFileError, write_features
 from nlqground.nn import layers
+from nlqground.nn import model as model_module
 from nlqground.nn.layers import (
     dropout_backward,
     dropout_forward,
@@ -52,11 +54,12 @@ TINY = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
 
 
 def tiny_inputs(B=2, T=8, L=4, seed=0, dv=5, dt=3):
+    """B items, each with a video of its own: (videos, video_rows, text, tmask)."""
     rng = np.random.default_rng(seed)
     video = rng.normal(size=(B, T, dv))
     text = rng.normal(size=(B, L, dt))
     tmask = np.ones((B, L), bool)
-    return video, text, tmask
+    return video, np.arange(B), text, tmask
 
 
 class TestSinusoidalPositions:
@@ -122,35 +125,35 @@ class TestForward:
                             video_input_dim=6, text_input_dim=4, num_scales=2, dropout_rate=0.0)
         model = init_model(cfg, seed=0)
         rng = np.random.default_rng(0)
-        conf, offs, _ = model.forward_batch(rng.normal(size=(1, 8, 6)),
+        conf, offs, _ = model.forward_batch(rng.normal(size=(1, 8, 6)), [0],
                                             rng.normal(size=(1, 4, 4)), np.ones((1, 4), bool))
         assert conf[0].shape == (8, 2)
         assert offs[0].shape == (8, 4)
 
     def test_eval_mode_deterministic(self):
         model = init_model(TINY, seed=3)
-        video, text, tmask = tiny_inputs()
-        a = model.forward_batch(video, text, tmask, train=False)
-        b = model.forward_batch(video, text, tmask, train=False)
+        video, rows, text, tmask = tiny_inputs()
+        a = model.forward_batch(video, rows, text, tmask, train=False)
+        b = model.forward_batch(video, rows, text, tmask, train=False)
         for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
 
     def test_confidence_strictly_inside_unit_interval(self):
         model = init_model(TINY, seed=3)
-        video, text, tmask = tiny_inputs()
-        conf, _, _ = model.forward_batch(video, text, tmask)
+        video, rows, text, tmask = tiny_inputs()
+        conf, _, _ = model.forward_batch(video, rows, text, tmask)
         assert (conf > 0.0).all() and (conf < 1.0).all()
 
     def test_padded_text_rows_do_not_affect_outputs(self):
         model = init_model(TINY, seed=3)
-        video, text, tmask = tiny_inputs()
+        video, rows, text, tmask = tiny_inputs()
         tmask[:, 2:] = False
-        a = model.forward_batch(video, text, tmask, train=False)
+        a = model.forward_batch(video, rows, text, tmask, train=False)
         # swap the two padded rows and also scribble on them
         text2 = text.copy()
         text2[:, [2, 3]] = text2[:, [3, 2]]
         text2[:, 2:] += 123.456
-        b = model.forward_batch(video, text2, tmask, train=False)
+        b = model.forward_batch(video, rows, text2, tmask, train=False)
         for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
 
@@ -165,16 +168,16 @@ class TestForward:
 
     def test_all_masked_modality_rejected(self):
         model = init_model(TINY, seed=3)
-        video, text, tmask = tiny_inputs()
+        video, rows, text, tmask = tiny_inputs()
         tmask[0, :] = False
         with pytest.raises(ValueError):
-            model.forward_batch(video, text, tmask)
+            model.forward_batch(video, rows, text, tmask)
 
     def test_dimension_mismatch_rejected(self):
         model = init_model(TINY, seed=3)
-        video, text, tmask = tiny_inputs(dv=7)
+        video, rows, text, tmask = tiny_inputs(dv=7)
         with pytest.raises(ValueError):
-            model.forward_batch(video, text, tmask)
+            model.forward_batch(video, rows, text, tmask)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_flag_alone_selects_the_mode(self, dtype):
@@ -182,24 +185,87 @@ class TestForward:
         forward gives the same bits and draws nothing from the dropout
         generator."""
         model = init_model(TINY, seed=3, dtype=dtype)
-        video, text, tmask = tiny_inputs()
+        video, rows, text, tmask = tiny_inputs()
         tmask[1, 3:] = False
-        conf, offs, cache = model.forward_batch(video, text, tmask, train=False)
+        conf, offs, cache = model.forward_batch(video, rows, text, tmask, train=False)
         assert cache is None
         state = model._dropout_rng.bit_generator.state
-        conf_t, offs_t, cache_t = model.forward_batch(video, text, tmask, train=True)
+        conf_t, offs_t, cache_t = model.forward_batch(video, rows, text, tmask, train=True)
         assert cache_t is not None
         assert model._dropout_rng.bit_generator.state == state
         assert_bitwise_equal(conf, conf_t)
         assert_bitwise_equal(offs, offs_t)
 
+    @staticmethod
+    def _shared_video_inputs():
+        """Two videos asked about by five items, in no particular order."""
+        videos, _, _, _ = tiny_inputs(B=2)
+        _, _, text, tmask = tiny_inputs(B=5, seed=1)
+        tmask[2, 2:] = False
+        return videos, np.array([1, 0, 1, 1, 0]), text, tmask
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_shared_videos_match_the_per_row_oracle_bitwise(self, dtype, train):
+        """A forward on (videos, video_rows) gives the outputs of the
+        per-row forward on videos[video_rows]; in train mode also the
+        gradients, d_video and d_text, and the dropout generator's next
+        draw."""
+        model = init_model(replace(TINY, dropout_rate=0.3), seed=3, dtype=dtype)
+        videos, rows, text, tmask = self._shared_video_inputs()
+        model._dropout_rng = np.random.default_rng(7)
+        conf, offs, cache = model.forward_batch(videos, rows, text, tmask, train=train)
+        after = model._dropout_rng
+        model._dropout_rng = np.random.default_rng(7)
+        ref_conf, ref_offs, ref_cache = per_row_forward(model, videos[rows], text, tmask, train)
+        assert_bitwise_equal(conf, ref_conf)
+        assert_bitwise_equal(offs, ref_offs)
+        assert after.random() == model._dropout_rng.random()
+        if not train:
+            assert cache is None
+            return
+        upstream = np.random.default_rng(8)
+        d_conf = upstream.normal(size=conf.shape).astype(dtype)
+        d_offs = upstream.normal(size=offs.shape).astype(dtype)
+        grads, d_video, d_text = model.backward(cache, d_conf, d_offs)
+        ref_grads, ref_d_video, ref_d_text = model.backward(ref_cache, d_conf, d_offs)
+        assert d_video.shape == (5, 8, 5)
+        assert_bitwise_equal(d_video, ref_d_video)
+        assert_bitwise_equal(d_text, ref_d_text)
+        assert grads.keys() == ref_grads.keys()
+        for k in grads:
+            assert_bitwise_equal(grads[k], ref_grads[k])
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_intra_video_stack_encodes_each_video_once_in_eval(self, monkeypatch, train):
+        """The intra-video layers see the U distinct videos in an eval
+        forward and every item's row in a train forward."""
+        model = init_model(TINY, seed=3)
+        stack_of = {id(v): k.split(".")[0] for k, v in model.params.items() if k.endswith("ln1.g")}
+        seen = []
+
+        def spy(x, key_mask, p, *args):
+            seen.append((stack_of[id(p["ln1.g"])], len(x)))
+            return layers.encoder_layer_forward(x, key_mask, p, *args)
+
+        monkeypatch.setattr(model_module, "encoder_layer_forward", spy)
+        model.forward_batch(*self._shared_video_inputs(), train=train)
+        assert seen == [("intra_video", 5 if train else 2), ("intra_text", 5),
+                        ("cross", 5), ("cross", 5)]
+
+    def test_video_rows_must_match_the_text_items(self):
+        model = init_model(TINY, seed=3)
+        videos, rows, text, tmask = self._shared_video_inputs()
+        with pytest.raises(ValueError, match="video_rows"):
+            model.forward_batch(videos, rows[:4], text, tmask)
+
     def test_train_mode_dropout_changes_outputs(self):
         cfg = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
                             video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.4)
         model = init_model(cfg, seed=3)
-        video, text, tmask = tiny_inputs()
-        a = model.forward_batch(video, text, tmask, train=True)
-        b = model.forward_batch(video, text, tmask, train=True)
+        video, rows, text, tmask = tiny_inputs()
+        a = model.forward_batch(video, rows, text, tmask, train=True)
+        b = model.forward_batch(video, rows, text, tmask, train=True)
         assert not np.array_equal(a[0], b[0])
 
 
@@ -334,9 +400,9 @@ def _leaves(tree):
 class TestDtypeDiscipline:
     def test_float32_cache_and_grads_stay_float32(self):
         model = init_model(replace(TINY, dropout_rate=0.2), seed=3, dtype=np.float32)
-        video, text, tmask = tiny_inputs()
+        video, rows, text, tmask = tiny_inputs()
         tmask[1, 3:] = False
-        conf, offs, cache = model.forward_batch(video, text, tmask, train=True)
+        conf, offs, cache = model.forward_batch(video, rows, text, tmask, train=True)
         leaves = list(_leaves(cache))
         floats = [a for a in leaves if isinstance(a, (np.ndarray, np.generic, float))
                   and np.asarray(a).dtype.kind == "f"]
@@ -366,13 +432,13 @@ class TestAttentionMemory:
         whole = B * nh * S * S * 4
         monkeypatch.setattr(layers, "_TILE_BYTES", nh * S * S * 4)  # one item per tile
         model = init_model(self.CFG, seed=3, dtype=np.float32)
-        video, text, tmask = tiny_inputs(B=B, T=T, L=L)
+        video, rows, text, tmask = tiny_inputs(B=B, T=T, L=L)
         tmask[1, 5:] = False
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            _, _, cache = model.forward_batch(video, text, tmask, train=False)
+            _, _, cache = model.forward_batch(video, rows, text, tmask, train=False)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -383,9 +449,9 @@ class TestAttentionMemory:
         B, T, L = 3, 10, 4
         nh = self.CFG.num_heads
         model = init_model(self.CFG, seed=3, dtype=np.float32)
-        video, text, tmask = tiny_inputs(B=B, T=T, L=L)
+        video, rows, text, tmask = tiny_inputs(B=B, T=T, L=L)
         tmask[1, 3:] = False
-        _, _, cache = model.forward_batch(video, text, tmask, train=True)
+        _, _, cache = model.forward_batch(video, rows, text, tmask, train=True)
         per_layer = [(c, T) for c in cache["intra_video"]] + [(c, L) for c in cache["intra_text"]] \
             + [(c, T + L) for c in cache["cross"]]
         assert len(per_layer) == 4
@@ -398,8 +464,8 @@ class TestAttentionMemory:
 class TestBackward:
     def _run(self, scale):
         model = init_model(TINY, seed=4, dtype=np.float64)
-        video, text, tmask = tiny_inputs()
-        conf, offs, cache = model.forward_batch(video, text, tmask, train=True)
+        video, rows, text, tmask = tiny_inputs()
+        conf, offs, cache = model.forward_batch(video, rows, text, tmask, train=True)
         d_conf = np.full_like(conf, 0.1 * scale)
         d_offs = np.full_like(offs, -0.2 * scale)
         grads, d_video, d_text = model.backward(cache, d_conf, d_offs)
@@ -420,8 +486,8 @@ class TestBackward:
     def test_stale_cache_rejected(self):
         model = init_model(TINY, seed=4)
         other = init_model(TINY, seed=5)
-        video, text, tmask = tiny_inputs()
-        conf, offs, cache = model.forward_batch(video, text, tmask, train=True)
+        video, rows, text, tmask = tiny_inputs()
+        conf, offs, cache = model.forward_batch(video, rows, text, tmask, train=True)
         with pytest.raises(InvalidStateError):
             other.backward(cache, np.zeros_like(conf), np.zeros_like(offs))
 
@@ -492,9 +558,9 @@ class TestCheckpoint:
         path = tmp_path / "m.nlqc"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        video, text, tmask = tiny_inputs()
-        a = model.forward_batch(video, text, tmask)
-        b = loaded.forward_batch(video, text, tmask)
+        video, rows, text, tmask = tiny_inputs()
+        a = model.forward_batch(video, rows, text, tmask)
+        b = loaded.forward_batch(video, rows, text, tmask)
         for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
 

@@ -65,7 +65,8 @@ def check_against_per_item_oracle(B, T, K, gt_index, threshold, offset_gain, see
     scales = (0.25,) if K == 1 else (0.125, 0.5)
     anchors = build_lattice(AnchorConfig(scales=scales, num_frames=T))
     config = TrainConfig(mu=2.5, positive_threshold=threshold, smooth_l1_beta=0.02, seed=0)
-    batch = Batch(video=rng.normal(size=(B, T, 5)), text=rng.normal(size=(B, 3, 4)),
+    batch = Batch(videos=rng.normal(size=(B, T, 5)), video_rows=np.arange(B),
+                  text=rng.normal(size=(B, 3, 4)),
                   text_mask=np.ones((B, 3), dtype=bool), gt_index=gt_index,
                   durations=np.full(B, float(T)), query_ids=list("abcd"[:B]),
                   video_ids=list("abcd"[:B]))
@@ -81,8 +82,8 @@ def check_against_per_item_oracle(B, T, K, gt_index, threshold, offset_gain, see
     record, grads = batch_loss_and_grads(model, batch, anchors, config)
 
     model._dropout_rng = np.random.default_rng(seed)
-    conf, offs, cache = model.forward_batch(batch.video, batch.text, batch.text_mask,
-                                            train=True)
+    conf, offs, cache = model.forward_batch(batch.videos, batch.video_rows, batch.text,
+                                            batch.text_mask, train=True)
     oracle = per_item_objective(conf, offs, batch.gt_index, anchors, config)
     assert_bitwise_equal(upstream["d_conf"], oracle["d_conf"])
     assert_bitwise_equal(upstream["d_offs"], oracle["d_offs"])
@@ -254,9 +255,9 @@ class TestTrainLoop:
         result = train(ds, ds, ENC, cfg, ANCHORS, tmp_path)
         model = load_checkpoint(result.last_checkpoint)
         batch = next(make_batches(ds, 2, 24, shuffle_seed=0, shuffle=False))
-        a = model.forward_batch(batch.video, batch.text, batch.text_mask)
+        a = model.forward_batch(batch.videos, batch.video_rows, batch.text, batch.text_mask)
         model2 = load_checkpoint(result.last_checkpoint)
-        b = model2.forward_batch(batch.video, batch.text, batch.text_mask)
+        b = model2.forward_batch(batch.videos, batch.video_rows, batch.text, batch.text_mask)
         for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
 
