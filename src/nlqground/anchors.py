@@ -24,6 +24,9 @@ class AnchorConfig:
     num_frames: int = 600
 
     def __post_init__(self):
+        if not isinstance(self.scales, (list, tuple)) or any(
+                isinstance(s, bool) or not isinstance(s, (int, float)) for s in self.scales):
+            raise ValueError(f"'scales' must be a list of numbers, got {self.scales!r}")
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         if len(self.scales) == 0:
             raise ValueError("at least one anchor scale is required")
@@ -33,10 +36,6 @@ class AnchorConfig:
             raise ValueError(f"scales must be strictly increasing, got {self.scales}")
         if self.num_frames < 1:
             raise ValueError(f"num_frames must be positive, got {self.num_frames}")
-
-    @property
-    def num_scales(self) -> int:
-        return len(self.scales)
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def build_lattice(config: AnchorConfig) -> AnchorSet:
     w_k = scales[k] * T, truncated to [0, T].
     """
     T = config.num_frames
-    K = config.num_scales
+    K = len(config.scales)
     widths = np.array([s * T for s in config.scales], dtype=np.float64)
     centers = np.arange(T, dtype=np.float64) + 0.5
     starts = centers[:, None] - widths[None, :] / 2.0

@@ -75,8 +75,10 @@ _SECTIONS = {
 }
 
 
-def _build_section(cls, payload: dict, section: str):
-    types = {f.name: f.type for f in dataclasses.fields(cls)}
+def _build_section(cls, payload: dict, section: str, **fixed):
+    """`cls` from a config section's keys plus the `fixed` fields, which the
+    section may not set."""
+    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in fixed}
     unknown = set(payload) - set(types)
     if unknown:
         raise CliError(f"config section {section!r} has unknown keys: {sorted(unknown)}")
@@ -84,12 +86,8 @@ def _build_section(cls, payload: dict, section: str):
         if types[key] in (int, "int") and type(value) is not int:  # refuses 2.0 and true
             raise CliError(f"config section {section!r}: {key!r} must be an integer, "
                            f"got {value!r}")
-    if "scales" in payload:
-        if not isinstance(payload["scales"], list):
-            raise CliError(f"config section {section!r}: 'scales' must be a list")
-        payload = dict(payload, scales=tuple(payload["scales"]))
     try:
-        return cls(**payload)
+        return cls(**payload, **fixed)
     except (TypeError, ValueError) as e:
         raise CliError(f"config section {section!r}: {e}") from e
 
@@ -161,9 +159,8 @@ def _cmd_train(args) -> int:
     # Input dims default to what the data actually carries.
     enc_payload.setdefault("video_input_dim", next(iter(train_data.video_features.values())).shape[1])
     enc_payload.setdefault("text_input_dim", next(iter(train_data.text_features.values())).shape[1])
-    anchor_config = _build_section(AnchorConfig, cfg["sections"]["anchors"], "anchors")
-    enc_payload.setdefault("num_scales", len(anchor_config.scales))
-    encoder_config = _build_section(EncoderConfig, enc_payload, "encoder")
+    anchors = _build_section(AnchorConfig, cfg["sections"]["anchors"], "anchors")
+    encoder_config = _build_section(EncoderConfig, enc_payload, "encoder", anchors=anchors)
 
     train_payload = cfg["sections"]["train"]
     if args.seed is not None:
@@ -171,8 +168,8 @@ def _cmd_train(args) -> int:
     train_config = _build_section(TrainConfig, train_payload, "train")
     infer_opts = _build_section(InferenceOptions, cfg["sections"]["inference"], "inference")
 
-    result = train(train_data, val_data, encoder_config, train_config, anchor_config,
-                   args.out, topk=infer_opts.top_k, nms_iou=infer_opts.nms_iou)
+    result = train(train_data, val_data, encoder_config, train_config, args.out,
+                   topk=infer_opts.top_k, nms_iou=infer_opts.nms_iou)
     score = (f"val R@1 IoU=0.5: {result.best_r1_iou50:.4f}" if val_data is not None
              else "no validation split given; last epoch kept")
     print(f"best checkpoint: {result.best_checkpoint} ({score})")
@@ -182,15 +179,15 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     opts = InferenceOptions(top_k=args.topk, nms_iou=args.nms_iou)
     model = load_checkpoint(args.ckpt)
+    lattice = model.config.anchors
+    if args.frames is not None and args.frames != lattice.num_frames:
+        raise CliError(f"--frames {args.frames} but {args.ckpt} was trained at "
+                       f"num_frames {lattice.num_frames}")
+    if args.scales is not None and tuple(_parse_floats(args.scales, "--scales")) != lattice.scales:
+        raise CliError(f"--scales {args.scales} but {args.ckpt} was trained with scales "
+                       f"{','.join(map(str, lattice.scales))}")
     dataset = load_dataset(args.data)
-    target_t = args.frames
-    anchor_config = AnchorConfig(scales=tuple(_parse_floats(args.scales, "--scales")),
-                                 num_frames=target_t)
-    if len(anchor_config.scales) != model.config.num_scales:
-        raise CliError(
-            f"--scales gives {len(anchor_config.scales)} scales but the checkpoint "
-            f"predicts {model.config.num_scales}")
-    records = predict_dataset(model, dataset, anchor_config, topk=opts.top_k, nms_iou=opts.nms_iou)
+    records = predict_dataset(model, dataset, topk=opts.top_k, nms_iou=opts.nms_iou)
     write_predictions(args.out, records)
     print(f"wrote predictions for {len(records)} queries to {args.out}")
     return 0
@@ -270,19 +267,23 @@ def build_parser() -> argparse.ArgumentParser:
                      formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    spec = SyntheticSpec()
     p = sub.add_parser("gen-data", help="generate a synthetic planted-signal dataset",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--num-videos", type=int, default=4)
-    p.add_argument("--frames", type=int, default=256, help="raw frames per video (1 s each)")
-    p.add_argument("--dim", type=int, default=32, help="frame feature dimension")
-    p.add_argument("--text-dim", type=int, default=16, help="token embedding dimension")
-    p.add_argument("--tokens", type=int, default=4, help="tokens per query")
-    p.add_argument("--queries-per-video", type=int, default=1)
-    p.add_argument("--noise", type=float, default=0.5, help="signal noise sigma")
-    p.add_argument("--span-min", type=float, default=0.01, help="min span fraction")
-    p.add_argument("--span-max", type=float, default=0.08, help="max span fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--num-videos", type=int, default=spec.num_videos)
+    p.add_argument("--frames", type=int, default=spec.frames_per_video,
+                   help="raw frames per video (1 s each)")
+    p.add_argument("--dim", type=int, default=spec.feature_dim, help="frame feature dimension")
+    p.add_argument("--text-dim", type=int, default=spec.text_dim, help="token embedding dimension")
+    p.add_argument("--tokens", type=int, default=spec.tokens_per_query, help="tokens per query")
+    p.add_argument("--queries-per-video", type=int, default=spec.queries_per_video)
+    p.add_argument("--noise", type=float, default=spec.noise_sigma, help="signal noise sigma")
+    p.add_argument("--span-min", type=float, default=spec.span_fraction_range[0],
+                   help="min span fraction")
+    p.add_argument("--span-max", type=float, default=spec.span_fraction_range[1],
+                   help="max span fraction")
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.add_argument("--val-videos", type=int, default=0,
                    help="split off this many videos into OUT/val (rest in OUT/train)")
     p.set_defaults(fn=_cmd_gen_data)
@@ -301,10 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True, help="model checkpoint")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output predictions JSONL")
-    p.add_argument("--topk", type=int, default=5)
-    p.add_argument("--nms-iou", type=float, default=0.5, help="NMS IoU threshold; 0 disables NMS")
-    p.add_argument("--frames", type=int, default=600, help="sampled frame count T")
-    p.add_argument("--scales", default="0.01,0.03", help="anchor scales (proportions of T)")
+    p.add_argument("--topk", type=int, default=InferenceOptions().top_k)
+    p.add_argument("--nms-iou", type=float, default=InferenceOptions().nms_iou,
+                   help="NMS IoU threshold; 0 disables NMS")
+    p.add_argument("--frames", type=int, help="sampled frame count T; if given, must equal "
+                   "the checkpoint's")
+    p.add_argument("--scales", help="anchor scales (proportions of T); if given, must equal "
+                   "the checkpoint's")
     p.set_defaults(fn=_cmd_predict)
 
     p = sub.add_parser("rerank", help="fuse external score channels into a predictions file",

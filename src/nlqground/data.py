@@ -44,9 +44,9 @@ def write_matrices(path, matrices: dict[str, np.ndarray], header: dict) -> None:
     """Write named matrices, in the map's order, as one matrix file: magic
     "NLQC", u32 LE version, u64 LE header length, a JSON header (`header`'s
     keys, then "manifest": {name, rows, cols, offset} per matrix, offsets
-    counted from the header's end), then the row-major LE float32 payloads.
-    The file is written beside `path` and renamed over it, so a failed write
-    leaves the previous file intact."""
+    counted from the header's end), then the row-major LE float32 payloads,
+    which must be finite.  The file is written beside `path` and renamed over
+    it, so a failed write leaves the previous file intact."""
     path = Path(path)
     manifest, payloads, offset = [], [], 0
     for name, m in matrices.items():
@@ -54,6 +54,8 @@ def write_matrices(path, matrices: dict[str, np.ndarray], header: dict) -> None:
         if raw.ndim != 2 or 0 in raw.shape:
             raise ValueError(f"{path}: matrix {name!r} must be 2-D with at least one row "
                              f"and one column, got shape {raw.shape}")
+        if not np.isfinite(raw).all():
+            raise ValueError(f"{path} (id {name!r}): payload holds NaN or Inf")
         manifest.append(dict(name=name, rows=raw.shape[0], cols=raw.shape[1], offset=offset))
         payloads.append(raw)
         offset += raw.nbytes
@@ -122,11 +124,7 @@ def read_matrices(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 def write_features(path, matrices: dict[str, np.ndarray]) -> None:
     """Write an id -> matrix map of finite values, in id order."""
-    matrices = {mid: np.asarray(matrices[mid], dtype="<f4") for mid in sorted(matrices)}
-    for mid, m in matrices.items():
-        if not np.isfinite(m).all():
-            raise ValueError(f"{path}: feature matrix {mid!r} contains NaN/Inf")
-    write_matrices(path, matrices, {})
+    write_matrices(path, {mid: matrices[mid] for mid in sorted(matrices)}, {})
 
 
 def read_features(path) -> dict[str, np.ndarray]:

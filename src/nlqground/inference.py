@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import AnchorConfig, AnchorSet, build_lattice
+from .anchors import AnchorSet, build_lattice
 from .core import index_to_sec, iou_batch
 from .data import make_batches
 from .nn.model import GroundingModel
@@ -55,7 +55,7 @@ def decode_index_spans(offsets: np.ndarray, anchors: AnchorSet):
     gradient) and endpoint swaps (permuted gradient).
     """
     cfg = anchors.config
-    T, K = cfg.num_frames, cfg.num_scales
+    T, K = cfg.num_frames, len(cfg.scales)
     if offsets.shape[1:] != (T, 2 * K):
         raise ValueError(f"offsets shape {offsets.shape} != expected (B, {T}, {2 * K})")
     B = offsets.shape[0]
@@ -82,7 +82,7 @@ def decode_proposals(confidence: np.ndarray, offsets: np.ndarray, anchors: Ancho
     decoded to seconds on videos of `durations` (B,) seconds: ((B, K*T, 2)
     spans, (B, K*T) scores), each row in t-major / k-minor order."""
     cfg = anchors.config
-    T, K = cfg.num_frames, cfg.num_scales
+    T, K = cfg.num_frames, len(cfg.scales)
     B = len(offsets)
     if confidence.shape != (B, T, K):
         raise ValueError(f"confidence shape {confidence.shape} != expected ({B}, {T}, {K})")
@@ -150,20 +150,20 @@ def rerank(scores: np.ndarray, channels: list[tuple[np.ndarray, float]]):
 def predict_dataset(
     model: GroundingModel,
     dataset,
-    anchor_config: AnchorConfig,
     topk: int = 5,
     nms_iou: float = 0.5,
     batch_size: int = 32,
 ) -> list[Record]:
-    """Ranked top-k proposals for every query in a dataset (eval mode).
+    """Ranked top-k proposals for every query in a dataset (eval mode), on
+    the anchor lattice the model was trained for.
 
     Each batch encodes each of its distinct videos once, whatever the number
     of queries about it.  nms_iou = 0 is the sentinel for "no suppression".
     Returns one record per query, in annotation order.
     """
-    anchor_set = build_lattice(anchor_config)
+    anchor_set = build_lattice(model.config.anchors)
     results = {}
-    for batch in make_batches(dataset, batch_size, anchor_config.num_frames,
+    for batch in make_batches(dataset, batch_size, model.config.anchors.num_frames,
                               shuffle_seed=0, shuffle=False):
         conf, offs, _ = model.forward_batch(batch.videos, batch.video_rows, batch.text,
                                             batch.text_mask, train=False)

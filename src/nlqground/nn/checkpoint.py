@@ -2,16 +2,17 @@
 
 A checkpoint is a matrix file (`data.write_matrices`) of the model's
 parameters in `parameter_shapes` order, whose header adds the encoder config
-and the initialisation seed ahead of the manifest.  Loading checks the config
-keys, and the parameter names and shapes against those the config implies,
-and names the offending key or parameter; the matrix file reader has already
-refused a parameter holding NaN or Inf.
+(anchor lattice included) and the initialisation seed ahead of the manifest.
+Loading checks the config keys, and the parameter names and shapes against
+those the config implies, and names the offending key or parameter; the
+matrix file writer and reader refuse a parameter holding NaN or Inf.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from ..anchors import AnchorConfig
 from ..data import MatrixFileError, read_matrices, write_matrices
 from .model import EncoderConfig, GroundingModel, parameter_shapes
 
@@ -23,7 +24,12 @@ def save_checkpoint(model: GroundingModel, path) -> None:
 
 def load_checkpoint(path) -> GroundingModel:
     header, params = read_matrices(path)
-    config = _checked_config(path, header)
+    config = _checked_config(path, header.get("config"), EncoderConfig, "config")
+    anchors = _checked_config(path, config["anchors"], AnchorConfig, "config.anchors")
+    try:
+        config = EncoderConfig(**dict(config, anchors=AnchorConfig(**anchors)))
+    except (TypeError, ValueError) as e:
+        raise MatrixFileError(f"{path}: bad encoder config: {e}") from e
     expected = {name: (rows, cols) for name, rows, cols in parameter_shapes(config)}
     for name, p in params.items():
         if name not in expected:
@@ -40,20 +46,15 @@ def load_checkpoint(path) -> GroundingModel:
     return GroundingModel(config=config, rng_seed=seed, params=params)
 
 
-def _checked_config(path, header: dict) -> EncoderConfig:
-    """The header's encoder config, which must name every EncoderConfig field
-    and nothing else."""
-    config = header.get("config")
-    if not isinstance(config, dict):
-        raise MatrixFileError(f"{path}: header has no encoder config")
-    fields = [f.name for f in dataclasses.fields(EncoderConfig)]
-    for key in config:
+def _checked_config(path, section, cls, where: str) -> dict:
+    """A header object that must name every field of `cls` and nothing else."""
+    if not isinstance(section, dict):
+        raise MatrixFileError(f"{path}: header {where} is not an object")
+    fields = [f.name for f in dataclasses.fields(cls)]
+    for key in section:
         if key not in fields:
-            raise MatrixFileError(f"{path}: unknown config key {key!r}")
+            raise MatrixFileError(f"{path}: unknown {where} key {key!r}")
     for key in fields:
-        if key not in config:
-            raise MatrixFileError(f"{path}: config key {key!r} missing")
-    try:
-        return EncoderConfig(**config)
-    except (TypeError, ValueError) as e:
-        raise MatrixFileError(f"{path}: bad encoder config: {e}") from e
+        if key not in section:
+            raise MatrixFileError(f"{path}: {where} key {key!r} missing")
+    return section

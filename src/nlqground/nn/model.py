@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..anchors import AnchorConfig
 from .layers import (
     encoder_layer_backward,
     encoder_layer_forward,
@@ -52,7 +53,7 @@ class EncoderConfig:
     cross_layers: int = 5
     video_input_dim: int = 1024
     text_input_dim: int = 512
-    num_scales: int = 2
+    anchors: AnchorConfig = AnchorConfig()  # the lattice the heads predict over
     dropout_rate: float = 0.1
     feedforward_dim: int = 0  # 0 -> 4 * hidden_dim
 
@@ -64,7 +65,7 @@ class EncoderConfig:
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
         for name in ("hidden_dim", "num_heads", "intra_layers", "cross_layers",
-                     "video_input_dim", "text_input_dim", "num_scales", "feedforward_dim"):
+                     "video_input_dim", "text_input_dim", "feedforward_dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.hidden_dim % 2 != 0:
@@ -295,7 +296,7 @@ class GroundingModel:
 
 def parameter_shapes(config: EncoderConfig) -> list[tuple[str, int, int]]:
     """Deterministic (name, rows, cols) manifest; also fixes the init order."""
-    H, F, K = config.hidden_dim, config.feedforward_dim, config.num_scales
+    H, F, K = config.hidden_dim, config.feedforward_dim, len(config.anchors.scales)
     shapes: list[tuple[str, int, int]] = [
         ("video_proj.w", config.video_input_dim, H), ("video_proj.b", 1, H),
         ("text_proj.w", config.text_input_dim, H), ("text_proj.b", 1, H),

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .anchors import AnchorConfig, AnchorSet, build_lattice, label_anchors
+from .anchors import AnchorSet, build_lattice, label_anchors
 from .data import Batch, Dataset, make_batches
 from .evaluation import evaluate
 from .inference import decode_index_spans, predict_dataset
@@ -178,15 +178,10 @@ def train(
     val_data: Dataset | None,
     encoder_config: EncoderConfig,
     train_config: TrainConfig,
-    anchor_config: AnchorConfig,
     out_dir,
     topk: int = 5,
     nms_iou: float = 0.5,
 ) -> TrainResult:
-    if len(anchor_config.scales) != encoder_config.num_scales:
-        raise ValueError(
-            f"anchor config has {len(anchor_config.scales)} scales but the "
-            f"encoder predicts {encoder_config.num_scales}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.jsonl"
@@ -195,9 +190,8 @@ def train(
     last_path = out_dir / "checkpoint_last.nlqc"
 
     model = init_model(encoder_config, seed=train_config.seed)
-    anchor_set = build_lattice(anchor_config)
+    anchor_set = build_lattice(encoder_config.anchors)
     state = OptimizerState.for_model(model)
-    target_t = anchor_config.num_frames
 
     best_r1 = -1.0
     step = 0
@@ -207,7 +201,8 @@ def train(
             epoch_align = 0.0
             epoch_box = 0.0
             nbatches = 0
-            for batch in make_batches(train_data, train_config.batch_size, target_t,
+            for batch in make_batches(train_data, train_config.batch_size,
+                                      encoder_config.anchors.num_frames,
                                       shuffle_seed=train_config.seed, epoch=epoch):
                 step += 1
                 step_record, grads = batch_loss_and_grads(model, batch, anchor_set, train_config)
@@ -226,8 +221,8 @@ def train(
                 "loss_box": epoch_box / nbatches,
             }
             if val_data is not None:
-                predictions = predict_dataset(model, val_data, anchor_config, topk=topk,
-                                              nms_iou=nms_iou, batch_size=train_config.batch_size)
+                predictions = predict_dataset(model, val_data, topk=topk, nms_iou=nms_iou,
+                                              batch_size=train_config.batch_size)
                 report = evaluate(predictions, val_data.annotations)
                 record.update({
                     "R1@0.3": report.recalls[(1, 0.3)], "R1@0.5": report.recalls[(1, 0.5)],

@@ -294,7 +294,7 @@ def tiny_training_batch(T=8, L=4, seed=9):
 
 def flat_index(anchors, t, k):
     """Row of anchor (t, k) in the t-major / k-minor lattice."""
-    return t * anchors.config.num_scales + k
+    return t * len(anchors.config.scales) + k
 
 
 def scalar_iou(a, b):
@@ -336,7 +336,7 @@ def brute_force_decode(index_spans, num_frames, duration):
 def per_item_decode(offsets, anchors):
     """One item's (T, 2K) offsets decoded to (K*T, 2) index spans, plus the
     swap and clamp masks that route the gradient back."""
-    T, K = anchors.config.num_frames, anchors.config.num_scales
+    T, K = anchors.config.num_frames, len(anchors.config.scales)
     widths = np.tile(np.asarray(anchors.window_sizes, dtype=np.float64), T)[:, None]
     raw = anchors.spans + np.asarray(offsets, dtype=np.float64).reshape(T * K, 2) * widths
     clamped = np.clip(raw, 0.0, float(T))

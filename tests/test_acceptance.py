@@ -52,9 +52,9 @@ E2E_DATA = SyntheticSpec(
 )
 E2E_ENCODER = EncoderConfig(
     hidden_dim=64, num_heads=4, intra_layers=1, cross_layers=2,
-    video_input_dim=32, text_input_dim=16, num_scales=2, dropout_rate=0.1,
+    video_input_dim=32, text_input_dim=16, dropout_rate=0.1,
+    anchors=AnchorConfig(scales=(0.02, 0.06), num_frames=128),
 )
-E2E_ANCHORS = AnchorConfig(scales=(0.02, 0.06), num_frames=128)
 E2E_TRAIN = TrainConfig(
     epochs=35, batch_size=8, base_lr=2e-3, warmup_steps=300,
     mu=10.0, seed=42,
@@ -103,7 +103,7 @@ def test_criterion_3_loss_hand_values():
     # the trainer's composition: loss = align + mu * box over batch means
     anchors = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
-                        video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.0)
+                        video_input_dim=5, text_input_dim=3, dropout_rate=0.0)
     record, _ = batch_loss_and_grads(init_model(enc, seed=0), tiny_training_batch(T=8, L=4),
                                      anchors, TrainConfig(mu=1.0, seed=0))
     ok = (
@@ -117,7 +117,7 @@ def test_criterion_3_loss_hand_values():
 def test_criterion_4_gradient_check():
     t0 = time.time()
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
-                        video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.0)
+                        video_input_dim=5, text_input_dim=3, dropout_rate=0.0)
     model = init_model(enc, seed=42, dtype=np.float64)
     anchor_set = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
     loss_fn = training_loss_fn(tiny_training_batch(T=8, L=4), anchor_set, TrainConfig(seed=0))
@@ -169,10 +169,10 @@ def e2e(tmp_path_factory):
     t0 = time.time()
     dataset = generate_synthetic(E2E_DATA)
     train_ds, val_ds = split_dataset(dataset, 200)
-    result = train(train_ds, val_ds, E2E_ENCODER, E2E_TRAIN, E2E_ANCHORS, out)
+    result = train(train_ds, val_ds, E2E_ENCODER, E2E_TRAIN, out)
     elapsed = time.time() - t0
     model = load_checkpoint(result.best_checkpoint)
-    records = predict_dataset(model, val_ds, E2E_ANCHORS, topk=5, nms_iou=0.5)
+    records = predict_dataset(model, val_ds, topk=5, nms_iou=0.5)
     return {"val": val_ds, "records": records, "elapsed": elapsed, "result": result}
 
 
@@ -238,7 +238,7 @@ def test_criterion_9_format_round_trips(tmp_path):
     feats_ok = all(np.array_equal(read_features(tmp_path / "feat.nlqc")[k], mats[k]) for k in mats)
 
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
-                        video_input_dim=5, text_input_dim=3, num_scales=2)
+                        video_input_dim=5, text_input_dim=3)
     model = init_model(enc, seed=3)
     save_checkpoint(model, tmp_path / "m.nlqc")
     loaded = load_checkpoint(tmp_path / "m.nlqc")

@@ -1,11 +1,13 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nlqground.anchors import AnchorConfig, build_lattice
-from nlqground.cli import run
+from nlqground.cli import build_parser, run
 from nlqground.data import (
     load_dataset,
     make_batches,
@@ -14,7 +16,7 @@ from nlqground.data import (
     write_matrices,
 )
 from nlqground.inference import decode_proposals, select_proposals
-from nlqground.nn import load_checkpoint, save_checkpoint
+from nlqground.nn import load_checkpoint
 from helpers import (
     brute_force_decode,
     brute_force_selection,
@@ -27,6 +29,26 @@ from helpers import (
 def files_snapshot(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_commands() -> list[str]:
+    """Every `nlqground ...` command in README's bash blocks, continuation
+    lines joined."""
+    blocks = re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("nlqground ")]
+
+
+def test_readme_commands_parse():
+    """A README example cannot drift from the real flags."""
+    commands = readme_commands()
+    for command in commands:
+        build_parser().parse_args(shlex.split(command, comments=True)[1:])
+    assert sorted(c.split()[1] for c in commands) == ["eval", "gen-data", "predict",
+                                                       "rerank", "train"]
 
 
 GEN = ["gen-data", "--num-videos", "3", "--frames", "40", "--dim", "8",
@@ -96,6 +118,21 @@ class TestTrainCommand:
                     "--out", str(tmp_path / "o")])
         assert code == 1
         assert "'prediction_mode'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("num_scales", 2), ("anchors", {"scales": [0.15, 0.4], "num_frames": 20})])
+    def test_lattice_in_encoder_section_is_an_unknown_key(self, pipeline, tmp_path, capsys,
+                                                          key, value):
+        """The lattice is set by the `anchors` section alone."""
+        doc = json.loads(pipeline["cfg"].read_text())
+        doc["encoder"][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"config section 'encoder' has unknown keys: [{key!r}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_no_val_message(self, pipeline, tmp_path, capsys):
         assert run(["train", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
@@ -222,6 +259,24 @@ class TestPredictCommand:
                     "--frames", "20", "--scales", "0.15"])
         assert code == 1
 
+    def test_lattice_comes_from_the_checkpoint(self, pipeline, tmp_path):
+        out = tmp_path / "p.jsonl"
+        assert run(["predict", "--ckpt", str(pipeline["out"] / "checkpoint_best.nlqc"),
+                    "--data", str(pipeline["data"]), "--out", str(out)]) == 0
+        assert out.read_bytes() == pipeline["preds"].read_bytes()
+
+    @pytest.mark.parametrize("flag, value, trained", [
+        ("--frames", "24", "num_frames 20"), ("--scales", "0.15,0.5", "scales 0.15,0.4")])
+    def test_lattice_flag_unlike_checkpoint_names_both_values(self, pipeline, tmp_path, capsys,
+                                                              flag, value, trained):
+        out = tmp_path / "p.jsonl"
+        code = run(["predict", "--ckpt", str(pipeline["out"] / "checkpoint_best.nlqc"),
+                    "--data", str(pipeline["data"]), "--out", str(out), flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{flag} {value}" in err and trained in err
+        assert not out.exists()
+
     def test_checkpoint_missing_parameter_names_path_and_parameter(self, pipeline, tmp_path,
                                                                    capsys):
         ckpt = tmp_path / "m.nlqc"
@@ -235,10 +290,14 @@ class TestPredictCommand:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_names_path_and_parameter(self, pipeline, tmp_path, capsys,
                                                            value):
-        model = load_checkpoint(pipeline["out"] / "checkpoint_best.nlqc")
-        model.params["video_proj.w"][0, 0] = value
+        blob = bytearray((pipeline["out"] / "checkpoint_best.nlqc").read_bytes())
+        n = int.from_bytes(blob[8:16], "little")
+        entry = next(e for e in json.loads(blob[16:16 + n])["manifest"]
+                     if e["name"] == "video_proj.w")
+        at = 16 + n + entry["offset"]
+        blob[at:at + 4] = np.array(value, dtype="<f4").tobytes()
         ckpt = tmp_path / "m.nlqc"
-        save_checkpoint(model, ckpt)
+        ckpt.write_bytes(blob)
         code = run(["predict", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
                     "--out", str(tmp_path / "p.jsonl"), "--frames", "20", "--scales", "0.15,0.4"])
         assert code == 1
@@ -286,10 +345,14 @@ class TestPredictCommand:
             named.append(f"(id {qid!r}): payload truncated")
         else:
             bad = np.zeros((rows, cols + (mutation == "wider_matrix")), dtype="<f4")
-            bad[0, 0] = np.nan if mutation == "nan_payload" else 0.0
             write_matrices(path, {**mats, qid: bad}, {})
-            named = ([f"{path} (id {qid!r})"] if mutation == "nan_payload"
-                     else [str(path), repr(qid)])
+            named = [str(path), repr(qid)]
+            if mutation == "nan_payload":  # the writer refuses NaN: plant it in the bytes
+                blob = bytearray(path.read_bytes())
+                at = len(blob) - bad.nbytes
+                blob[at:at + 4] = np.array(np.nan, dtype="<f4").tobytes()
+                path.write_bytes(blob)
+                named = [f"{path} (id {qid!r})"]
         assert self.predict(pipeline, data, tmp_path) == 1
         err = capsys.readouterr().err
         assert all(name in err for name in named), err

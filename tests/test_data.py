@@ -20,6 +20,15 @@ from nlqground.data import (
     write_annotations,
     write_features,
 )
+from nlqground.nn import EncoderConfig, init_model, save_checkpoint
+
+
+def nan_model(value):
+    """A tiny model whose first parameter holds `value` at [0, 0]."""
+    model = init_model(EncoderConfig(hidden_dim=4, num_heads=1, cross_layers=1,
+                                     video_input_dim=2, text_input_dim=2), seed=0)
+    model.params["video_proj.w"][0, 0] = value
+    return model
 
 
 def two_matrices(path, m_shape=(2, 3)):
@@ -82,10 +91,21 @@ class TestFeatureCodec:
             read_features(path)
         assert f"{path} (id 'm'): payload truncated" in str(info.value)
 
-    def test_nan_rejected_at_write(self, tmp_path):
-        bad = np.full((2, 2), np.nan, dtype=np.float32)
-        with pytest.raises(ValueError):
-            write_features(tmp_path / "f.nlqc", {"m": bad})
+    @pytest.mark.parametrize("write, name", [
+        (lambda path, value: write_features(path, {"m": np.full((2, 2), value)}), "m"),
+        (lambda path, value: save_checkpoint(nan_model(value), path), "video_proj.w"),
+    ], ids=["write_features", "save_checkpoint"])
+    def test_nan_rejected_at_write(self, tmp_path, write, name):
+        """A NaN payload is refused before the file is touched: the previous
+        file stays, and no temporary file is left."""
+        path = tmp_path / "f.nlqc"
+        write(path, 1.0)
+        before = path.read_bytes()
+        with pytest.raises(ValueError) as info:
+            write(path, np.nan)
+        assert f"{path} (id {name!r}): payload holds NaN or Inf" in str(info.value)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("raw, named", [
         (b'{"version": "1.0"}', "manifest list"),  # no manifest

@@ -305,7 +305,8 @@ class TestRerank:
 
 
 SHARED_ENC = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
-                           video_input_dim=6, text_input_dim=4, num_scales=2)
+                           video_input_dim=6, text_input_dim=4,
+                           anchors=AnchorConfig(scales=(0.1, 0.3), num_frames=16))
 SHARED_DATA = generate_synthetic(SyntheticSpec(
     num_videos=4, frames_per_video=64, feature_dim=6, text_dim=4, tokens_per_query=3,
     queries_per_video=4, span_fraction_range=(0.1, 0.25), noise_sigma=0.3, seed=5))
@@ -335,12 +336,12 @@ class TestEachVideoEncodedOnce:
                                                       batch_size):
         assert len(layers._tiles(2, SHARED_ENC.num_heads, T, 4)) == tiles_of_two
         ds = self.dataset(counts, rnd)
-        anchors = AnchorConfig(scales=(0.1, 0.3), num_frames=T)
-        model, oracle = init_model(SHARED_ENC, seed=1), init_model(SHARED_ENC, seed=1)
+        enc = dataclasses.replace(SHARED_ENC, anchors=AnchorConfig(scales=(0.1, 0.3), num_frames=T))
+        model, oracle = init_model(enc, seed=1), init_model(enc, seed=1)
         oracle.forward_batch = lambda videos, rows, text, mask, train: per_row_forward(
             oracle, videos[rows], text, mask, train)
-        got = predict_dataset(model, ds, anchors, batch_size=batch_size)
-        want = predict_dataset(oracle, ds, anchors, batch_size=batch_size)
+        got = predict_dataset(model, ds, batch_size=batch_size)
+        want = predict_dataset(oracle, ds, batch_size=batch_size)
         assert [r[:2] for r in got] == [r[:2] for r in want] == [
             (a.query_id, a.video_id) for a in ds.annotations]
         for (_, _, spans, scores), (_, _, want_spans, want_scores) in zip(got, want):
@@ -356,8 +357,7 @@ class TestEachVideoEncodedOnce:
             return layers.encoder_layer_forward(x, key_mask, p, *args)
 
         monkeypatch.setattr(model_module, "encoder_layer_forward", spy)
-        predict_dataset(init_model(SHARED_ENC, seed=1), SHARED_DATA,
-                        AnchorConfig(scales=(0.1, 0.3), num_frames=16), batch_size=6)
+        predict_dataset(init_model(SHARED_ENC, seed=1), SHARED_DATA, batch_size=6)
         # 16 queries in annotation order, 4 per video: batches of 6, 6 and 4
         assert sizes == [2, 2, 1]
 
@@ -368,9 +368,9 @@ def tiny_records():
         num_videos=3, frames_per_video=40, feature_dim=8, text_dim=4, tokens_per_query=3,
         queries_per_video=2, span_fraction_range=(0.1, 0.25), noise_sigma=0.3, seed=0))
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
-                        video_input_dim=8, text_input_dim=4, num_scales=2)
-    return predict_dataset(init_model(enc, seed=0), ds,
-                           AnchorConfig(scales=(0.15, 0.4), num_frames=20), topk=5, nms_iou=0.5)
+                        video_input_dim=8, text_input_dim=4,
+                        anchors=AnchorConfig(scales=(0.15, 0.4), num_frames=20))
+    return predict_dataset(init_model(enc, seed=0), ds, topk=5, nms_iou=0.5)
 
 
 class TestPredictionsFile:

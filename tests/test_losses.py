@@ -138,7 +138,7 @@ class TestTotalLoss:
     """The trainer's step record: loss = align + mu * box over batch means."""
 
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
-                        video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.0)
+                        video_input_dim=5, text_input_dim=3, dropout_rate=0.0)
     anchors = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
 
     def record(self, mu, zero_offsets=False, batch=None):

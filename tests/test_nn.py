@@ -50,7 +50,8 @@ from nlqground.nn.layers import (
 from nlqground.trainer import TrainConfig
 
 TINY = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
-                     video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.0)
+                     video_input_dim=5, text_input_dim=3, dropout_rate=0.0,
+                     anchors=AnchorConfig(scales=(0.25, 0.75), num_frames=8))
 
 
 def tiny_inputs(B=2, T=8, L=4, seed=0, dv=5, dt=3):
@@ -122,7 +123,7 @@ class TestInitModel:
 class TestForward:
     def test_output_shapes(self):
         cfg = EncoderConfig(hidden_dim=32, num_heads=4, intra_layers=1, cross_layers=2,
-                            video_input_dim=6, text_input_dim=4, num_scales=2, dropout_rate=0.0)
+                            video_input_dim=6, text_input_dim=4, dropout_rate=0.0)
         model = init_model(cfg, seed=0)
         rng = np.random.default_rng(0)
         conf, offs, _ = model.forward_batch(rng.normal(size=(1, 8, 6)), [0],
@@ -261,7 +262,7 @@ class TestForward:
 
     def test_train_mode_dropout_changes_outputs(self):
         cfg = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
-                            video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.4)
+                            video_input_dim=5, text_input_dim=3, dropout_rate=0.4)
         model = init_model(cfg, seed=3)
         video, rows, text, tmask = tiny_inputs()
         a = model.forward_batch(video, rows, text, tmask, train=True)
@@ -424,7 +425,7 @@ class TestAttentionMemory:
     its buffers to it) and from the cache itself."""
 
     CFG = EncoderConfig(hidden_dim=8, num_heads=4, intra_layers=1, cross_layers=2,
-                        video_input_dim=5, text_input_dim=3, num_scales=2, dropout_rate=0.2)
+                        video_input_dim=5, text_input_dim=3, dropout_rate=0.2)
 
     def test_eval_forward_never_holds_a_whole_attention_tensor(self, monkeypatch):
         B, T, L = 8, 72, 8
@@ -570,6 +571,7 @@ class TestCheckpoint:
         blob = path.read_bytes()
         header = json.loads(blob[16:16 + int.from_bytes(blob[8:16], "little")])
         assert list(header) == ["config", "seed", "manifest"]
+        assert header["config"]["anchors"] == {"scales": [0.25, 0.75], "num_frames": 8}
         assert header["seed"] == 8
         assert [e["name"] for e in header["manifest"]] == [n for n, _, _ in parameter_shapes(TINY)]
 
@@ -594,7 +596,16 @@ class TestCheckpoint:
         (lambda h: h["config"].update(bogus=1), "unknown config key 'bogus'"),
         (lambda h: h["config"].update(hidden_dim=16), "'video_proj.w' is 5x8, the config implies 5x16"),
         (lambda h: h.update(seed="8"), "seed '8' is not an integer"),
-    ], ids=["no_manifest", "missing_parameter", "unknown_config_key", "shape_mismatch", "bad_seed"])
+        (lambda h: h["config"].pop("anchors"), "config key 'anchors' missing"),
+        (lambda h: h["config"].update(anchors=[0.25, 0.75]), "config.anchors is not an object"),
+        (lambda h: h["config"]["anchors"].update(stride=2), "unknown config.anchors key 'stride'"),
+        (lambda h: h["config"]["anchors"].pop("num_frames"), "config.anchors key 'num_frames' missing"),
+        (lambda h: h["config"]["anchors"].update(scales=[0.75, 0.25]), "strictly increasing"),
+        (lambda h: h["config"]["anchors"].update(scales="0.25"), "'scales' must be a list"),
+        (lambda h: h["config"]["anchors"].update(num_frames=0), "num_frames must be positive"),
+    ], ids=["no_manifest", "missing_parameter", "unknown_config_key", "shape_mismatch", "bad_seed",
+            "no_anchors", "non_object_anchors", "unknown_anchors_key", "no_num_frames",
+            "decreasing_scales", "string_scales", "zero_frames"])
     def test_bad_header_names_path_and_offender(self, tmp_path, edit, named):
         path = tmp_path / "m.nlqc"
         save_checkpoint(init_model(TINY, seed=8), path)

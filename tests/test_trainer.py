@@ -22,8 +22,8 @@ from nlqground.trainer import (
 from helpers import assert_bitwise_equal, per_item_objective
 
 ENC = EncoderConfig(hidden_dim=16, num_heads=2, intra_layers=1, cross_layers=2,
-                    video_input_dim=8, text_input_dim=4, num_scales=2, dropout_rate=0.1)
-ANCHORS = AnchorConfig(scales=(0.1, 0.3), num_frames=24)
+                    video_input_dim=8, text_input_dim=4, dropout_rate=0.1,
+                    anchors=AnchorConfig(scales=(0.1, 0.3), num_frames=24))
 
 
 def tiny_dataset(seed=1, videos=4):
@@ -57,13 +57,14 @@ def check_against_per_item_oracle(B, T, K, gt_index, threshold, offset_gain, see
     the parameter gradients and the forced count bit for bit, the logged
     losses to summation order.  Returns the oracle's output."""
     rng = np.random.default_rng(seed)
+    scales = (0.25,) if K == 1 else (0.125, 0.5)
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
-                        video_input_dim=5, text_input_dim=4, num_scales=K, dropout_rate=0.1)
+                        video_input_dim=5, text_input_dim=4, dropout_rate=0.1,
+                        anchors=AnchorConfig(scales=scales, num_frames=T))
     model = init_model(enc, seed=seed)
     for name in ("reg_head.w2", "reg_head.b2"):
         model.params[name] *= np.float32(offset_gain)
-    scales = (0.25,) if K == 1 else (0.125, 0.5)
-    anchors = build_lattice(AnchorConfig(scales=scales, num_frames=T))
+    anchors = build_lattice(enc.anchors)
     config = TrainConfig(mu=2.5, positive_threshold=threshold, smooth_l1_beta=0.02, seed=0)
     batch = Batch(videos=rng.normal(size=(B, T, 5)), video_rows=np.arange(B),
                   text=rng.normal(size=(B, 3, 4)),
@@ -185,7 +186,7 @@ class TestTrainLoop:
     def test_smoke_contract(self, tmp_path):
         ds = tiny_dataset(videos=2)
         cfg = TrainConfig(epochs=1, batch_size=2, base_lr=1e-3, warmup_steps=10, seed=0)
-        result = train(ds, ds, ENC, cfg, ANCHORS, tmp_path)
+        result = train(ds, ds, ENC, cfg, tmp_path)
         assert result.best_checkpoint.exists()
         assert result.last_checkpoint.exists()
         records = [json.loads(l) for l in result.metrics_log.read_text().splitlines()]
@@ -196,15 +197,15 @@ class TestTrainLoop:
     def test_metric_log_epochs_contiguous(self, tmp_path):
         ds = tiny_dataset(videos=2)
         cfg = TrainConfig(epochs=3, batch_size=2, base_lr=1e-3, warmup_steps=10, seed=0)
-        result = train(ds, ds, ENC, cfg, ANCHORS, tmp_path)
+        result = train(ds, ds, ENC, cfg, tmp_path)
         epochs = [json.loads(l)["epoch"] for l in result.metrics_log.read_text().splitlines()]
         assert epochs == [1, 2, 3]
 
     def test_determinism_of_steps_and_checkpoint(self, tmp_path):
         ds = tiny_dataset(videos=4)
         cfg = TrainConfig(epochs=2, batch_size=2, base_lr=1e-3, warmup_steps=10, seed=9)
-        r1 = train(ds, None, ENC, cfg, ANCHORS, tmp_path / "a")
-        r2 = train(ds, None, ENC, cfg, ANCHORS, tmp_path / "b")
+        r1 = train(ds, None, ENC, cfg, tmp_path / "a")
+        r2 = train(ds, None, ENC, cfg, tmp_path / "b")
         s1 = r1.steps_log.read_text().splitlines()[:10]
         s2 = r2.steps_log.read_text().splitlines()[:10]
         assert s1 == s2
@@ -216,9 +217,9 @@ class TestTrainLoop:
         `predict_dataset` plus `write_predictions` give for the same model."""
         ds = tiny_dataset(videos=6)
         cfg = TrainConfig(epochs=2, batch_size=2, base_lr=1e-3, warmup_steps=10, seed=0)
-        result = train(ds, ds, ENC, cfg, ANCHORS, tmp_path / "run", topk=5, nms_iou=nms_iou)
+        result = train(ds, ds, ENC, cfg, tmp_path / "run", topk=5, nms_iou=nms_iou)
         logged = json.loads(result.metrics_log.read_text().splitlines()[-1])
-        records = predict_dataset(load_checkpoint(result.last_checkpoint), ds, ANCHORS,
+        records = predict_dataset(load_checkpoint(result.last_checkpoint), ds,
                                   topk=5, nms_iou=nms_iou, batch_size=cfg.batch_size)
         write_predictions(tmp_path / "p.jsonl", records)
         save_dataset(ds, tmp_path / "data")
@@ -231,7 +232,7 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_fixed_batch(self):
         ds = tiny_dataset(videos=4)
-        aset = build_lattice(ANCHORS)
+        aset = build_lattice(ENC.anchors)
         batch = next(make_batches(ds, 4, 24, shuffle_seed=0, shuffle=False))
         decreased = False
         for lr in (2e-4, 1e-3):
@@ -252,7 +253,7 @@ class TestTrainLoop:
     def test_checkpoint_round_trip_preserves_eval(self, tmp_path):
         ds = tiny_dataset(videos=2)
         cfg = TrainConfig(epochs=1, batch_size=2, base_lr=1e-3, warmup_steps=10, seed=0)
-        result = train(ds, ds, ENC, cfg, ANCHORS, tmp_path)
+        result = train(ds, ds, ENC, cfg, tmp_path)
         model = load_checkpoint(result.last_checkpoint)
         batch = next(make_batches(ds, 2, 24, shuffle_seed=0, shuffle=False))
         a = model.forward_batch(batch.videos, batch.video_rows, batch.text, batch.text_mask)
@@ -260,9 +261,3 @@ class TestTrainLoop:
         b = model2.forward_batch(batch.videos, batch.video_rows, batch.text, batch.text_mask)
         for x, y in zip(a[:2], b[:2]):
             np.testing.assert_array_equal(x, y)
-
-    def test_scale_count_mismatch_rejected(self, tmp_path):
-        ds = tiny_dataset(videos=2)
-        bad = AnchorConfig(scales=(0.1,), num_frames=24)
-        with pytest.raises(ValueError):
-            train(ds, None, ENC, TrainConfig(seed=0), bad, tmp_path)
