@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OutOfRangeError, iou_batch
+from .core import OutOfRangeError, iou_batch, require_int
 
 
 @dataclass(frozen=True)
@@ -34,32 +34,13 @@ class AnchorConfig:
             raise ValueError(f"scales must lie in (0, 1], got {self.scales}")
         if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise ValueError(f"scales must be strictly increasing, got {self.scales}")
-        if self.num_frames < 1:
-            raise ValueError(f"num_frames must be positive, got {self.num_frames}")
+        require_int(self, "num_frames", 1)
 
 
-@dataclass(frozen=True)
-class AnchorSet:
-    """The clipped K*T candidate lattice, laid out t-major / k-minor.
-
-    spans[t * K + k] is the anchor for temporal index t at scale k, already
-    clipped to [0, T].  window_sizes[k] is the unclipped width r_k * T.
-    """
-
-    spans: np.ndarray  # (K*T, 2) float64, index units
-    window_sizes: tuple[float, ...]
-    config: AnchorConfig
-
-    def __len__(self) -> int:
-        return self.spans.shape[0]
-
-
-def build_lattice(config: AnchorConfig) -> AnchorSet:
-    """Construct the clipped anchor lattice for one video.
-
-    Anchor (t, k) is [c - w_k/2, c + w_k/2] with c = t + 0.5 and
-    w_k = scales[k] * T, truncated to [0, T].
-    """
+def build_lattice(config: AnchorConfig) -> np.ndarray:
+    """The clipped (K*T, 2) float64 index-unit anchor spans of one video,
+    t-major / k-minor: row t * K + k is [c - w_k/2, c + w_k/2] with
+    c = t + 0.5 and w_k = scales[k] * T, truncated to [0, T]."""
     T = config.num_frames
     K = len(config.scales)
     widths = np.array([s * T for s in config.scales], dtype=np.float64)
@@ -67,14 +48,12 @@ def build_lattice(config: AnchorConfig) -> AnchorSet:
     starts = centers[:, None] - widths[None, :] / 2.0
     ends = centers[:, None] + widths[None, :] / 2.0
     spans = np.stack([starts, ends], axis=-1).reshape(K * T, 2)
-    np.clip(spans, 0.0, float(T), out=spans)
-    spans.setflags(write=False)
-    return AnchorSet(spans=spans, window_sizes=tuple(widths.tolist()), config=config)
+    return np.clip(spans, 0.0, float(T), out=spans)
 
 
-def label_anchors(anchors: AnchorSet, gt_index, threshold: float):
-    """IoU targets and positivity of every anchor against each row of a
-    batch of index-unit ground truths gt_index (B, 2).
+def label_anchors(lattice: AnchorConfig, gt_index, threshold: float):
+    """IoU targets and positivity of every anchor of `lattice` against each
+    row of a batch of index-unit ground truths gt_index (B, 2).
 
     Returns (iou_targets (B, K*T) float64, positive (B, K*T) bool,
     forced (B,) bool).  An anchor is positive iff its IoU exceeds
@@ -83,12 +62,12 @@ def label_anchors(anchors: AnchorSet, gt_index, threshold: float):
     stays nonzero; `forced` marks those rows.
     """
     gt = np.asarray(gt_index, dtype=np.float64)
-    T = anchors.config.num_frames
+    T = lattice.num_frames
     ok = (0.0 <= gt[:, 0]) & (gt[:, 0] <= gt[:, 1]) & (gt[:, 1] <= T)
     if not ok.all():
         raise OutOfRangeError(
             f"ground truths {gt[~ok].tolist()} lie outside lattice extent [0, {T}]")
-    targets = iou_batch(anchors.spans, gt[:, None, :])
+    targets = iou_batch(build_lattice(lattice), gt[:, None, :])
     positive = targets > threshold
     forced = ~positive.any(axis=1)
     positive[forced, np.argmax(targets[forced], axis=1)] = True

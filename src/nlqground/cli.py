@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import AnchorConfig
+from .core import require_int
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -61,8 +62,7 @@ class InferenceOptions:
     nms_iou: float = 0.5  # 0 means no suppression
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError(f"top_k must be an integer >= 1, got {self.top_k!r}")
+        require_int(self, "top_k", 1)
         if not 0 <= self.nms_iou <= 1:  # NaN fails the comparison
             raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou!r}")
 
@@ -78,14 +78,9 @@ _SECTIONS = {
 def _build_section(cls, payload: dict, section: str, **fixed):
     """`cls` from a config section's keys plus the `fixed` fields, which the
     section may not set."""
-    types = {f.name: f.type for f in dataclasses.fields(cls) if f.name not in fixed}
-    unknown = set(payload) - set(types)
+    unknown = set(payload) - {f.name for f in dataclasses.fields(cls) if f.name not in fixed}
     if unknown:
         raise CliError(f"config section {section!r} has unknown keys: {sorted(unknown)}")
-    for key, value in payload.items():
-        if types[key] in (int, "int") and type(value) is not int:  # refuses 2.0 and true
-            raise CliError(f"config section {section!r}: {key!r} must be an integer, "
-                           f"got {value!r}")
     try:
         return cls(**payload, **fixed)
     except (TypeError, ValueError) as e:

@@ -16,6 +16,13 @@ class OutOfRangeError(ValueError):
     """A span lies outside the coordinate range it is being mapped from."""
 
 
+def require_int(config, name: str, minimum: int) -> None:
+    """The config integer rule: `config.<name>` is an int >= minimum (not 2.0, not a bool)."""
+    value = getattr(config, name)
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name!r} must be an integer >= {minimum}, got {value!r}")
+
+
 def iou_batch(spans, refs) -> np.ndarray:
     """Intersection over union of span arrays (..., 2) against reference
     spans (..., 2), broadcast over the leading axes: one reference for all

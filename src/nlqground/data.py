@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import sec_to_index
+from .core import require_int, sec_to_index
 
 MATRIX_MAGIC = b"NLQC"
 MATRIX_VERSION = 1
@@ -154,8 +154,10 @@ def write_annotations(path, videos: list[dict]) -> None:
 
 
 def _number(obj: dict, key: str, where: str) -> float:
-    """obj[key] as a float, or an AnnotationError naming `where` and the key."""
+    """obj[key] as a float (not from a bool), or an AnnotationError naming `where` and the key."""
     try:
+        if isinstance(obj[key], bool):
+            raise TypeError
         return float(obj[key])
     except (TypeError, ValueError, OverflowError):
         raise AnnotationError(f"{where}: {key!r} is not a number: {obj[key]!r}") from None
@@ -269,8 +271,7 @@ class SyntheticSpec:
             raise ValueError(f"span_fraction_range must satisfy 0 < min <= max <= 1, got {self.span_fraction_range}")
         for name in ("num_videos", "frames_per_video", "feature_dim", "text_dim",
                      "tokens_per_query", "queries_per_video"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+            require_int(self, name, 1)
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
 

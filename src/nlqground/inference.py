@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .anchors import AnchorSet, build_lattice
+from .anchors import AnchorConfig, build_lattice
 from .core import index_to_sec, iou_batch
 from .data import make_batches
 from .nn.model import GroundingModel
@@ -46,7 +46,7 @@ def _rank(spans: np.ndarray, scores: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def decode_index_spans(offsets: np.ndarray, anchors: AnchorSet):
+def decode_index_spans(offsets: np.ndarray, lattice: AnchorConfig):
     """Shared decode core in index units, for a batch.
 
     offsets: (B, T, 2K) raw head outputs.  Returns (spans (B, K*T, 2) in
@@ -54,13 +54,12 @@ def decode_index_spans(offsets: np.ndarray, anchors: AnchorSet):
     (B, K*T, 2) back to the (B, T, 2K) layout, honoring clamping (zero
     gradient) and endpoint swaps (permuted gradient).
     """
-    cfg = anchors.config
-    T, K = cfg.num_frames, len(cfg.scales)
+    T, K = lattice.num_frames, len(lattice.scales)
     if offsets.shape[1:] != (T, 2 * K):
         raise ValueError(f"offsets shape {offsets.shape} != expected (B, {T}, {2 * K})")
     B = offsets.shape[0]
-    widths = np.tile(np.asarray(anchors.window_sizes, dtype=np.float64), T)[:, None]
-    raw = anchors.spans + np.asarray(offsets, dtype=np.float64).reshape(B, T * K, 2) * widths
+    widths = np.tile(np.asarray(lattice.scales) * T, T)[:, None]  # unclipped w_k per anchor
+    raw = build_lattice(lattice) + np.asarray(offsets, dtype=np.float64).reshape(B, T * K, 2) * widths
     spans = np.clip(raw, 0.0, float(T))
     swap = spans[..., 0] > spans[..., 1]
     spans[swap] = spans[swap][:, ::-1]
@@ -76,17 +75,16 @@ def decode_index_spans(offsets: np.ndarray, anchors: AnchorSet):
     return spans, backward
 
 
-def decode_proposals(confidence: np.ndarray, offsets: np.ndarray, anchors: AnchorSet,
+def decode_proposals(confidence: np.ndarray, offsets: np.ndarray, lattice: AnchorConfig,
                      durations) -> tuple[np.ndarray, np.ndarray]:
     """A batch of head outputs (confidence (B, T, K), offsets (B, T, 2K))
     decoded to seconds on videos of `durations` (B,) seconds: ((B, K*T, 2)
     spans, (B, K*T) scores), each row in t-major / k-minor order."""
-    cfg = anchors.config
-    T, K = cfg.num_frames, len(cfg.scales)
+    T, K = lattice.num_frames, len(lattice.scales)
     B = len(offsets)
     if confidence.shape != (B, T, K):
         raise ValueError(f"confidence shape {confidence.shape} != expected ({B}, {T}, {K})")
-    spans, _ = decode_index_spans(offsets, anchors)
+    spans, _ = decode_index_spans(offsets, lattice)
     conf = np.asarray(confidence, dtype=np.float64).reshape(B, T * K)
     return index_to_sec(spans, T, np.asarray(durations)[:, None]), conf
 
@@ -161,13 +159,12 @@ def predict_dataset(
     of queries about it.  nms_iou = 0 is the sentinel for "no suppression".
     Returns one record per query, in annotation order.
     """
-    anchor_set = build_lattice(model.config.anchors)
     results = {}
     for batch in make_batches(dataset, batch_size, model.config.anchors.num_frames,
                               shuffle_seed=0, shuffle=False):
         conf, offs, _ = model.forward_batch(batch.videos, batch.video_rows, batch.text,
                                             batch.text_mask, train=False)
-        spans, scores = decode_proposals(conf, offs, anchor_set, batch.durations)
+        spans, scores = decode_proposals(conf, offs, model.config.anchors, batch.durations)
         for qid, vid, item_spans, item_scores in zip(batch.query_ids, batch.video_ids, spans, scores):
             keep = select_proposals(item_spans, item_scores, topk, nms_iou)
             results[qid] = (vid, item_spans[keep], item_scores[keep])

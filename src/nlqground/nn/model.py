@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..anchors import AnchorConfig
+from ..core import require_int
 from .layers import (
     encoder_layer_backward,
     encoder_layer_forward,
@@ -58,16 +59,15 @@ class EncoderConfig:
     feedforward_dim: int = 0  # 0 -> 4 * hidden_dim
 
     def __post_init__(self):
+        for name in ("hidden_dim", "num_heads", "intra_layers", "cross_layers",
+                     "video_input_dim", "text_input_dim", "feedforward_dim"):
+            require_int(self, name, 0 if name == "feedforward_dim" else 1)
         if self.feedforward_dim == 0:
             object.__setattr__(self, "feedforward_dim", 4 * self.hidden_dim)
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
             )
-        for name in ("hidden_dim", "num_heads", "intra_layers", "cross_layers",
-                     "video_input_dim", "text_input_dim", "feedforward_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.hidden_dim % 2 != 0:
             raise ValueError(f"hidden_dim must be even for sin/cos positions, got {self.hidden_dim}")
         if not (0.0 <= self.dropout_rate < 1.0):

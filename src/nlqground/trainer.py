@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .anchors import AnchorSet, build_lattice, label_anchors
+from .anchors import label_anchors
+from .core import require_int
 from .data import Batch, Dataset, make_batches
 from .evaluation import evaluate
 from .inference import decode_index_spans, predict_dataset
@@ -47,8 +48,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.warmup_steps < 1:
-            raise ValueError("epochs, batch_size and warmup_steps must be >= 1")
+        for name in ("epochs", "batch_size", "warmup_steps", "seed"):
+            require_int(self, name, 0 if name == "seed" else 1)
         # every rule is a comparison, so NaN fails it
         for name, ok in (
             ("base_lr", self.base_lr > 0),
@@ -132,7 +133,6 @@ def adam_step(
 def batch_loss_and_grads(
     model: GroundingModel,
     batch: Batch,
-    anchor_set: AnchorSet,
     config: TrainConfig,
 ):
     """Train-mode forward, combined objective, and parameter gradients for one batch.
@@ -146,8 +146,9 @@ def batch_loss_and_grads(
     conf, offs, cache = model.forward_batch(batch.videos, batch.video_rows, batch.text,
                                             batch.text_mask, train=True)
     B, T, K = conf.shape
-    targets, positive, forced = label_anchors(anchor_set, batch.gt_index, config.positive_threshold)
-    spans, decode_back = decode_index_spans(offs, anchor_set)
+    lattice = model.config.anchors
+    targets, positive, forced = label_anchors(lattice, batch.gt_index, config.positive_threshold)
+    spans, decode_back = decode_index_spans(offs, lattice)
     align, d_conf = losses.alignment_loss(targets, conf.reshape(B, T * K))
     box, d_spans = losses.boundary_loss(spans, batch.gt_index, positive,
                                         config.smooth_l1_beta, norm=float(T))
@@ -190,7 +191,6 @@ def train(
     last_path = out_dir / "checkpoint_last.nlqc"
 
     model = init_model(encoder_config, seed=train_config.seed)
-    anchor_set = build_lattice(encoder_config.anchors)
     state = OptimizerState.for_model(model)
 
     best_r1 = -1.0
@@ -205,7 +205,7 @@ def train(
                                       encoder_config.anchors.num_frames,
                                       shuffle_seed=train_config.seed, epoch=epoch):
                 step += 1
-                step_record, grads = batch_loss_and_grads(model, batch, anchor_set, train_config)
+                step_record, grads = batch_loss_and_grads(model, batch, train_config)
                 if not math.isfinite(step_record["loss"]):
                     raise DivergenceError(f"non-finite loss at step {step}")
                 lr = lr_at(step, train_config)

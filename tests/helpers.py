@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nlqground.anchors import build_lattice
 from nlqground.core import OutOfRangeError
 from nlqground.data import Batch
 from nlqground.nn import CONF_EPS, GroundingModel, InvalidStateError, sinusoidal_positions
@@ -30,13 +31,13 @@ from nlqground.nn.layers import (
 from nlqground.trainer import batch_loss_and_grads
 
 
-def training_loss_fn(batch, anchor_set, train_config, seed=0):
+def training_loss_fn(batch, train_config, seed=0):
     """The full training objective as a gradcheck-compatible callable, with
     the dropout generator reseeded before every forward so each call draws
     the same masks (none at dropout rate 0)."""
     def fn(model):
         model._dropout_rng = np.random.default_rng(seed)
-        record, grads = batch_loss_and_grads(model, batch, anchor_set, train_config)
+        record, grads = batch_loss_and_grads(model, batch, train_config)
         return record["loss"], grads
     return fn
 
@@ -292,9 +293,9 @@ def tiny_training_batch(T=8, L=4, seed=9):
     )
 
 
-def flat_index(anchors, t, k):
-    """Row of anchor (t, k) in the t-major / k-minor lattice."""
-    return t * len(anchors.config.scales) + k
+def flat_index(lattice, t, k):
+    """Row of anchor (t, k) in the t-major / k-minor lattice of an AnchorConfig."""
+    return t * len(lattice.scales) + k
 
 
 def scalar_iou(a, b):
@@ -333,12 +334,13 @@ def brute_force_decode(index_spans, num_frames, duration):
     return [scalar_index_to_sec(s, e, num_frames, duration) for s, e in index_spans]
 
 
-def per_item_decode(offsets, anchors):
-    """One item's (T, 2K) offsets decoded to (K*T, 2) index spans, plus the
-    swap and clamp masks that route the gradient back."""
-    T, K = anchors.config.num_frames, len(anchors.config.scales)
-    widths = np.tile(np.asarray(anchors.window_sizes, dtype=np.float64), T)[:, None]
-    raw = anchors.spans + np.asarray(offsets, dtype=np.float64).reshape(T * K, 2) * widths
+def per_item_decode(offsets, lattice):
+    """One item's (T, 2K) offsets decoded on the anchors of an AnchorConfig
+    to (K*T, 2) index spans, plus the swap and clamp masks that route the
+    gradient back."""
+    T, K = lattice.num_frames, len(lattice.scales)
+    widths = np.tile([s * T for s in lattice.scales], T)[:, None]
+    raw = build_lattice(lattice) + np.asarray(offsets, dtype=np.float64).reshape(T * K, 2) * widths
     clamped = np.clip(raw, 0.0, float(T))
     swap = clamped[:, 0] > clamped[:, 1]
     spans = clamped.copy()
@@ -347,7 +349,7 @@ def per_item_decode(offsets, anchors):
     return spans, swap, clamp, widths
 
 
-def per_item_objective(conf, offs, gt_index, anchors, config):
+def per_item_objective(conf, offs, gt_index, lattice, config):
     """The training objective one batch item at a time: labels from
     `scalar_iou`, the per-item decode, and both loss terms with their
     gradients written out per item.
@@ -362,7 +364,7 @@ def per_item_objective(conf, offs, gt_index, anchors, config):
            "align": [], "box": [], "forced": 0, "swaps": 0, "clamps": 0}
     for j in range(B):
         gt = gt_index[j].tolist()
-        o = np.array([scalar_iou(a, gt) for a in anchors.spans.tolist()])
+        o = np.array([scalar_iou(a, gt) for a in build_lattice(lattice).tolist()])
         positive = o > config.positive_threshold
         if not positive.any():
             positive[int(np.argmax(o))] = True
@@ -371,7 +373,7 @@ def per_item_objective(conf, offs, gt_index, anchors, config):
         out["align"].append(float(-np.mean(o * np.log(s) + (1.0 - o) * np.log1p(-s))))
         out["d_conf"][j] = ((s - o) / (o.size * s * (1.0 - s)) / B).reshape(T, K)
 
-        spans, swap, clamp, widths = per_item_decode(offs[j], anchors)
+        spans, swap, clamp, widths = per_item_decode(offs[j], lattice)
         out["swaps"] += int(swap.sum())
         out["clamps"] += int(clamp.sum())
         n_pos = int(positive.sum())

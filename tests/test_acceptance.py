@@ -81,15 +81,14 @@ def test_criterion_1_iou_oracle():
 
 def test_criterion_2_anchor_lattice():
     t0 = time.time()
-    aset = build_lattice(AnchorConfig(scales=(0.01, 0.03), num_frames=600))
-    widths = aset.spans[:, 1] - aset.spans[:, 0]
-    unclipped = (aset.spans[:, 0] > 0) & (aset.spans[:, 1] < 600)
+    spans = build_lattice(AnchorConfig(scales=(0.01, 0.03), num_frames=600))
+    widths = spans[:, 1] - spans[:, 0]
+    unclipped = (spans[:, 0] > 0) & (spans[:, 1] < 600)
     expected = np.tile([6.0, 18.0], 600)
     ok = (
-        len(aset) == 1200
-        and bool((aset.spans >= 0).all() and (aset.spans <= 600).all())
+        spans.shape == (1200, 2)
+        and bool((spans >= 0).all() and (spans <= 600).all())
         and bool((widths[unclipped] == expected[unclipped]).all())
-        and aset.window_sizes == (6.0, 18.0)
     )
     elapsed = time.time() - t0
     report(2, ok and elapsed < 1.0,
@@ -101,11 +100,11 @@ def test_criterion_3_loss_hand_values():
     box = boundary_loss(np.array([[[20.0, 50.0]]]), np.array([[25.0, 45.0]]),
                         np.array([[True]]), beta=1.0, norm=100.0)[0][0]
     # the trainer's composition: loss = align + mu * box over batch means
-    anchors = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
-                        video_input_dim=5, text_input_dim=3, dropout_rate=0.0)
+                        video_input_dim=5, text_input_dim=3, dropout_rate=0.0,
+                        anchors=AnchorConfig(scales=(0.25, 0.75), num_frames=8))
     record, _ = batch_loss_and_grads(init_model(enc, seed=0), tiny_training_batch(T=8, L=4),
-                                     anchors, TrainConfig(mu=1.0, seed=0))
+                                     TrainConfig(mu=1.0, seed=0))
     ok = (
         abs(align - 0.346574) < 1e-6
         and abs(box - 0.0025) < 1e-9
@@ -117,10 +116,10 @@ def test_criterion_3_loss_hand_values():
 def test_criterion_4_gradient_check():
     t0 = time.time()
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
-                        video_input_dim=5, text_input_dim=3, dropout_rate=0.0)
+                        video_input_dim=5, text_input_dim=3, dropout_rate=0.0,
+                        anchors=AnchorConfig(scales=(0.25, 0.75), num_frames=8))
     model = init_model(enc, seed=42, dtype=np.float64)
-    anchor_set = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
-    loss_fn = training_loss_fn(tiny_training_batch(T=8, L=4), anchor_set, TrainConfig(seed=0))
+    loss_fn = training_loss_fn(tiny_training_batch(T=8, L=4), TrainConfig(seed=0))
     result = gradcheck(loss_fn, model, step=1e-5, tolerance=1e-4, num_samples=200, seed=0)
     elapsed = time.time() - t0
     report(4, result.max_rel_error < 1e-4 and elapsed < 120.0,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlqground.anchors import AnchorConfig, build_lattice
+from nlqground.anchors import AnchorConfig
 from nlqground.cli import build_parser, run
 from nlqground.data import (
     load_dataset,
@@ -287,6 +287,27 @@ class TestPredictCommand:
         assert code == 1
         assert f"{ckpt}: parameter 'video_proj.w' missing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda c: c.update(hidden_dim=16.0), "'hidden_dim' must be an integer >= 1, got 16.0"),
+        (lambda c: c.update(num_heads=2.0), "'num_heads' must be an integer >= 1, got 2.0"),
+        (lambda c: c["anchors"].update(num_frames=20.0),
+         "'num_frames' must be an integer >= 1, got 20.0"),
+        (lambda c: c.update(cross_layers=True), "'cross_layers' must be an integer >= 1, got True"),
+    ], ids=["hidden_dim", "num_heads", "num_frames", "cross_layers"])
+    def test_checkpoint_non_integer_names_path_and_key(self, pipeline, tmp_path, capsys,
+                                                       edit, named):
+        """An integer field of the header that is 2.0 or true is refused
+        by the same rule as in the run config."""
+        ckpt = tmp_path / "m.nlqc"
+        ckpt.write_bytes((pipeline["out"] / "checkpoint_best.nlqc").read_bytes())
+        edit_matrix_header(ckpt, lambda h: edit(h["config"]))
+        out = tmp_path / "p.jsonl"
+        code = run(["predict", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
+                    "--out", str(out)])
+        assert code == 1
+        assert f"{ckpt}: bad encoder config: {named}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_names_path_and_parameter(self, pipeline, tmp_path, capsys,
                                                            value):
@@ -384,16 +405,16 @@ class TestSelectionIdentity:
         bitwise, as the scalar oracles in `helpers` (one span pair at a
         time); so does the file `predict` wrote."""
         model = load_checkpoint(pipeline["out"] / "checkpoint_best.nlqc")
-        anchors = build_lattice(AnchorConfig(scales=(0.15, 0.4), num_frames=20))
+        lattice = AnchorConfig(scales=(0.15, 0.4), num_frames=20)
         written = {r["query_id"]: r for r in map(json.loads, pipeline["preds"].read_text().splitlines())}
         checked = 0
         for batch in make_batches(load_dataset(pipeline["data"]), 32, 20, shuffle_seed=0, shuffle=False):
             conf, offs, _ = model.forward_batch(batch.videos, batch.video_rows, batch.text,
                                                 batch.text_mask, train=False)
-            batch_spans, batch_scores = decode_proposals(conf, offs, anchors, batch.durations)
+            batch_spans, batch_scores = decode_proposals(conf, offs, lattice, batch.durations)
             for j, qid in enumerate(batch.query_ids):
                 spans, scores = batch_spans[j], batch_scores[j]
-                index_spans = per_item_decode(offs[j], anchors)[0]
+                index_spans = per_item_decode(offs[j], lattice)[0]
                 expect_spans = brute_force_decode(index_spans, 20, batch.durations[j])
                 assert spans.tolist() == [list(p) for p in expect_spans]
                 for k, nms_iou in ((5, 0.5), (5, 0.0), (len(scores) + 3, 0.5), (1, 0.3)):

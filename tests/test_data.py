@@ -243,14 +243,14 @@ class TestAnnotations:
     def _query(qid="q1", start=1.0, end=2.0):
         return {"query_id": qid, "text": "", "start_sec": start, "end_sec": end}
 
-    @pytest.mark.parametrize("duration", [None, "abc", [60], 10**400])
+    @pytest.mark.parametrize("duration", [None, "abc", [60], 10**400, True])
     def test_non_numeric_duration_names_video_and_key(self, tmp_path, duration):
         videos = [self._video("v0"), self._video("v1", duration, self._query())]
         with pytest.raises(AnnotationError, match=r"videos\[1\] \(v1\): 'duration_sec'"):
             self._read(tmp_path, videos)
 
     @pytest.mark.parametrize("key", ["start_sec", "end_sec"])
-    @pytest.mark.parametrize("value", [None, "abc", {}])
+    @pytest.mark.parametrize("value", [None, "abc", {}, True])
     def test_non_numeric_endpoint_names_query_position_and_key(self, tmp_path, key, value):
         bad = dict(self._query("q2"), **{key: value})
         videos = [self._video("v0", 60.0, self._query("q0"), self._query("q1"), bad)]

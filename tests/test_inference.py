@@ -38,14 +38,14 @@ def props(*rows):
     return arr[:, :2], arr[:, 2]
 
 
-def decode_one(offsets, anchors):
+def decode_one(offsets, lattice):
     """Index spans and backward of a batch of one item."""
-    spans, back = decode_index_spans(offsets[None], anchors)
+    spans, back = decode_index_spans(offsets[None], lattice)
     return spans[0], lambda d: back(d[None])[0]
 
 
 class TestDecode:
-    aset = build_lattice(AnchorConfig(scales=(0.2,), num_frames=10))
+    lattice = AnchorConfig(scales=(0.2,), num_frames=10)
     durations = np.array([10.0])
 
     def _output(self, offsets, conf=None):
@@ -54,74 +54,65 @@ class TestDecode:
         return conf[None], offsets[None]
 
     def test_zero_offsets_reproduce_anchors(self):
-        spans, _ = decode_proposals(*self._output(np.zeros((10, 2))), self.aset, self.durations)
+        spans, _ = decode_proposals(*self._output(np.zeros((10, 2))), self.lattice, self.durations)
         assert spans.shape == (1, 10, 2)
+        anchors = build_lattice(self.lattice)
         for i in range(10):
             # duration == T so seconds equal index units here
-            assert spans[0, i, 0] == pytest.approx(self.aset.spans[i, 0])
-            assert spans[0, i, 1] == pytest.approx(self.aset.spans[i, 1])
+            assert spans[0, i, 0] == pytest.approx(anchors[i, 0])
+            assert spans[0, i, 1] == pytest.approx(anchors[i, 1])
 
     def test_window_scaled_offsets(self):
         # anchor (t=4) is [4-1+0.5, ...] => [3.5, 5.5], w=2; shift by (-0.5, +0.5)*w
         offsets = np.zeros((10, 2))
         offsets[4] = [-0.5, 0.5]
-        spans, _ = decode_one(offsets, self.aset)
+        spans, _ = decode_one(offsets, self.lattice)
         np.testing.assert_allclose(spans[4], [3.5 - 1.0, 5.5 + 1.0])
 
-    @staticmethod
-    def _anchor_4_6():
-        # a hand-built set holding the literal anchor [4, 6] with w=2
-        from nlqground.anchors import AnchorSet
-        config = AnchorConfig(scales=(0.2,), num_frames=10)
-        spans = np.tile(np.array([[4.0, 6.0]]), (10, 1))
-        return AnchorSet(spans=spans, window_sizes=(2.0,), config=config)
-
-    def test_hand_example_anchor_4_6(self):
-        # anchor [4, 6] with w=2: offsets (-0.5, 0.5) -> [3, 7]
-        aset = self._anchor_4_6()
+    def test_hand_example_anchor_t4(self):
+        # anchor t=4 is [3.5, 5.5] with w=2: offsets (-0.25, 0.75) -> [3.5 - 0.5, 5.5 + 1.5]
         offsets = np.zeros((10, 2))
-        offsets[4] = [-0.5, 0.5]
-        spans, _ = decode_one(offsets, aset)
+        offsets[4] = [-0.25, 0.75]
+        spans, _ = decode_one(offsets, self.lattice)
         np.testing.assert_allclose(spans[4], [3.0, 7.0])
 
     def test_inverted_spans_swapped(self):
-        aset = self._anchor_4_6()
         offsets = np.zeros((10, 2))
-        offsets[4] = [1.5, -1.5]  # raw [7, 3]
-        spans, _ = decode_one(offsets, aset)
+        offsets[4] = [1.75, -1.25]  # raw [3.5 + 3.5, 5.5 - 2.5] = [7, 3]
+        spans, _ = decode_one(offsets, self.lattice)
         np.testing.assert_allclose(spans[4], [3.0, 7.0])
 
     def test_decoded_spans_inside_video(self):
         rng = np.random.default_rng(0)
         offsets = rng.normal(scale=3.0, size=(10, 2))
-        spans, _ = decode_proposals(*self._output(offsets), self.aset, self.durations)
+        spans, _ = decode_proposals(*self._output(offsets), self.lattice, self.durations)
         for start, end in spans[0]:
             assert 0.0 <= start <= end <= 10.0
 
     def test_seconds_bitwise_equal_to_scalar_map(self):
-        aset = build_lattice(AnchorConfig(scales=(0.2, 0.5), num_frames=10))
+        lattice = AnchorConfig(scales=(0.2, 0.5), num_frames=10)
         durations = [37.3, 10.0, 1e-3]
         offsets = np.random.default_rng(5).normal(scale=2.0, size=(3, 10, 4))
-        spans, scores = decode_proposals(np.full((3, 10, 2), 0.5), offsets, aset, durations)
+        spans, scores = decode_proposals(np.full((3, 10, 2), 0.5), offsets, lattice, durations)
         assert spans.shape == (3, 20, 2) and scores.shape == (3, 20)
         for j, d in enumerate(durations):
-            index_spans = per_item_decode(offsets[j], aset)[0]
+            index_spans = per_item_decode(offsets[j], lattice)[0]
             assert spans[j].tolist() == [list(p) for p in brute_force_decode(index_spans, 10, d)]
 
     def test_non_finite_offsets_rejected(self):
         offsets = np.zeros((10, 2))
         offsets[3, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            decode_proposals(*self._output(offsets), self.aset, self.durations)
+            decode_proposals(*self._output(offsets), self.lattice, self.durations)
 
     def test_backward_routes_through_swap_and_clamp(self):
-        aset = build_lattice(AnchorConfig(scales=(0.25,), num_frames=8))
+        lattice = AnchorConfig(scales=(0.25,), num_frames=8)
         offsets = np.zeros((8, 2))
         offsets[4] = [1.5, -1.5]  # swapped
         offsets[0] = [-9.0, 0.0]  # start clamped at 0
-        spans, back = decode_one(offsets, aset)
+        spans, back = decode_one(offsets, lattice)
         d = np.zeros((8, 2))
-        i = flat_index(aset, 4, 0)
+        i = flat_index(lattice, 4, 0)
         d[i] = [1.0, 2.0]
         g = back(d)
         # swapped: gradient on reported start flows to the end-offset slot
@@ -133,10 +124,10 @@ class TestDecode:
         assert g2[0, 0] == 0.0  # clamped coordinate has zero gradient
 
     def test_gradient_matches_finite_differences(self):
-        aset = build_lattice(AnchorConfig(scales=(0.2, 0.5), num_frames=10))
+        lattice = AnchorConfig(scales=(0.2, 0.5), num_frames=10)
         rng = np.random.default_rng(4)
         offsets = rng.normal(scale=0.4, size=(2, 10, 4))
-        spans, back = decode_index_spans(offsets, aset)
+        spans, back = decode_index_spans(offsets, lattice)
         w = rng.normal(size=spans.shape)
         grad = back(w)
         assert grad.shape == offsets.shape
@@ -147,8 +138,8 @@ class TestDecode:
                     op, om = offsets.copy(), offsets.copy()
                     op[j, t, c] += h
                     om[j, t, c] -= h
-                    fp = float((decode_index_spans(op, aset)[0] * w).sum())
-                    fm = float((decode_index_spans(om, aset)[0] * w).sum())
+                    fp = float((decode_index_spans(op, lattice)[0] * w).sum())
+                    fm = float((decode_index_spans(om, lattice)[0] * w).sum())
                     assert grad[j, t, c] == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
 
 

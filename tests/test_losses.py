@@ -138,8 +138,8 @@ class TestTotalLoss:
     """The trainer's step record: loss = align + mu * box over batch means."""
 
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
-                        video_input_dim=5, text_input_dim=3, dropout_rate=0.0)
-    anchors = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
+                        video_input_dim=5, text_input_dim=3, dropout_rate=0.0,
+                        anchors=AnchorConfig(scales=(0.25, 0.75), num_frames=8))
 
     def record(self, mu, zero_offsets=False, batch=None):
         model = init_model(self.enc, seed=3)
@@ -148,7 +148,7 @@ class TestTotalLoss:
             model.params["reg_head.b2"][:] = 0.0
         batch = batch or tiny_training_batch(T=8, L=4)
         config = TrainConfig(mu=mu, seed=0)
-        return batch_loss_and_grads(model, batch, self.anchors, config)
+        return batch_loss_and_grads(model, batch, config)
 
     def test_composition_of_hand_values(self):
         rec, _ = self.record(mu=2.5)
@@ -164,8 +164,8 @@ class TestTotalLoss:
         # each ground truth is exactly one anchor (scale 0.25, width 2) and
         # no other anchor clears 0.5, so with zero offsets the box term is 0
         batch = tiny_training_batch(T=8, L=4)
-        batch.gt_index = np.array([self.anchors.spans[flat_index(self.anchors, t, 0)]
-                                   for t in (3, 4)])
+        anchors = build_lattice(self.enc.anchors)
+        batch.gt_index = np.array([anchors[flat_index(self.enc.anchors, t, 0)] for t in (3, 4)])
         for mu in (0.0, 0.5, 10.0):
             rec, _ = self.record(mu, zero_offsets=True, batch=batch)
             assert rec["box"] == 0.0 and rec["loss"] == rec["align"]

@@ -22,7 +22,7 @@ from helpers import (
     untiled_mha_forward,
 )
 
-from nlqground.anchors import AnchorConfig, build_lattice
+from nlqground.anchors import AnchorConfig
 from nlqground.nn import (
     EncoderConfig,
     GroundingModel,
@@ -508,16 +508,14 @@ class TestGradcheck:
 
     def test_full_training_loss_through_tiny_model(self):
         model = init_model(TINY, seed=42, dtype=np.float64)
-        anchor_set = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
-        fn = training_loss_fn(tiny_training_batch(), anchor_set, TrainConfig(seed=0))
+        fn = training_loss_fn(tiny_training_batch(), TrainConfig(seed=0))
         report = gradcheck(fn, model, step=1e-5, tolerance=1e-4, num_samples=200, seed=0)
         assert report.num_checked >= 200
         assert report.max_rel_error < 1e-4, report.worst_parameter
 
     def test_full_training_loss_through_dropout(self):
         model = init_model(replace(TINY, dropout_rate=0.3), seed=42, dtype=np.float64)
-        anchor_set = build_lattice(AnchorConfig(scales=(0.25, 0.75), num_frames=8))
-        fn = training_loss_fn(tiny_training_batch(), anchor_set, TrainConfig(seed=0), seed=5)
+        fn = training_loss_fn(tiny_training_batch(), TrainConfig(seed=0), seed=5)
         report = gradcheck(fn, model, step=1e-5, tolerance=1e-4, num_samples=200, seed=0)
         assert report.num_checked >= 200
         assert report.max_rel_error < 1e-4, report.worst_parameter
@@ -602,10 +600,16 @@ class TestCheckpoint:
         (lambda h: h["config"]["anchors"].pop("num_frames"), "config.anchors key 'num_frames' missing"),
         (lambda h: h["config"]["anchors"].update(scales=[0.75, 0.25]), "strictly increasing"),
         (lambda h: h["config"]["anchors"].update(scales="0.25"), "'scales' must be a list"),
-        (lambda h: h["config"]["anchors"].update(num_frames=0), "num_frames must be positive"),
+        (lambda h: h["config"]["anchors"].update(num_frames=0),
+         "'num_frames' must be an integer >= 1, got 0"),
+        (lambda h: h["config"].update(hidden_dim=16.0), "'hidden_dim' must be an integer >= 1, got 16.0"),
+        (lambda h: h["config"]["anchors"].update(num_frames=24.0),
+         "'num_frames' must be an integer >= 1, got 24.0"),
+        (lambda h: h["config"].update(cross_layers=True), "'cross_layers' must be an integer >= 1, got True"),
     ], ids=["no_manifest", "missing_parameter", "unknown_config_key", "shape_mismatch", "bad_seed",
             "no_anchors", "non_object_anchors", "unknown_anchors_key", "no_num_frames",
-            "decreasing_scales", "string_scales", "zero_frames"])
+            "decreasing_scales", "string_scales", "zero_frames", "float_hidden_dim",
+            "float_num_frames", "bool_cross_layers"])
     def test_bad_header_names_path_and_offender(self, tmp_path, edit, named):
         path = tmp_path / "m.nlqc"
         save_checkpoint(init_model(TINY, seed=8), path)

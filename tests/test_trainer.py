@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlqground.anchors import AnchorConfig, build_lattice
+from nlqground.anchors import AnchorConfig
 from nlqground.cli import run as cli_run
 from nlqground.data import Batch, SyntheticSpec, generate_synthetic, make_batches, save_dataset
 from nlqground.inference import predict_dataset, write_predictions
@@ -64,7 +64,6 @@ def check_against_per_item_oracle(B, T, K, gt_index, threshold, offset_gain, see
     model = init_model(enc, seed=seed)
     for name in ("reg_head.w2", "reg_head.b2"):
         model.params[name] *= np.float32(offset_gain)
-    anchors = build_lattice(enc.anchors)
     config = TrainConfig(mu=2.5, positive_threshold=threshold, smooth_l1_beta=0.02, seed=0)
     batch = Batch(videos=rng.normal(size=(B, T, 5)), video_rows=np.arange(B),
                   text=rng.normal(size=(B, 3, 4)),
@@ -80,12 +79,12 @@ def check_against_per_item_oracle(B, T, K, gt_index, threshold, offset_gain, see
     model.backward = spy
     # each forward draws the same dropout masks from a reseeded generator
     model._dropout_rng = np.random.default_rng(seed)
-    record, grads = batch_loss_and_grads(model, batch, anchors, config)
+    record, grads = batch_loss_and_grads(model, batch, config)
 
     model._dropout_rng = np.random.default_rng(seed)
     conf, offs, cache = model.forward_batch(batch.videos, batch.video_rows, batch.text,
                                             batch.text_mask, train=True)
-    oracle = per_item_objective(conf, offs, batch.gt_index, anchors, config)
+    oracle = per_item_objective(conf, offs, batch.gt_index, enc.anchors, config)
     assert_bitwise_equal(upstream["d_conf"], oracle["d_conf"])
     assert_bitwise_equal(upstream["d_offs"], oracle["d_offs"])
     expect, _, _ = backward(cache, oracle["d_conf"], oracle["d_offs"])
@@ -232,7 +231,6 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_fixed_batch(self):
         ds = tiny_dataset(videos=4)
-        aset = build_lattice(ENC.anchors)
         batch = next(make_batches(ds, 4, 24, shuffle_seed=0, shuffle=False))
         decreased = False
         for lr in (2e-4, 1e-3):
@@ -241,7 +239,7 @@ class TestTrainLoop:
             state = OptimizerState.for_model(model)
             first = last = None
             for step in range(50):
-                record, grads = batch_loss_and_grads(model, batch, aset, cfg)
+                record, grads = batch_loss_and_grads(model, batch, cfg)
                 adam_step(model.params, grads, state, lr, cfg)
                 if first is None:
                     first = record["loss"]
