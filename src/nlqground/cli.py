@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import AnchorConfig
-from .core import require_int
+from .core import config_from_json, require_int, require_number
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -63,50 +63,31 @@ class InferenceOptions:
 
     def __post_init__(self):
         require_int(self, "top_k", 1)
-        if not 0 <= self.nms_iou <= 1:  # NaN fails the comparison
-            raise ValueError(f"nms_iou must lie in [0, 1], got {self.nms_iou!r}")
+        require_number(self, "nms_iou", "[0, 1]")
 
 
-_SECTIONS = {
-    "encoder": EncoderConfig,
-    "train": TrainConfig,
-    "anchors": AnchorConfig,
-    "inference": InferenceOptions,
-}
-
-
-def _build_section(cls, payload: dict, section: str, **fixed):
-    """`cls` from a config section's keys plus the `fixed` fields, which the
-    section may not set."""
-    unknown = set(payload) - {f.name for f in dataclasses.fields(cls) if f.name not in fixed}
-    if unknown:
-        raise CliError(f"config section {section!r} has unknown keys: {sorted(unknown)}")
-    try:
-        return cls(**payload, **fixed)
-    except (TypeError, ValueError) as e:
-        raise CliError(f"config section {section!r}: {e}") from e
-
-
-def load_run_config(path) -> dict:
-    """Parse the unified run-config JSON; unknown keys anywhere are an error."""
+def load_run_config(path, video_dim: int, text_dim: int):
+    """The (EncoderConfig, TrainConfig, InferenceOptions) of a run-config
+    JSON file, whose sections `encoder`, `train`, `anchors` and `inference`
+    may each leave keys to their defaults; unknown keys anywhere are an
+    error.  The encoder's input dims are the data's, `video_dim` and
+    `text_dim`, and its lattice is the `anchors` section."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as e:
         raise CliError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise CliError(f"{path}: the config must be a JSON object")
-    unknown = set(doc) - set(_SECTIONS) - {"data"}
+    unknown = set(doc) - {"encoder", "train", "anchors", "inference"}
     if unknown:
         raise CliError(f"config has unknown top-level keys: {sorted(unknown)}")
-    for name, section in doc.items():
-        if not isinstance(section, dict):
-            raise CliError(f"config section {name!r} must be a JSON object")
-    sections = {name: dict(doc.get(name, {})) for name in _SECTIONS}
-    data_paths = dict(doc.get("data", {}))
-    if set(data_paths) - {"train_dir", "val_dir"}:
-        raise CliError(f"config section 'data' has unknown keys: "
-                       f"{sorted(set(data_paths) - {'train_dir', 'val_dir'})}")
-    return {"sections": sections, "data": data_paths}
+
+    def section(cls, name, **fixed):
+        return config_from_json(cls, doc.get(name, {}), f"config section {name!r}", **fixed)
+
+    encoder = section(EncoderConfig, "encoder", anchors=section(AnchorConfig, "anchors"),
+                      video_input_dim=video_dim, text_input_dim=text_dim)
+    return encoder, section(TrainConfig, "train"), section(InferenceOptions, "inference")
 
 
 # ---------------------------------------------------------------------------
@@ -141,27 +122,11 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = load_run_config(args.config) if args.config else {"sections": {n: {} for n in _SECTIONS}, "data": {}}
-    train_dir = args.data or cfg["data"].get("train_dir")
-    val_dir = args.val or cfg["data"].get("val_dir")
-    if not train_dir:
-        raise CliError("no training data: pass --data or set data.train_dir in the config")
-
-    train_data = load_dataset(train_dir)
-    val_data = load_dataset(val_dir) if val_dir else None
-
-    enc_payload = cfg["sections"]["encoder"]
-    # Input dims default to what the data actually carries.
-    enc_payload.setdefault("video_input_dim", next(iter(train_data.video_features.values())).shape[1])
-    enc_payload.setdefault("text_input_dim", next(iter(train_data.text_features.values())).shape[1])
-    anchors = _build_section(AnchorConfig, cfg["sections"]["anchors"], "anchors")
-    encoder_config = _build_section(EncoderConfig, enc_payload, "encoder", anchors=anchors)
-
-    train_payload = cfg["sections"]["train"]
-    if args.seed is not None:
-        train_payload["seed"] = args.seed
-    train_config = _build_section(TrainConfig, train_payload, "train")
-    infer_opts = _build_section(InferenceOptions, cfg["sections"]["inference"], "inference")
+    train_data = load_dataset(args.data)
+    val_data = load_dataset(args.val) if args.val else None
+    encoder_config, train_config, infer_opts = load_run_config(
+        args.config, next(iter(train_data.video_features.values())).shape[1],
+        next(iter(train_data.text_features.values())).shape[1])
 
     result = train(train_data, val_data, encoder_config, train_config, args.out,
                    topk=infer_opts.top_k, nms_iou=infer_opts.nms_iou)
@@ -285,11 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a grounding model",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--config", help="unified run-config JSON (flags win on conflict)")
-    p.add_argument("--data", help="training dataset directory")
+    p.add_argument("--config", required=True, help="run-config JSON ({} for all defaults)")
+    p.add_argument("--data", required=True, help="training dataset directory")
     p.add_argument("--val", help="validation dataset directory")
     p.add_argument("--out", required=True, help="output directory (checkpoints + logs)")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.set_defaults(fn=_cmd_train)
 
     p = sub.add_parser("predict", help="emit ranked proposals for a dataset",

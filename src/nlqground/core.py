@@ -5,9 +5,15 @@ its duration in seconds; the maps take T and the durations as arrays, one
 duration per span row.  Ground truth enters index units once, in
 `data.make_batches`, and decoded proposals return to seconds once, in
 `inference.decode_proposals`.
+
+The module also holds the config rules: the integer and number rules the
+config dataclasses apply to their fields, and the one builder that makes a
+config dataclass from JSON, for the run config and the checkpoint header.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -21,6 +27,42 @@ def require_int(config, name: str, minimum: int) -> None:
     value = getattr(config, name)
     if type(value) is not int or value < minimum:
         raise ValueError(f"{name!r} must be an integer >= {minimum}, got {value!r}")
+
+
+def require_number(config, name: str, interval: str) -> None:
+    """The config number rule: `config.<name>` is an int or a float (not a
+    bool, not a string) inside `interval`, written like "[0, 1)" or
+    "(0, inf)"; NaN lies inside none."""
+    value = getattr(config, name)
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (lo < value or (interval[0] == "[" and value == lo))
+            or not (value < hi or (interval[-1] == "]" and value == hi))):
+        raise ValueError(f"{name!r} must be a number in {interval}, got {value!r}")
+
+
+def config_from_json(cls, obj, where: str, exact: bool = False, **fixed):
+    """The config dataclass `cls` from the JSON object `obj` plus the
+    `fixed` fields, which `obj` may not set.  A field whose default is a
+    dataclass is built from its own object the same way.  Fields `obj`
+    leaves out keep their defaults, unless `exact` requires every one.
+    Every refusal is a ValueError naming `where` and the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls) if f.name not in fixed}
+    for key in obj:
+        if key not in defaults:
+            raise ValueError(f"{where}: unknown key {key!r}")
+    missing = [key for key in defaults if exact and key not in obj]
+    if missing:
+        raise ValueError(f"{where}: key {missing[0]!r} missing")
+    values = {key: config_from_json(type(defaults[key]), value, f"{where}.{key}", exact)
+              if dataclasses.is_dataclass(defaults[key]) else value
+              for key, value in obj.items()}
+    try:
+        return cls(**values, **fixed)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{where}: {e}") from e
 
 
 def iou_batch(spans, refs) -> np.ndarray:

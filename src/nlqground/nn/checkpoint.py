@@ -3,16 +3,17 @@
 A checkpoint is a matrix file (`data.write_matrices`) of the model's
 parameters in `parameter_shapes` order, whose header adds the encoder config
 (anchor lattice included) and the initialisation seed ahead of the manifest.
-Loading checks the config keys, and the parameter names and shapes against
-those the config implies, and names the offending key or parameter; the
-matrix file writer and reader refuse a parameter holding NaN or Inf.
+Loading builds the config by the run config's rules, but requires every
+key; it checks the seed, and the parameter names and shapes against those
+the config implies, and names the offending key or parameter; the matrix
+file writer and reader refuse a parameter holding NaN or Inf.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
-from ..anchors import AnchorConfig
+from ..core import config_from_json
 from ..data import MatrixFileError, read_matrices, write_matrices
 from .model import EncoderConfig, GroundingModel, parameter_shapes
 
@@ -24,12 +25,11 @@ def save_checkpoint(model: GroundingModel, path) -> None:
 
 def load_checkpoint(path) -> GroundingModel:
     header, params = read_matrices(path)
-    config = _checked_config(path, header.get("config"), EncoderConfig, "config")
-    anchors = _checked_config(path, config["anchors"], AnchorConfig, "config.anchors")
     try:
-        config = EncoderConfig(**dict(config, anchors=AnchorConfig(**anchors)))
-    except (TypeError, ValueError) as e:
-        raise MatrixFileError(f"{path}: bad encoder config: {e}") from e
+        config = config_from_json(EncoderConfig, header.get("config"), f"{path}: config",
+                                  exact=True)
+    except ValueError as e:
+        raise MatrixFileError(str(e)) from e
     expected = {name: (rows, cols) for name, rows, cols in parameter_shapes(config)}
     for name, p in params.items():
         if name not in expected:
@@ -40,21 +40,7 @@ def load_checkpoint(path) -> GroundingModel:
     missing = [name for name in expected if name not in params]
     if missing:
         raise MatrixFileError(f"{path}: parameter {missing[0]!r} missing from the manifest")
-    seed = header.get("seed", 0)
-    if type(seed) is not int:
-        raise MatrixFileError(f"{path}: seed {seed!r} is not an integer")
+    seed = header.get("seed")
+    if type(seed) is not int or seed < 0:  # the rule of core.require_int
+        raise MatrixFileError(f"{path}: seed {seed!r} is not an integer >= 0")
     return GroundingModel(config=config, rng_seed=seed, params=params)
-
-
-def _checked_config(path, section, cls, where: str) -> dict:
-    """A header object that must name every field of `cls` and nothing else."""
-    if not isinstance(section, dict):
-        raise MatrixFileError(f"{path}: header {where} is not an object")
-    fields = [f.name for f in dataclasses.fields(cls)]
-    for key in section:
-        if key not in fields:
-            raise MatrixFileError(f"{path}: unknown {where} key {key!r}")
-    for key in fields:
-        if key not in section:
-            raise MatrixFileError(f"{path}: {where} key {key!r} missing")
-    return section

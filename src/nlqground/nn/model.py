@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..anchors import AnchorConfig
-from ..core import require_int
+from ..core import require_int, require_number
 from .layers import (
     encoder_layer_backward,
     encoder_layer_forward,
@@ -70,8 +70,7 @@ class EncoderConfig:
             )
         if self.hidden_dim % 2 != 0:
             raise ValueError(f"hidden_dim must be even for sin/cos positions, got {self.hidden_dim}")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError(f"dropout_rate must lie in [0, 1), got {self.dropout_rate}")
+        require_number(self, "dropout_rate", "[0, 1)")
 
 
 def _stacks(config: EncoderConfig) -> dict[str, int]:

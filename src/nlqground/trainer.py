@@ -21,7 +21,7 @@ import numpy as np
 
 from . import losses
 from .anchors import label_anchors
-from .core import require_int
+from .core import require_int, require_number
 from .data import Batch, Dataset, make_batches
 from .evaluation import evaluate
 from .inference import decode_index_spans, predict_dataset
@@ -50,19 +50,12 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "warmup_steps", "seed"):
             require_int(self, name, 0 if name == "seed" else 1)
-        # every rule is a comparison, so NaN fails it
-        for name, ok in (
-            ("base_lr", self.base_lr > 0),
-            ("mu", self.mu >= 0),
-            ("positive_threshold", 0 <= self.positive_threshold < 1),
-            ("smooth_l1_beta", self.smooth_l1_beta > 0),
-            ("adam_beta1", 0 <= self.adam_beta1 < 1),
-            ("adam_beta2", 0 <= self.adam_beta2 < 1),
-            ("adam_eps", self.adam_eps > 0),
-            ("grad_clip_norm", 0 <= self.grad_clip_norm < math.inf),
+        for name, interval in (
+            ("base_lr", "(0, inf)"), ("mu", "[0, inf)"), ("positive_threshold", "[0, 1)"),
+            ("smooth_l1_beta", "(0, inf)"), ("adam_beta1", "[0, 1)"), ("adam_beta2", "[0, 1)"),
+            ("adam_eps", "(0, inf)"), ("grad_clip_norm", "[0, inf)"),
         ):
-            if not ok:
-                raise ValueError(f"{name} is out of range: {getattr(self, name)!r}")
+            require_number(self, name, interval)
 
 
 def lr_at(step: int, config: TrainConfig) -> float:

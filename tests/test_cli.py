@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nlqground.anchors import AnchorConfig
-from nlqground.cli import build_parser, run
+from nlqground.cli import InferenceOptions, build_parser, load_run_config, run
 from nlqground.data import (
     load_dataset,
     make_batches,
@@ -16,7 +16,8 @@ from nlqground.data import (
     write_matrices,
 )
 from nlqground.inference import decode_proposals, select_proposals
-from nlqground.nn import load_checkpoint
+from nlqground.nn import EncoderConfig, load_checkpoint
+from nlqground.trainer import TrainConfig
 from helpers import (
     brute_force_decode,
     brute_force_selection,
@@ -49,6 +50,25 @@ def test_readme_commands_parse():
         build_parser().parse_args(shlex.split(command, comments=True)[1:])
     assert sorted(c.split()[1] for c in commands) == ["eval", "gen-data", "predict",
                                                        "rerank", "train"]
+
+
+def test_readme_run_config_loads(tmp_path):
+    """README's run config reads as written: every key it sets reaches the
+    configs `load_run_config` builds, and `{}` builds the defaults."""
+    section = README.read_text(encoding="utf-8").split("### Run config", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "run.json"
+    path.write_text(block, encoding="utf-8")
+    encoder, train, inference = load_run_config(path, 32, 16)
+    built = {"encoder": encoder, "train": train, "anchors": encoder.anchors,
+             "inference": inference}
+    for name, keys in json.loads(block).items():
+        for key, value in keys.items():
+            assert getattr(built[name], key) == (tuple(value) if isinstance(value, list)
+                                                 else value), (name, key)
+    path.write_text("{}", encoding="utf-8")
+    assert load_run_config(path, 32, 16) == (
+        EncoderConfig(video_input_dim=32, text_input_dim=16), TrainConfig(), InferenceOptions())
 
 
 GEN = ["gen-data", "--num-videos", "3", "--frames", "40", "--dim", "8",
@@ -120,10 +140,12 @@ class TestTrainCommand:
         assert "'prediction_mode'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("num_scales", 2), ("anchors", {"scales": [0.15, 0.4], "num_frames": 20})])
+        ("num_scales", 2), ("anchors", {"scales": [0.15, 0.4], "num_frames": 20}),
+        ("video_input_dim", 8), ("text_input_dim", 4)])
     def test_lattice_in_encoder_section_is_an_unknown_key(self, pipeline, tmp_path, capsys,
                                                           key, value):
-        """The lattice is set by the `anchors` section alone."""
+        """The lattice is set by the `anchors` section alone, and the input
+        dims by the data alone."""
         doc = json.loads(pipeline["cfg"].read_text())
         doc["encoder"][key] = value
         bad = tmp_path / "bad.json"
@@ -131,7 +153,7 @@ class TestTrainCommand:
         code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
                     "--out", str(tmp_path / "o")])
         assert code == 1
-        assert f"config section 'encoder' has unknown keys: [{key!r}]" in capsys.readouterr().err
+        assert f"config section 'encoder': unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_no_val_message(self, pipeline, tmp_path, capsys):
@@ -224,6 +246,23 @@ class TestTrainCommand:
         assert f"config section {section!r}: {key!r} must be an integer" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "mu", "1.0"), ("train", "mu", [1.0]), ("train", "mu", False),
+        ("train", "base_lr", True), ("encoder", "dropout_rate", "0.1"),
+        ("encoder", "dropout_rate", False), ("inference", "nms_iou", [0.5]),
+        ("inference", "nms_iou", True)])
+    def test_non_number_for_float_field_names_section_and_key(self, pipeline, tmp_path,
+                                                             capsys, section, key, value):
+        doc = json.loads(pipeline["cfg"].read_text())
+        doc[section][key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"config section {section!r}: {key!r} must be a number" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_data_dir_rejected(self, pipeline, tmp_path):
         code = run(["train", "--config", str(pipeline["cfg"]),
                     "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -288,11 +327,12 @@ class TestPredictCommand:
         assert f"{ckpt}: parameter 'video_proj.w' missing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda c: c.update(hidden_dim=16.0), "'hidden_dim' must be an integer >= 1, got 16.0"),
-        (lambda c: c.update(num_heads=2.0), "'num_heads' must be an integer >= 1, got 2.0"),
+        (lambda c: c.update(hidden_dim=16.0), "config: 'hidden_dim' must be an integer >= 1, got 16.0"),
+        (lambda c: c.update(num_heads=2.0), "config: 'num_heads' must be an integer >= 1, got 2.0"),
         (lambda c: c["anchors"].update(num_frames=20.0),
-         "'num_frames' must be an integer >= 1, got 20.0"),
-        (lambda c: c.update(cross_layers=True), "'cross_layers' must be an integer >= 1, got True"),
+         "config.anchors: 'num_frames' must be an integer >= 1, got 20.0"),
+        (lambda c: c.update(cross_layers=True),
+         "config: 'cross_layers' must be an integer >= 1, got True"),
     ], ids=["hidden_dim", "num_heads", "num_frames", "cross_layers"])
     def test_checkpoint_non_integer_names_path_and_key(self, pipeline, tmp_path, capsys,
                                                        edit, named):
@@ -305,7 +345,7 @@ class TestPredictCommand:
         code = run(["predict", "--ckpt", str(ckpt), "--data", str(pipeline["data"]),
                     "--out", str(out)])
         assert code == 1
-        assert f"{ckpt}: bad encoder config: {named}" in capsys.readouterr().err
+        assert f"{ckpt}: {named}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])

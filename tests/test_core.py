@@ -1,8 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlqground.core import OutOfRangeError, index_to_sec, iou_batch, sec_to_index
+from nlqground.core import (
+    OutOfRangeError,
+    index_to_sec,
+    iou_batch,
+    require_number,
+    sec_to_index,
+)
 from helpers import scalar_index_to_sec, scalar_iou, scalar_sec_to_index
 
 # multiples of 1/64 are exactly representable, so interval arithmetic before
@@ -14,6 +22,21 @@ spans = st.tuples(grid64, grid64).map(lambda p: (min(p), max(p)))
 def iou(a, b):
     """`iou_batch` of one span against one reference."""
     return iou_batch(np.array([a]), b)[0]
+
+
+@pytest.mark.parametrize("interval, inside, outside", [
+    ("[0, 1]", [0, 0.5, 1.0], [-0.1, 1.1, np.nan, True, "0.5", [0.5], None]),
+    ("[0, 1)", [0.0, 0.99], [1.0, -1e-9]),
+    ("(0, inf)", [1e-300, 5, 1e300], [0.0, -1, np.inf, np.nan, False]),
+])
+def test_require_number_bounds(interval, inside, outside):
+    """A bracket admits its bound and a parenthesis does not; NaN, bools
+    and non-numbers lie inside no interval."""
+    for value in inside:
+        require_number(SimpleNamespace(x=value), "x", interval)
+    for value in outside:
+        with pytest.raises(ValueError, match=r"'x' must be a number in"):
+            require_number(SimpleNamespace(x=value), "x", interval)
 
 
 def test_sec_to_index_span_invariants():

@@ -591,13 +591,15 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit, named", [
         (lambda h: h.pop("manifest"), "manifest"),
         (lambda h: h["manifest"].pop(0), "'video_proj.w' missing"),
-        (lambda h: h["config"].update(bogus=1), "unknown config key 'bogus'"),
+        (lambda h: h["config"].update(bogus=1), "config: unknown key 'bogus'"),
         (lambda h: h["config"].update(hidden_dim=16), "'video_proj.w' is 5x8, the config implies 5x16"),
         (lambda h: h.update(seed="8"), "seed '8' is not an integer"),
-        (lambda h: h["config"].pop("anchors"), "config key 'anchors' missing"),
-        (lambda h: h["config"].update(anchors=[0.25, 0.75]), "config.anchors is not an object"),
-        (lambda h: h["config"]["anchors"].update(stride=2), "unknown config.anchors key 'stride'"),
-        (lambda h: h["config"]["anchors"].pop("num_frames"), "config.anchors key 'num_frames' missing"),
+        (lambda h: h.pop("seed"), "seed None is not an integer >= 0"),
+        (lambda h: h.update(seed=-1), "seed -1 is not an integer >= 0"),
+        (lambda h: h["config"].pop("anchors"), "config: key 'anchors' missing"),
+        (lambda h: h["config"].update(anchors=[0.25, 0.75]), "config.anchors must be a JSON object"),
+        (lambda h: h["config"]["anchors"].update(stride=2), "config.anchors: unknown key 'stride'"),
+        (lambda h: h["config"]["anchors"].pop("num_frames"), "config.anchors: key 'num_frames' missing"),
         (lambda h: h["config"]["anchors"].update(scales=[0.75, 0.25]), "strictly increasing"),
         (lambda h: h["config"]["anchors"].update(scales="0.25"), "'scales' must be a list"),
         (lambda h: h["config"]["anchors"].update(num_frames=0),
@@ -606,10 +608,15 @@ class TestCheckpoint:
         (lambda h: h["config"]["anchors"].update(num_frames=24.0),
          "'num_frames' must be an integer >= 1, got 24.0"),
         (lambda h: h["config"].update(cross_layers=True), "'cross_layers' must be an integer >= 1, got True"),
+        (lambda h: h["config"].update(dropout_rate="0.1"),
+         "config: 'dropout_rate' must be a number in [0, 1), got '0.1'"),
+        (lambda h: h["config"].update(dropout_rate=False),
+         "config: 'dropout_rate' must be a number in [0, 1), got False"),
     ], ids=["no_manifest", "missing_parameter", "unknown_config_key", "shape_mismatch", "bad_seed",
-            "no_anchors", "non_object_anchors", "unknown_anchors_key", "no_num_frames",
-            "decreasing_scales", "string_scales", "zero_frames", "float_hidden_dim",
-            "float_num_frames", "bool_cross_layers"])
+            "no_seed", "negative_seed", "no_anchors", "non_object_anchors", "unknown_anchors_key",
+            "no_num_frames", "decreasing_scales", "string_scales", "zero_frames",
+            "float_hidden_dim", "float_num_frames", "bool_cross_layers", "string_dropout_rate",
+            "bool_dropout_rate"])
     def test_bad_header_names_path_and_offender(self, tmp_path, edit, named):
         path = tmp_path / "m.nlqc"
         save_checkpoint(init_model(TINY, seed=8), path)

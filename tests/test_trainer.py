@@ -41,6 +41,8 @@ class TestTrainConfig:
         ("grad_clip_norm", math.inf), ("base_lr", 0.0),
         *[(f, math.nan) for f in ("mu", "positive_threshold", "smooth_l1_beta", "adam_beta1",
                                   "adam_beta2", "adam_eps", "grad_clip_norm", "base_lr")],
+        ("mu", False), ("base_lr", True), ("adam_eps", "1e-8"), ("grad_clip_norm", [1.0]),
+        ("mu", math.inf), ("base_lr", math.inf),
     ])
     def test_rejects_out_of_range_field(self, field, bad):
         with pytest.raises(ValueError, match=field):
