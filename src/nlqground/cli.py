@@ -74,7 +74,7 @@ def load_run_config(path, video_dim: int, text_dim: int):
     `text_dim`, and its lattice is the `anchors` section."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # undecodable bytes, bad JSON or an integer too long to convert
         raise CliError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise CliError(f"{path}: the config must be a JSON object")

@@ -154,12 +154,13 @@ def write_annotations(path, videos: list[dict]) -> None:
 
 
 def _number(obj: dict, key: str, where: str) -> float:
-    """obj[key] as a float (not from a bool), or an AnnotationError naming `where` and the key."""
+    """obj[key] as a float: a JSON number (an int or a float, not a bool or a
+    string) that fits one, or an AnnotationError naming `where` and the key."""
     try:
-        if isinstance(obj[key], bool):
+        if type(obj[key]) not in (int, float):
             raise TypeError
         return float(obj[key])
-    except (TypeError, ValueError, OverflowError):
+    except (TypeError, OverflowError):
         raise AnnotationError(f"{where}: {key!r} is not a number: {obj[key]!r}") from None
 
 
@@ -181,7 +182,7 @@ def read_annotations(path) -> tuple[list[QueryAnnotation], dict[str, float]]:
     and key; a video or query id used twice names both positions."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # undecodable bytes, bad JSON or an integer too long to convert
         raise AnnotationError(f"{path}: not valid JSON: {e}") from e
     if not isinstance(doc, dict) or "videos" not in doc:
         raise AnnotationError(f"{path}: missing top-level 'videos' key")

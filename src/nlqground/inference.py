@@ -13,15 +13,18 @@ Greedy NMS (not part of the original selection rule, which just takes top-5)
 runs before top-k, stopping at k kept, so the top-5 are not near-duplicates
 of the best proposal.  Re-ranking adds weighted score channels onto the
 scores.  A prediction is one `Record` from decode to file and back, and
-only this module knows the file's keys.  The JSON-lines readers name
-`path:line` for a malformed line, a non-string id, a channel score that is
-not a finite number, or a bad proposal (with its query, rank and key).
+only this module knows the file's keys.  The JSON-lines readers read every
+JSON number as a float and check each file as one float64 array, with NaN
+for a value that is not a number; they name `path:line` for a malformed
+line, a non-string or repeated query id, a channel score that is not a
+finite number, or a bad proposal (with its query, rank and key).
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,13 @@ from .nn.model import GroundingModel
 
 # (query_id, video_id, spans (k, 2) float64 seconds, scores (k,) float64), rank order
 Record = tuple[str, str, np.ndarray, np.ndarray]
+
+# The JSON-lines readers' decoder: every JSON number reads as a float (an
+# integer too large for one reads as inf), and a bool stays a bool.  Built
+# once, as `json.loads(line, parse_int=float)` would build one per line.
+_DECODER = json.JSONDecoder(parse_int=float)
+_PROPOSAL_KEYS = ("start_sec", "end_sec", "score")
+_NOT_A_PROPOSAL = (None, None, None)
 
 
 def _rank(spans: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -187,15 +197,16 @@ def write_predictions(path, records: list[Record]) -> None:
 
 def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[tuple[int, dict]]:
     """The (line number, object) pairs of a JSON-lines file, blank lines
-    skipped.  Invalid JSON, a line that is not an object, a missing key, a
-    non-list `list_key` or a `query_id` or `video_id` that is not a string
+    skipped, every JSON number read as a float.  Invalid JSON, a line that
+    is not an object, a missing key, a non-list `list_key`, a `query_id` or
+    `video_id` that is not a string, or a `query_id` seen on an earlier line
     is a ValueError naming path:line."""
-    records = []
+    records, first_line = [], {}
     for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
-            rec = json.loads(line)
+            rec = _DECODER.decode(line)
         except json.JSONDecodeError as e:
             raise ValueError(f"{path}:{ln}: invalid JSON: {e}") from e
         if not isinstance(rec, dict):
@@ -208,82 +219,64 @@ def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[tuple[int, d
         for key in ("query_id", "video_id"):
             if key in rec and not isinstance(rec[key], str):
                 raise ValueError(f"{path}:{ln}: {key!r} must be a string")
+        qid = rec["query_id"]
+        if qid in first_line:
+            raise ValueError(f"{path}:{ln}: query_id {qid!r} repeats line {first_line[qid]}")
+        first_line[qid] = ln
         records.append((ln, rec))
     return records
 
 
-def _is_finite_number(v) -> bool:
-    """True for a JSON number that is finite as a float; bools are not numbers."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an integer too large for a float
-        return False
+def _item_at(lines, list_key: str, row: int) -> tuple[int, dict, int]:
+    """(line number, object, 0-based position) of the flat `row`-th item of
+    the `list_key` lists of `lines`."""
+    for ln, rec in lines:
+        if row < len(rec[list_key]):
+            return ln, rec, row
+        row -= len(rec[list_key])
 
 
-def _checked_proposal(where: str, rank: int, proposal) -> list:
-    """[start_sec, end_sec, score] of a predictions-file proposal: finite
-    numbers with 0 <= start_sec <= end_sec, or a ValueError naming `where`,
-    the rank and the key."""
-    keys = ("start_sec", "end_sec", "score")
-    values = [proposal.get(key) if isinstance(proposal, dict) else None for key in keys]
-    for key, v in zip(keys, values):
-        if not _is_finite_number(v):
-            raise ValueError(f"{where} rank {rank}: {key!r} is missing or not a finite number")
-    if not 0 <= values[0] <= values[1]:
-        raise ValueError(f"{where} rank {rank}: span {values[:2]} "
-                         "breaks 0 <= 'start_sec' <= 'end_sec'")
-    return values
-
-
-def _float_table(lines) -> np.ndarray | None:
-    """The (N, 3) rows of every proposal on `lines` if all are finite floats
-    that pass `_checked_proposal`, checked at once; else None."""
-    try:
-        values = [(p["start_sec"], p["end_sec"], p["score"])
-                  for _, rec in lines for p in rec["proposals"]]
-    except (KeyError, TypeError):
-        return None
-    if not {type(v) for row in values for v in row} <= {float}:
-        return None
-    table = np.array(values, dtype=np.float64).reshape(-1, 3)
-    start, end = table[:, 0], table[:, 1]
-    return table if np.isfinite(table).all() and (0 <= start).all() and (start <= end).all() else None
+def _per_line(table: np.ndarray, lines, list_key: str) -> list[np.ndarray]:
+    """`table`, whose rows are the `list_key` items of `lines` in order, cut into one slice per line."""
+    bounds = list(accumulate((len(rec[list_key]) for _, rec in lines), initial=0))
+    return [table[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def read_predictions(path) -> list[Record]:
     """The records of a predictions file, in file order (a missing
-    `video_id` reads as ""), every proposal checked as it is read."""
+    `video_id` reads as ""), all proposals checked at once: finite
+    numbers with 0 <= start_sec <= end_sec, or a ValueError naming path:line,
+    the query, the rank and the key of the first offender."""
     lines = _read_jsonl(path, ("query_id", "proposals"), "proposals")
-    table = _float_table(lines)
-    if table is None:  # integers, or a bad proposal: check one by one, naming the first offender
-        table = np.array([_checked_proposal(f"{path}:{ln}: query {rec['query_id']!r}", rank, p)
-                          for ln, rec in lines for rank, p in enumerate(rec["proposals"], 1)],
-                         dtype=np.float64).reshape(-1, 3)
-    records, start = [], 0
-    for _, rec in lines:
-        stop = start + len(rec["proposals"])
-        rows = table[start:stop]
-        records.append((rec["query_id"], rec.get("video_id", ""), rows[:, :2], rows[:, 2]))
-        start = stop
-    return records
+    table = np.array([v if type(v) is float else math.nan  # a bool, string, None, ... is NaN
+                      for _, rec in lines for p in rec["proposals"]
+                      for v in ((p.get("start_sec"), p.get("end_sec"), p.get("score"))
+                                if type(p) is dict else _NOT_A_PROPOSAL)],
+                     dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(table)
+    ok = finite.all(axis=1) & (0 <= table[:, 0]) & (table[:, 0] <= table[:, 1])
+    if not ok.all():
+        row = int(ok.argmin())
+        ln, rec, i = _item_at(lines, "proposals", row)
+        where = f"{path}:{ln}: query {rec['query_id']!r} rank {i + 1}"
+        if not finite[row].all():
+            key = _PROPOSAL_KEYS[int(finite[row].argmin())]
+            raise ValueError(f"{where}: {key!r} is missing or not a finite number")
+        raise ValueError(f"{where}: span {table[row, :2].tolist()} "
+                         "breaks 0 <= 'start_sec' <= 'end_sec'")
+    return [(rec["query_id"], rec.get("video_id", ""), rows[:, :2], rows[:, 2])
+            for (_, rec), rows in zip(lines, _per_line(table, lines, "proposals"))]
 
 
 def read_channel_file(path) -> dict[str, np.ndarray]:
     """JSON-lines {"query_id", "channel", "scores"}; returns query -> float64
     scores.  A score that is not a finite number is a ValueError naming
     path:line and its index."""
-    scores_by_query = {}
-    for ln, rec in _read_jsonl(path, ("query_id", "channel", "scores"), "scores"):
-        scores = rec["scores"]
-        try:  # one pass over well-formed scores; `type` rules out bools
-            values = [float(v) for v in scores if type(v) in (int, float)]
-        except OverflowError:  # an integer too large for a float
-            values = []
-        if len(values) != len(scores) or not all(map(math.isfinite, values)):
-            i, bad = next((i, v) for i, v in enumerate(scores) if not _is_finite_number(v))
-            raise ValueError(f"{path}:{ln}: scores[{i}] is {bad!r}, not a finite number")
-        scores_by_query[rec["query_id"]] = np.array(values, dtype=np.float64)
-    return scores_by_query
-
+    lines = _read_jsonl(path, ("query_id", "channel", "scores"), "scores")
+    table = np.array([v if type(v) is float else math.nan for _, rec in lines for v in rec["scores"]],
+                     dtype=np.float64)
+    finite = np.isfinite(table)
+    if not finite.all():
+        ln, rec, i = _item_at(lines, "scores", int(finite.argmin()))
+        raise ValueError(f"{path}:{ln}: scores[{i}] is {rec['scores'][i]!r}, not a finite number")
+    return {rec["query_id"]: scores for (_, rec), scores in zip(lines, _per_line(table, lines, "scores"))}

@@ -2,13 +2,14 @@
 gradient checker, anchor-lattice lookups, textbook kernels, the untiled
 attention, the per-row forward, and oracles for the array-native span path:
 IoU, the seconds <-> frame-index maps, decode and selection one
-(start, end) pair at a time, and the training objective one batch item at a
-time."""
+(start, end) pair at a time, the training objective one batch item at a
+time, and the predictions and channel readers one value at a time."""
 
 import json
 import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -408,3 +409,70 @@ def brute_force_selection(spans, scores, k, nms_iou):
                 kept.append(p)
         ranked = kept
     return [p[2] for p in ranked[:k]]
+
+
+def is_finite_number(v) -> bool:
+    """True for a JSON number that is finite as a float; bools are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def checked_proposal(where: str, rank: int, proposal) -> list:
+    """[start_sec, end_sec, score] of a predictions-file proposal: finite
+    numbers with 0 <= start_sec <= end_sec, or a ValueError naming `where`,
+    the rank and the key."""
+    keys = ("start_sec", "end_sec", "score")
+    values = [proposal.get(key) if isinstance(proposal, dict) else None for key in keys]
+    for key, v in zip(keys, values):
+        if not is_finite_number(v):
+            raise ValueError(f"{where} rank {rank}: {key!r} is missing or not a finite number")
+    if not 0 <= values[0] <= values[1]:
+        raise ValueError(f"{where} rank {rank}: span {values[:2]} "
+                         "breaks 0 <= 'start_sec' <= 'end_sec'")
+    return values
+
+
+def _reference_lines(path, keys):
+    """The (line number, object) pairs of a JSON-lines file whose lines are
+    objects with list values and string ids, numbers read as the readers read
+    them (every JSON number a float), a missing key or a repeated query id
+    named as the readers name it."""
+    lines, first_line = [], {}
+    for ln, text in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not text.strip():
+            continue
+        rec = json.loads(text, parse_int=float)
+        for key in keys:
+            if key not in rec:
+                raise ValueError(f"{path}:{ln}: missing key {key!r}")
+        if rec["query_id"] in first_line:
+            raise ValueError(f"{path}:{ln}: query_id {rec['query_id']!r} "
+                             f"repeats line {first_line[rec['query_id']]}")
+        first_line[rec["query_id"]] = ln
+        lines.append((ln, rec))
+    return lines
+
+
+def reference_read_predictions(path):
+    """`inference.read_predictions` one proposal at a time, by `checked_proposal`."""
+    records = []
+    for ln, rec in _reference_lines(path, ("query_id", "proposals")):
+        rows = np.array([checked_proposal(f"{path}:{ln}: query {rec['query_id']!r}", rank, p)
+                         for rank, p in enumerate(rec["proposals"], 1)], dtype=np.float64).reshape(-1, 3)
+        records.append((rec["query_id"], rec.get("video_id", ""), rows[:, :2], rows[:, 2]))
+    return records
+
+
+def reference_read_channel_file(path):
+    """`inference.read_channel_file` one score at a time, by `is_finite_number`."""
+    scores_by_query = {}
+    for ln, rec in _reference_lines(path, ("query_id", "channel", "scores")):
+        for i, v in enumerate(rec["scores"]):
+            if not is_finite_number(v):
+                raise ValueError(f"{path}:{ln}: scores[{i}] is {v!r}, not a finite number")
+        scores_by_query[rec["query_id"]] = np.array(rec["scores"], dtype=np.float64)
+    return scores_by_query

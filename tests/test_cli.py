@@ -263,6 +263,14 @@ class TestTrainCommand:
         assert f"config section {section!r}: {key!r} must be a number" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_integer_past_the_conversion_limit_names_config_path(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"train": {{"epochs": {"9" * 5000}}}}}')
+        code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
+                    "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{bad}: invalid JSON" in capsys.readouterr().err
+
     def test_missing_data_dir_rejected(self, pipeline, tmp_path):
         code = run(["train", "--config", str(pipeline["cfg"]),
                     "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "o")])
@@ -503,6 +511,9 @@ class TestEvalCommand:
     @pytest.mark.parametrize("edit, named", [
         (lambda d: d["videos"][1].update(duration_sec=None), ["videos[1]", "'duration_sec'"]),
         (lambda d: d["videos"][1].update(duration_sec="abc"), ["videos[1]", "'duration_sec'"]),
+        (lambda d: d["videos"][1].update(duration_sec="10"), ["videos[1]", "'duration_sec'"]),
+        (lambda d: d["videos"][0]["queries"][0].update(start_sec="1.0"),
+         ["videos[0].queries[0]", "'start_sec'"]),
         (lambda d: d["videos"][0]["queries"][0].update(start_sec=None),
          ["videos[0].queries[0]", "'start_sec'"]),
         (lambda d: d["videos"][2]["queries"][0].update(end_sec=None),
@@ -513,8 +524,9 @@ class TestEvalCommand:
          ["videos[2].queries[0]", "videos[0].queries[0]"]),
         (lambda d: d["videos"][2].update(video_id=d["videos"][1]["video_id"]),
          ["videos[2]", "repeats videos[1]"]),
-    ], ids=["null_duration", "text_duration", "null_start", "null_end", "videos_not_list",
-            "queries_not_list", "repeated_query_id", "repeated_video_id"])
+    ], ids=["null_duration", "text_duration", "string_duration", "string_start", "null_start",
+            "null_end", "videos_not_list", "queries_not_list", "repeated_query_id",
+            "repeated_video_id"])
     def test_bad_annotations_name_position_and_key(self, pipeline, tmp_path, capsys, edit, named):
         doc = json.loads((pipeline["data"] / "annotations.json").read_text())
         edit(doc)
@@ -524,6 +536,25 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert all(name in err for name in named)
+
+    def test_integer_past_the_conversion_limit_names_annotations_path(self, pipeline, tmp_path,
+                                                                      capsys):
+        text = (pipeline["data"] / "annotations.json").read_text()
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text(text.replace('"version"', f'"extra": {"9" * 5000}, "version"', 1))
+        code = run(["eval", "--preds", str(pipeline["preds"]), "--annotations", str(annotations)])
+        assert code == 1
+        assert f"{annotations}: not valid JSON" in capsys.readouterr().err
+
+    def test_repeated_query_id_names_path_and_both_lines(self, pipeline, tmp_path, capsys):
+        lines = pipeline["preds"].read_text().splitlines()
+        preds = tmp_path / "repeated.jsonl"
+        preds.write_text("\n".join(lines + [lines[1]]) + "\n")
+        code = run(["eval", "--preds", str(preds),
+                    "--annotations", str(pipeline["data"] / "annotations.json")])
+        qid = json.loads(lines[1])["query_id"]
+        assert code == 1
+        assert f"{preds}:{len(lines) + 1}: query_id {qid!r} repeats line 2" in capsys.readouterr().err
 
     def test_bad_proposal_names_path_and_line(self, pipeline, tmp_path, capsys):
         lines = pipeline["preds"].read_text().splitlines()
@@ -696,6 +727,18 @@ class TestRerankCommand:
         err = capsys.readouterr().err
         assert code == 1
         assert f"{channel}:2: 'query_id' must be a string" in err
+
+    def test_repeated_channel_query_id_names_path_and_both_lines(self, tmp_path, capsys):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"query_id": "q7", "video_id": "v", "proposals": []}) + "\n")
+        channel = tmp_path / "chan.jsonl"
+        channel.write_text(json.dumps({"query_id": "q7", "channel": "c", "scores": []}) + "\n"
+                           + json.dumps({"query_id": "q7", "channel": "c", "scores": []}) + "\n")
+        out = tmp_path / "o.jsonl"
+        code = run(["rerank", "--preds", str(preds), "--channel", str(channel), "--out", str(out)])
+        assert code == 1
+        assert f"{channel}:2: query_id 'q7' repeats line 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_misaligned_channel_names_channel_and_query(self, tmp_path, capsys):
         code = self._rerank_one(tmp_path, [{"start_sec": 0.0, "end_sec": 1.0, "score": 0.5},

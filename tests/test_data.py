@@ -209,7 +209,7 @@ class TestAnnotations:
         with pytest.raises(AnnotationError):
             read_annotations(path)
 
-    @pytest.mark.parametrize("duration", [0.0, -1.0, "Infinity", float("inf"), float("nan")])
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("inf"), float("nan")])
     def test_duration_not_positive_and_finite_rejected(self, tmp_path, duration):
         path = tmp_path / "a.json"
         path.write_text(json.dumps({  # json writes inf and nan as Infinity and NaN
@@ -243,14 +243,14 @@ class TestAnnotations:
     def _query(qid="q1", start=1.0, end=2.0):
         return {"query_id": qid, "text": "", "start_sec": start, "end_sec": end}
 
-    @pytest.mark.parametrize("duration", [None, "abc", [60], 10**400, True])
+    @pytest.mark.parametrize("duration", [None, "abc", [60], 10**400, True, "30.5", "Infinity"])
     def test_non_numeric_duration_names_video_and_key(self, tmp_path, duration):
         videos = [self._video("v0"), self._video("v1", duration, self._query())]
         with pytest.raises(AnnotationError, match=r"videos\[1\] \(v1\): 'duration_sec'"):
             self._read(tmp_path, videos)
 
     @pytest.mark.parametrize("key", ["start_sec", "end_sec"])
-    @pytest.mark.parametrize("value", [None, "abc", {}, True])
+    @pytest.mark.parametrize("value", [None, "abc", {}, True, "1.25"])
     def test_non_numeric_endpoint_names_query_position_and_key(self, tmp_path, key, value):
         bad = dict(self._query("q2"), **{key: value})
         videos = [self._video("v0", 60.0, self._query("q0"), self._query("q1"), bad)]
@@ -296,7 +296,7 @@ class TestAnnotations:
     def test_numbers_in_every_accepted_form_still_load(self, tmp_path):
         anns, durations = self._read(tmp_path, [
             self._video("v1", 60, self._query("q1", 1, 2)),
-            self._video("v2", "30.5", self._query("q2", "1.25", 3.5))])
+            self._video("v2", 30.5, self._query("q2", 1.25, 3.5))])
         assert durations == {"v1": 60.0, "v2": 30.5}
         assert [(a.start_sec, a.end_sec) for a in anns] == [(1.0, 2.0), (1.25, 3.5)]
 

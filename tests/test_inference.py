@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from helpers import (
     flat_index,
     per_item_decode,
     per_row_forward,
+    reference_read_channel_file,
+    reference_read_predictions,
     scalar_iou,
 )
 
@@ -455,3 +459,149 @@ class TestPredictionsFile:
                         + json.dumps({"query_id": "q7", "proposals": [good, proposal]}) + "\n")
         with pytest.raises(ValueError, match=f"p.jsonl:3: query 'q7' rank 2: .*'{key}'"):
             read_predictions(path)
+
+    def test_offender_after_an_all_integer_line_is_named(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"query_id": "q0", "proposals": [{"start_sec": 0, "end_sec": 2, "score": 1}]}\n'
+                        + json.dumps({"query_id": "q1", "proposals": [
+                            {"start_sec": 1.0, "end_sec": 2.0, "score": 0.5},
+                            {"start_sec": 3.0, "end_sec": 2.0, "score": 0.5}]}) + "\n")
+        with pytest.raises(ValueError, match=r"p.jsonl:2: query 'q1' rank 2: span \[3.0, 2.0\] breaks"):
+            read_predictions(path)
+        channel = tmp_path / "c.jsonl"
+        channel.write_text('{"query_id": "q0", "channel": "c", "scores": [1, -2]}\n'
+                           '{"query_id": "q1", "channel": "c", "scores": [0.5, null]}\n')
+        with pytest.raises(ValueError, match=r"c.jsonl:2: scores\[1\] is None, not a finite number"):
+            read_channel_file(channel)
+
+    def test_integers_of_any_length_read_as_floats(self, tmp_path):
+        """An integer literal of 5,000 digits, past the interpreter's limit for
+        converting an integer from text, reads as inf and is named; `-0`
+        reads as -0.0 and a 20-digit integer as its nearest float."""
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"query_id": "q", "proposals": [{"start_sec": -0, "end_sec": 1, '
+                        '"score": 12345678901234567891}, {"start_sec": 0, "end_sec": 1, '
+                        f'"score": {"9" * 5000}}}]}}\n')
+        with pytest.raises(ValueError, match="p.jsonl:1: query 'q' rank 2: 'score' is missing or not a finite"):
+            read_predictions(path)
+        path.write_text(path.read_text().replace("9" * 5000, "0.5"))
+        [(_, _, spans, scores)] = read_predictions(path)
+        assert spans.tobytes() == np.array([[-0.0, 1.0], [0.0, 1.0]]).tobytes()
+        assert scores.tolist() == [float(12345678901234567891), 0.5]
+        channel = tmp_path / "c.jsonl"
+        channel.write_text(f'{{"query_id": "q", "channel": "c", "scores": [1, {"9" * 5000}]}}\n')
+        with pytest.raises(ValueError, match=r"c.jsonl:1: scores\[1\] is inf, not a finite number"):
+            read_channel_file(channel)
+
+    def test_repeated_query_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"query_id": "q0", "proposals": []}\n\n{"query_id": "q1", "proposals": []}\n'
+                        '{"query_id": "q0", "proposals": []}\n')
+        with pytest.raises(ValueError, match="p.jsonl:4: query_id 'q0' repeats line 1"):
+            read_predictions(path)
+        channel = tmp_path / "c.jsonl"
+        channel.write_text('{"query_id": "q0", "channel": "c", "scores": [0.5]}\n'
+                           '{"query_id": "q0", "channel": "c", "scores": [0.25]}\n')
+        with pytest.raises(ValueError, match="c.jsonl:2: query_id 'q0' repeats line 1"):
+            read_channel_file(channel)
+
+
+_BAD_VALUES = [True, False, "0.5", None, float("nan"), float("inf"), float("-inf"), 10**400]
+_NUMBER = st.one_of(st.floats(0, 100), st.integers(0, 100))
+
+
+@st.composite
+def mutated_jsonl(draw, list_key):
+    """(lines, blank-line flags) of a predictions ("proposals") or channel
+    ("scores") file: valid lines of floats and integers, then up to three
+    mutations (a dropped key; a bool, string, None, NaN, +-Inf or 10**400
+    value; swapped span ends; a negative start; a non-object proposal; a
+    repeated query id)."""
+    lines = []
+    for q in range(draw(st.integers(1, 4))):
+        if list_key == "proposals":
+            items = []
+            for _ in range(draw(st.integers(0, 3))):
+                start = draw(_NUMBER)
+                items.append({"start_sec": start, "end_sec": start + draw(_NUMBER),
+                              "score": draw(st.one_of(st.floats(-5, 5), st.integers(-5, 5)))})
+            lines.append({"query_id": f"q{q}", "video_id": f"v{q}", "proposals": items})
+        else:
+            lines.append({"query_id": f"q{q}", "channel": "c",
+                          "scores": draw(st.lists(st.one_of(st.floats(-5, 5), st.integers(-5, 5)),
+                                                  max_size=3))})
+    mutations = ["drop", "value", "repeat"] + (["swap", "negative", "non_object"]
+                                               if list_key == "proposals" else [])
+    for _ in range(draw(st.integers(0, 3))):
+        rec = draw(st.sampled_from(lines))
+        mutation = draw(st.sampled_from(mutations))
+        items = rec.get(list_key) or []
+        proposals = [p for p in items if isinstance(p, dict)] if list_key == "proposals" else []
+        if mutation == "drop":
+            if proposals and draw(st.booleans()):
+                p = draw(st.sampled_from(proposals))
+                if p:
+                    p.pop(draw(st.sampled_from(sorted(p))))
+            else:
+                rec.pop(draw(st.sampled_from(sorted(rec))), None)
+        elif mutation == "value" and items:
+            bad = draw(st.sampled_from(_BAD_VALUES))
+            if list_key == "scores":
+                items[draw(st.integers(0, len(items) - 1))] = bad
+            elif proposals:
+                draw(st.sampled_from(proposals))[draw(st.sampled_from(("start_sec", "end_sec", "score")))] = bad
+        elif mutation == "repeat":
+            rec["query_id"] = draw(st.sampled_from(lines)).get("query_id", "q0")
+        elif mutation == "swap" and proposals:
+            p = draw(st.sampled_from(proposals))
+            if "start_sec" in p and "end_sec" in p:
+                p["start_sec"], p["end_sec"] = p["end_sec"], p["start_sec"]
+        elif mutation == "negative" and proposals:
+            draw(st.sampled_from(proposals))["start_sec"] = -draw(st.floats(1e-9, 100))
+        elif mutation == "non_object" and items:
+            items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(["p", 3, None, [0.0, 1.0]]))
+    return lines, draw(st.lists(st.booleans(), min_size=len(lines), max_size=len(lines)))
+
+
+class TestReadersMatchTheReference:
+    """Each reader against its one-value-at-a-time reference: a mutant the
+    reference accepts reads bitwise-equal arrays; one it refuses raises a
+    ValueError with the reference's message; nothing else is raised."""
+
+    @staticmethod
+    def _check(lines, blanks, name, read, reference):
+        """(what `read` returns, what `reference` returns) for the mutant
+        file, or None once both have refused it with the same message."""
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / name
+            path.write_text("".join(("\n" if blank else "") + json.dumps(rec) + "\n"
+                                    for rec, blank in zip(lines, blanks)))
+            try:
+                expect = reference(path)
+            except ValueError as refused:
+                with pytest.raises(ValueError) as e:
+                    read(path)
+                assert str(e.value) == str(refused)
+                return None
+            return read(path), expect
+
+    @given(mutated_jsonl("proposals"))
+    @settings(max_examples=300, deadline=None)
+    def test_predictions(self, mutant):
+        got = self._check(*mutant, "p.jsonl", read_predictions, reference_read_predictions)
+        if got is not None:
+            records, expect = got
+            assert [r[:2] for r in records] == [r[:2] for r in expect]
+            for (_, _, spans, scores), (_, _, espans, escores) in zip(records, expect):
+                assert spans.dtype == scores.dtype == np.float64
+                assert spans.tobytes() == espans.tobytes() and scores.tobytes() == escores.tobytes()
+
+    @given(mutated_jsonl("scores"))
+    @settings(max_examples=300, deadline=None)
+    def test_channel_files(self, mutant):
+        got = self._check(*mutant, "c.jsonl", read_channel_file, reference_read_channel_file)
+        if got is not None:
+            scores_by_query, expect = got
+            assert list(scores_by_query) == list(expect)
+            for qid, scores in scores_by_query.items():
+                assert scores.dtype == np.float64 and scores.tobytes() == expect[qid].tobytes()
