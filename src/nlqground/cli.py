@@ -1,7 +1,9 @@
 """Command-line pipeline: gen-data, train, predict, rerank, eval.
 
-One process per invocation; every subcommand is deterministic given its
-inputs, flags and seed.  Exit codes: 0 success, 1 validation error (bad
+One process per invocation, or `run(argv)` called repeatedly in one
+process: the parser is built once and reused, and no other state carries
+over between calls.  Every subcommand is deterministic given its inputs,
+flags and seed.  Exit codes: 0 success, 1 validation error (bad
 flags, bad config, a missing input file, bad file contents), 2 runtime error
 (divergence, I/O failure mid-run).
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -222,6 +225,7 @@ def _parse_ints(text: str, flag: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nlqground", description=__doc__,
                      formatter_class=argparse.ArgumentDefaultsHelpFormatter)

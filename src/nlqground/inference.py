@@ -197,12 +197,17 @@ def write_predictions(path, records: list[Record]) -> None:
 
 def _read_jsonl(path, keys: tuple[str, ...], list_key: str) -> list[tuple[int, dict]]:
     """The (line number, object) pairs of a JSON-lines file, blank lines
-    skipped, every JSON number read as a float.  Invalid JSON, a line that
+    skipped, every JSON number read as a float.  A file that is not UTF-8
+    text is a ValueError naming path; invalid JSON, a line that
     is not an object, a missing key, a non-list `list_key`, a `query_id` or
     `video_id` that is not a string, or a `query_id` seen on an earlier line
     is a ValueError naming path:line."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"{path}: not UTF-8 text: {e}") from e
     records, first_line = [], {}
-    for ln, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:

@@ -227,9 +227,11 @@ def mha_forward(
     The key projection carries no bias: softmax is invariant to constant
     shifts along the key axis, so a key bias would be a permanently
     gradient-free parameter.  The dropout draw covers the whole
-    (B, heads, S, S) tensor in one call, as a per-tile draw would shift the
-    generator's stream.  The cache (None in eval mode) keeps the
-    probabilities and the dropout's (keep mask, scale).
+    (B, heads, S, S) tensor in one call.  Per-tile draws would give the same
+    bytes only when every tile's byte count is a multiple of 4
+    (`Generator.bytes` consumes whole 32-bit words); the one draw needs no
+    such condition.  The cache (None in eval mode) keeps the probabilities
+    and the dropout's (keep mask, scale).
     """
     q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
     k = x @ p["attn.wk"]

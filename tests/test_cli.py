@@ -853,3 +853,65 @@ class TestUsageErrors:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "gen-data" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command, flag", [
+        ("rerank", "--preds"), ("rerank", "--channel"), ("eval", "--preds")])
+    def test_non_utf8_input_names_path(self, pipeline, tmp_path, capsys, command, flag):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"query_id": "q7", "video_id": "v", "proposals": []}) + "\n")
+        channel = tmp_path / "chan.jsonl"
+        channel.write_text(json.dumps({"query_id": "q7", "channel": "c", "scores": []}) + "\n")
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b'{"query_id": "q7"}\n\xff\n')
+        out = tmp_path / "o.jsonl"
+        given = {
+            "rerank": {"--preds": preds, "--channel": channel, "--out": out},
+            "eval": {"--preds": preds, "--annotations": pipeline["data"] / "annotations.json"},
+        }[command]
+        argv = [command] + [str(x) for f, v in given.items() for x in (f, bad if f == flag else v)]
+        assert run(argv) == 1
+        assert f"error: {bad}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestRepeatedCalls:
+    """`run` may be called many times in one process: only the parser, built
+    once, is shared between calls."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_channel_list_does_not_leak_between_calls(self, tmp_path):
+        preds = tmp_path / "p.jsonl"
+        preds.write_text(json.dumps({"query_id": "q7", "video_id": "v", "proposals": [
+            {"start_sec": 0.0, "end_sec": 1.0, "score": 0.5},
+            {"start_sec": 1.0, "end_sec": 2.0, "score": 0.4}]}) + "\n")
+        specs = []
+        for name, scores in (("a", [0.0, 0.3]), ("b", [0.9, 0.0])):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text(json.dumps({"query_id": "q7", "channel": name, "scores": scores}) + "\n")
+            specs.append(str(path))
+
+        def rerank(out, *channels):
+            argv = ["rerank", "--preds", str(preds), "--out", str(tmp_path / out)]
+            for spec in channels:
+                argv += ["--channel", spec]
+            assert run(argv) == 0
+            return (tmp_path / out).read_bytes()
+
+        build_parser.cache_clear()
+        alone = rerank("alone.jsonl", specs[0])
+        both = rerank("both.jsonl", specs[0], specs[1])
+        assert both != alone
+        assert rerank("again.jsonl", specs[0]) == alone
+
+    def test_usage_error_and_help_between_calls_change_nothing(self, pipeline, capsys):
+        argv = ["eval", "--preds", str(pipeline["preds"]),
+                "--annotations", str(pipeline["data"] / "annotations.json"), "--ranks", "1,3"]
+        assert run(argv) == 0
+        first = capsys.readouterr().out
+        assert run(argv[:5] + ["--format", "xml"]) == 1
+        assert run(["eval", "--help"]) == 0
+        assert "--annotations" in capsys.readouterr().out
+        assert run(argv) == 0
+        assert capsys.readouterr().out == first
