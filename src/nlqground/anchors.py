@@ -18,7 +18,8 @@ from .core import OutOfRangeError, iou_batch, require_int
 
 @dataclass(frozen=True)
 class AnchorConfig:
-    """Anchor scales (proportions of T, strictly increasing) and frame count."""
+    """Anchor scales (proportions of T, strictly increasing) and frame count
+    T >= 2, the fewest rows `data.sample_frames` makes."""
 
     scales: tuple[float, ...] = (0.01, 0.03)
     num_frames: int = 600
@@ -34,7 +35,7 @@ class AnchorConfig:
             raise ValueError(f"scales must lie in (0, 1], got {self.scales}")
         if any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise ValueError(f"scales must be strictly increasing, got {self.scales}")
-        require_int(self, "num_frames", 1)
+        require_int(self, "num_frames", 2)
 
 
 def build_lattice(config: AnchorConfig) -> np.ndarray:

@@ -11,7 +11,6 @@ flags, bad config, a missing input file, bad file contents), 2 runtime error
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -21,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .anchors import AnchorConfig
-from .core import config_from_json, require_int, require_number
+from .core import config_from_json
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -32,6 +31,7 @@ from .data import (
 )
 from .evaluation import evaluate, report_to_json
 from .inference import (
+    InferenceOptions,
     predict_dataset,
     read_channel_file,
     read_predictions,
@@ -57,16 +57,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # config file
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class InferenceOptions:
-    top_k: int = 5
-    nms_iou: float = 0.5  # 0 means no suppression
-
-    def __post_init__(self):
-        require_int(self, "top_k", 1)
-        require_number(self, "nms_iou", "[0, 1]")
 
 
 def load_run_config(path, video_dim: int, text_dim: int):
@@ -110,6 +100,8 @@ def _cmd_gen_data(args) -> int:
         noise_sigma=args.noise,
         seed=args.seed,
     )
+    if not 0 <= args.val_videos < args.num_videos:
+        raise CliError(f"--val-videos must be in [0, {args.num_videos}), got {args.val_videos}")
     dataset = generate_synthetic(spec)
     if args.val_videos:
         # split one generation so train/val share the signal projection
@@ -131,8 +123,7 @@ def _cmd_train(args) -> int:
         args.config, next(iter(train_data.video_features.values())).shape[1],
         next(iter(train_data.text_features.values())).shape[1])
 
-    result = train(train_data, val_data, encoder_config, train_config, args.out,
-                   topk=infer_opts.top_k, nms_iou=infer_opts.nms_iou)
+    result = train(train_data, val_data, encoder_config, train_config, args.out, infer_opts)
     score = (f"val R@1 IoU=0.5: {result.best_r1_iou50:.4f}" if val_data is not None
              else "no validation split given; last epoch kept")
     print(f"best checkpoint: {result.best_checkpoint} ({score})")
@@ -150,7 +141,7 @@ def _cmd_predict(args) -> int:
         raise CliError(f"--scales {args.scales} but {args.ckpt} was trained with scales "
                        f"{','.join(map(str, lattice.scales))}")
     dataset = load_dataset(args.data)
-    records = predict_dataset(model, dataset, topk=opts.top_k, nms_iou=opts.nms_iou)
+    records = predict_dataset(model, dataset, opts)
     write_predictions(args.out, records)
     print(f"wrote predictions for {len(records)} queries to {args.out}")
     return 0

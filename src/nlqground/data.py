@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import require_int, sec_to_index
+from .core import require_int, require_number, sec_to_index
 
 MATRIX_MAGIC = b"NLQC"
 MATRIX_VERSION = 1
@@ -273,8 +273,7 @@ class SyntheticSpec:
         for name in ("num_videos", "frames_per_video", "feature_dim", "text_dim",
                      "tokens_per_query", "queries_per_video"):
             require_int(self, name, 1)
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        require_number(self, "noise_sigma", "[0, inf)")
 
 
 @dataclass

@@ -9,11 +9,14 @@ regression head stays O(1) across scales:
 Inverted spans are repaired by endpoint swap.  Decode takes a whole batch;
 each query's proposals are then (N, 2) float64 spans in seconds plus a
 score vector, ranked by (-score, start, index).
-Greedy NMS (not part of the original selection rule, which just takes top-5)
-runs before top-k, stopping at k kept, so the top-5 are not near-duplicates
-of the best proposal.  Re-ranking adds weighted score channels onto the
-scores.  A prediction is one `Record` from decode to file and back, and
-only this module knows the file's keys.  The JSON-lines readers read every
+Selection is one greedy NMS walk in that rank order, stopped at k kept, so
+the top-5 are not near-duplicates of the best proposal (the original rule
+just takes the top 5).  `InferenceOptions` holds k and the IoU threshold;
+a threshold of 0 means no suppression and runs the walk at threshold 1,
+which keeps every proposal because no IoU exceeds 1, so it is plain top-k.
+Re-ranking adds weighted score channels onto the scores.  A prediction is
+one `Record` from decode to file and back, and only this module knows the
+file's keys.  The JSON-lines readers read every
 JSON number as a float and check each file as one float64 array, with NaN
 for a value that is not a number; they name `path:line` for a malformed
 line, a non-string or repeated query id, a channel score that is not a
@@ -24,13 +27,14 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .anchors import AnchorConfig, build_lattice
-from .core import index_to_sec, iou_batch
+from .core import index_to_sec, iou_batch, require_int, require_number
 from .data import make_batches
 from .nn.model import GroundingModel
 
@@ -44,11 +48,6 @@ Record = tuple[str, str, np.ndarray, np.ndarray]
 _DECODER = json.JSONDecoder(parse_int=float)
 _PROPOSAL_KEYS = ("start_sec", "end_sec", "score")
 _NOT_A_PROPOSAL = (None, None, None)
-
-
-def _rank(spans: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Indices by (-score, start, index): the order every selection step uses."""
-    return np.lexsort((np.arange(len(scores)), spans[:, 0], -scores))
 
 
 # ---------------------------------------------------------------------------
@@ -106,33 +105,22 @@ def decode_proposals(confidence: np.ndarray, offsets: np.ndarray, lattice: Ancho
 
 def nms(spans: np.ndarray, scores: np.ndarray, iou_threshold: float, k: int) -> np.ndarray:
     """Greedy suppression, stopped once k proposals are kept: walk proposals
-    in rank order and keep one iff its IoU with every kept proposal is
-    <= threshold.  Greedy never revisits a choice, so the first k kept are
-    exactly full NMS followed by top-k.  Returns kept indices in rank order.
+    in rank order (-score, start, index) and keep one iff its IoU with every
+    kept proposal is <= threshold.  Greedy never revisits a choice, so the
+    first k kept are exactly full NMS followed by top-k.  Returns kept
+    indices in rank order.
     """
     if not (0.0 < iou_threshold <= 1.0):
         raise ValueError(f"NMS threshold must lie in (0, 1], got {iou_threshold}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     kept: list[int] = []
-    for i in _rank(spans, scores).tolist():
+    for i in np.lexsort((np.arange(len(scores)), spans[:, 0], -scores)).tolist():
         if not kept or iou_batch(spans[kept], spans[i]).max() <= iou_threshold:
             kept.append(i)
             if len(kept) == k:
                 break
     return np.asarray(kept, dtype=np.intp)
-
-
-def top_k(spans: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best proposals, in rank order."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return _rank(spans, scores)[:k]
-
-
-def select_proposals(spans: np.ndarray, scores: np.ndarray, k: int, nms_iou: float) -> np.ndarray:
-    """Indices of the ranked top-k after NMS; nms_iou = 0 means no suppression."""
-    return nms(spans, scores, nms_iou, k) if nms_iou > 0 else top_k(spans, scores, k)
 
 
 def rerank(scores: np.ndarray, channels: list[tuple[np.ndarray, float]]):
@@ -155,30 +143,38 @@ def rerank(scores: np.ndarray, channels: list[tuple[np.ndarray, float]]):
 # ---------------------------------------------------------------------------
 
 
-def predict_dataset(
-    model: GroundingModel,
-    dataset,
-    topk: int = 5,
-    nms_iou: float = 0.5,
-    batch_size: int = 32,
-) -> list[Record]:
-    """Ranked top-k proposals for every query in a dataset (eval mode), on
-    the anchor lattice the model was trained for.
+@dataclass(frozen=True)
+class InferenceOptions:
+    """How `predict_dataset` selects each query's proposals: the `top_k`
+    first kept by greedy NMS at IoU threshold `nms_iou`, where 0 means no
+    suppression (NMS at threshold 1)."""
+
+    top_k: int = 5
+    nms_iou: float = 0.5
+
+    def __post_init__(self):
+        require_int(self, "top_k", 1)
+        require_number(self, "nms_iou", "[0, 1]")
+
+
+def predict_dataset(model: GroundingModel, dataset, options: InferenceOptions = InferenceOptions(),
+                    batch_size: int = 32) -> list[Record]:
+    """Ranked proposals, selected by `options`, for every query in a
+    dataset (eval mode), on the anchor lattice the model was trained for.
 
     Each batch encodes each of its distinct videos once, whatever the number
-    of queries about it.  nms_iou = 0 is the sentinel for "no suppression".
-    Returns one record per query, in annotation order.
+    of queries about it.  Returns one record per query, in annotation order.
     """
-    results = {}
+    records = []
     for batch in make_batches(dataset, batch_size, model.config.anchors.num_frames,
                               shuffle_seed=0, shuffle=False):
         conf, offs, _ = model.forward_batch(batch.videos, batch.video_rows, batch.text,
                                             batch.text_mask, train=False)
         spans, scores = decode_proposals(conf, offs, model.config.anchors, batch.durations)
         for qid, vid, item_spans, item_scores in zip(batch.query_ids, batch.video_ids, spans, scores):
-            keep = select_proposals(item_spans, item_scores, topk, nms_iou)
-            results[qid] = (vid, item_spans[keep], item_scores[keep])
-    return [(qid, *results[qid]) for qid in (a.query_id for a in dataset.annotations)]
+            keep = nms(item_spans, item_scores, options.nms_iou or 1.0, options.top_k)
+            records.append((qid, vid, item_spans[keep], item_scores[keep]))
+    return records
 
 
 # ---------------------------------------------------------------------------

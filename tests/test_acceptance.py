@@ -25,7 +25,7 @@ from nlqground.data import (
     write_features,
 )
 from nlqground.evaluation import evaluate
-from nlqground.inference import predict_dataset, rerank
+from nlqground.inference import InferenceOptions, predict_dataset, rerank
 from nlqground.losses import alignment_loss, boundary_loss
 from nlqground.nn import EncoderConfig, init_model, load_checkpoint, save_checkpoint
 from nlqground.trainer import TrainConfig, batch_loss_and_grads, train
@@ -171,7 +171,7 @@ def e2e(tmp_path_factory):
     result = train(train_ds, val_ds, E2E_ENCODER, E2E_TRAIN, out)
     elapsed = time.time() - t0
     model = load_checkpoint(result.best_checkpoint)
-    records = predict_dataset(model, val_ds, topk=5, nms_iou=0.5)
+    records = predict_dataset(model, val_ds, InferenceOptions(top_k=5, nms_iou=0.5))
     return {"val": val_ds, "records": records, "elapsed": elapsed, "result": result}
 
 

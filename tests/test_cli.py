@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nlqground.anchors import AnchorConfig
-from nlqground.cli import InferenceOptions, build_parser, load_run_config, run
+from nlqground.cli import build_parser, load_run_config, run
 from nlqground.data import (
     load_dataset,
     make_batches,
@@ -15,7 +15,7 @@ from nlqground.data import (
     read_features,
     write_matrices,
 )
-from nlqground.inference import decode_proposals, select_proposals
+from nlqground.inference import InferenceOptions, decode_proposals, nms
 from nlqground.nn import EncoderConfig, load_checkpoint
 from nlqground.trainer import TrainConfig
 from helpers import (
@@ -88,6 +88,15 @@ def test_gen_data_split(tmp_path):
     _, val_durs = read_annotations(tmp_path / "d" / "val" / "annotations.json")
     assert len(train_durs) == 2 and len(val_durs) == 1
     assert not set(train_durs) & set(val_durs)
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--noise", "nan", "noise_sigma"), ("--noise", "inf", "noise_sigma"),
+    ("--val-videos", "-1", "--val-videos"), ("--val-videos", "3", "--val-videos")])
+def test_gen_data_bad_value_names_it_and_writes_nothing(tmp_path, capsys, flag, value, named):
+    assert run(GEN + ["--out", str(tmp_path / "d"), flag, value]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 @pytest.fixture(scope="module")
@@ -232,8 +241,8 @@ class TestTrainCommand:
     @pytest.mark.parametrize("section, key, value", [
         ("train", "epochs", 1.5), ("train", "batch_size", 2.5), ("train", "seed", 1.5),
         ("encoder", "hidden_dim", 8.0), ("encoder", "cross_layers", 1.0),
-        ("anchors", "num_frames", 16.0), ("train", "epochs", True), ("train", "seed", True),
-        ("inference", "top_k", True), ("train", "warmup_steps", 2.5)])
+        ("anchors", "num_frames", 16.0), ("anchors", "num_frames", 1), ("train", "epochs", True),
+        ("train", "seed", True), ("inference", "top_k", True), ("train", "warmup_steps", 2.5)])
     def test_non_integer_for_integer_field_names_section_and_key(self, pipeline, tmp_path,
                                                                 capsys, section, key, value):
         doc = json.loads(pipeline["cfg"].read_text())
@@ -338,7 +347,7 @@ class TestPredictCommand:
         (lambda c: c.update(hidden_dim=16.0), "config: 'hidden_dim' must be an integer >= 1, got 16.0"),
         (lambda c: c.update(num_heads=2.0), "config: 'num_heads' must be an integer >= 1, got 2.0"),
         (lambda c: c["anchors"].update(num_frames=20.0),
-         "config.anchors: 'num_frames' must be an integer >= 1, got 20.0"),
+         "config.anchors: 'num_frames' must be an integer >= 2, got 20.0"),
         (lambda c: c.update(cross_layers=True),
          "config: 'cross_layers' must be an integer >= 1, got True"),
     ], ids=["hidden_dim", "num_heads", "num_frames", "cross_layers"])
@@ -467,7 +476,7 @@ class TestSelectionIdentity:
                 assert spans.tolist() == [list(p) for p in expect_spans]
                 for k, nms_iou in ((5, 0.5), (5, 0.0), (len(scores) + 3, 0.5), (1, 0.3)):
                     expect = brute_force_selection(expect_spans, scores.tolist(), k, nms_iou)
-                    assert select_proposals(spans, scores, k, nms_iou).tolist() == expect
+                    assert nms(spans, scores, nms_iou or 1.0, k).tolist() == expect
                 expect = brute_force_selection(expect_spans, scores.tolist(), 5, 0.5)
                 assert written[qid]["proposals"] == [
                     {"start_sec": expect_spans[i][0], "end_sec": expect_spans[i][1],

@@ -78,6 +78,19 @@ class TestIou:
     def test_scale_invariant(self, a, b, k):
         assert iou((a[0] * k, a[1] * k), (b[0] * k, b[1] * k)) == iou(a, b)
 
+    @given(ends=st.lists(st.floats(0, 1e6), min_size=4, max_size=4),
+           ulps=st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    def test_never_exceeds_one(self, ends, ulps):
+        """No IoU of finite spans exceeds 1, against a span a few ulps from
+        either endpoint too; that is why `nms` at threshold 1 is top-k."""
+        base = np.sort(np.reshape(ends, (2, 2)), axis=1)
+        near = base.reshape(-1).copy()
+        for i, n in enumerate(ulps):
+            for _ in range(abs(n)):
+                near[i] = np.nextafter(near[i], np.inf if n > 0 else -np.inf)
+        spans = np.clip(np.sort(np.concatenate([base, near.reshape(2, 2)]), axis=1), 0.0, 1e6)
+        assert iou_batch(spans[:, None, :], spans[None, :, :]).max() <= 1.0
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         arr = np.sort(rng.uniform(0, 100, size=(64, 2)), axis=1)

@@ -384,6 +384,11 @@ class TestSyntheticGeneration:
         with pytest.raises(ValueError):
             SyntheticSpec(span_fraction_range=(0.5, 0.2))
 
+    @pytest.mark.parametrize("noise", [-0.5, float("nan"), float("inf"), True, "0.5"])
+    def test_bad_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="'noise_sigma' must be a number in"):
+            SyntheticSpec(noise_sigma=noise)
+
     def test_disk_round_trip(self, tmp_path):
         ds = generate_synthetic(self.spec)
         save_dataset(ds, tmp_path / "d")

@@ -12,6 +12,7 @@ from nlqground.data import SyntheticSpec, generate_synthetic
 from nlqground.nn import layers
 from nlqground.nn import model as model_module
 from nlqground.inference import (
+    InferenceOptions,
     decode_index_spans,
     decode_proposals,
     nms,
@@ -19,8 +20,6 @@ from nlqground.inference import (
     read_channel_file,
     read_predictions,
     rerank,
-    select_proposals,
-    top_k,
     write_predictions,
 )
 from nlqground.nn import EncoderConfig, init_model
@@ -179,8 +178,14 @@ class TestNms:
                 assert scalar_iou(spans[a], spans[b]) <= 0.4
 
     def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            nms(np.empty((0, 2)), np.empty(0), 0.0, 5)
+        """A threshold outside (0, 1], NaN included, and k < 1 are refused:
+        the one guard in front of selection."""
+        spans, scores = props((0, 10, 0.9), (20, 30, 0.5))
+        for threshold in (-0.5, 0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="NMS threshold must lie in"):
+                nms(spans, scores, threshold, 5)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            nms(spans, scores, 0.5, 0)
 
     @given(st.lists(
         st.tuples(st.floats(0, 50), st.floats(0.5, 20), st.floats(0, 1)),
@@ -221,7 +226,7 @@ class TestSelectionIdentity:
     @settings(max_examples=200)
     def test_matches_object_path(self, raw, k, nms_iou):
         spans, scores = props(*[(s, s + w, c) for s, w, c in raw])
-        picked = select_proposals(spans, scores, k, nms_iou)
+        picked = nms(spans, scores, nms_iou or 1.0, k)
         assert picked.tolist() == brute_force_selection(spans.tolist(), scores.tolist(), k, nms_iou)
 
 
@@ -229,17 +234,17 @@ class TestTopK:
     def test_exactly_k_sorted(self):
         rng = np.random.default_rng(0)
         spans, scores = props(*[(i, i + 1, c) for i, c in enumerate(rng.uniform(0, 1, 1200))])
-        out = top_k(spans, scores, 5)
+        out = nms(spans, scores, 1.0, 5)
         assert len(out) == 5
         assert scores[out].tolist() == sorted(scores.tolist(), reverse=True)[:5]
 
     def test_short_input_returned_whole(self):
         spans, scores = props((0, 1, 0.5))
-        assert len(top_k(spans, scores, 5)) == 1
+        assert len(nms(spans, scores, 1.0, 5)) == 1
 
     def test_ordering(self):
         spans, scores = props((0, 1, 0.3), (1, 2, 0.9), (2, 3, 0.5))
-        assert scores[top_k(spans, scores, 2)].tolist() == [0.9, 0.5]
+        assert scores[nms(spans, scores, 1.0, 2)].tolist() == [0.9, 0.5]
 
 
 def loop_rerank(scores, channels):
@@ -365,7 +370,7 @@ def tiny_records():
     enc = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=1,
                         video_input_dim=8, text_input_dim=4,
                         anchors=AnchorConfig(scales=(0.15, 0.4), num_frames=20))
-    return predict_dataset(init_model(enc, seed=0), ds, topk=5, nms_iou=0.5)
+    return predict_dataset(init_model(enc, seed=0), ds, InferenceOptions(top_k=5, nms_iou=0.5))
 
 
 class TestPredictionsFile:

@@ -603,10 +603,10 @@ class TestCheckpoint:
         (lambda h: h["config"]["anchors"].update(scales=[0.75, 0.25]), "strictly increasing"),
         (lambda h: h["config"]["anchors"].update(scales="0.25"), "'scales' must be a list"),
         (lambda h: h["config"]["anchors"].update(num_frames=0),
-         "'num_frames' must be an integer >= 1, got 0"),
+         "'num_frames' must be an integer >= 2, got 0"),
         (lambda h: h["config"].update(hidden_dim=16.0), "'hidden_dim' must be an integer >= 1, got 16.0"),
         (lambda h: h["config"]["anchors"].update(num_frames=24.0),
-         "'num_frames' must be an integer >= 1, got 24.0"),
+         "'num_frames' must be an integer >= 2, got 24.0"),
         (lambda h: h["config"].update(cross_layers=True), "'cross_layers' must be an integer >= 1, got True"),
         (lambda h: h["config"].update(dropout_rate="0.1"),
          "config: 'dropout_rate' must be a number in [0, 1), got '0.1'"),

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import nlqground.trainer
 from nlqground.anchors import AnchorConfig
 from nlqground.cli import run as cli_run
 from nlqground.data import Batch, SyntheticSpec, generate_synthetic, make_batches, save_dataset
-from nlqground.inference import predict_dataset, write_predictions
+from nlqground.inference import InferenceOptions, predict_dataset, write_predictions
 from nlqground.nn import EncoderConfig, init_model, load_checkpoint
 from nlqground.trainer import (
     DivergenceError,
@@ -212,16 +213,26 @@ class TestTrainLoop:
         assert s1 == s2
         assert r1.last_checkpoint.read_bytes() == r2.last_checkpoint.read_bytes()
 
+    def test_heap_trim_before_every_step_changes_no_bit(self, tmp_path, monkeypatch):
+        ds = tiny_dataset(videos=4)
+        cfg = TrainConfig(epochs=2, batch_size=2, base_lr=1e-3, warmup_steps=10, seed=9)
+        r1 = train(ds, None, ENC, cfg, tmp_path / "a")
+        monkeypatch.setattr(nlqground.trainer, "_HEAP_SLACK", -1)  # trim before every step
+        r2 = train(ds, None, ENC, cfg, tmp_path / "b")
+        assert r1.steps_log.read_text() == r2.steps_log.read_text()
+        assert r1.last_checkpoint.read_bytes() == r2.last_checkpoint.read_bytes()
+
     @pytest.mark.parametrize("nms_iou", [0.0, 0.5])
     def test_validation_report_equals_eval_of_written_predictions(self, tmp_path, capsys, nms_iou):
         """The last epoch's logged R@n equal `eval` run on the file that
         `predict_dataset` plus `write_predictions` give for the same model."""
         ds = tiny_dataset(videos=6)
         cfg = TrainConfig(epochs=2, batch_size=2, base_lr=1e-3, warmup_steps=10, seed=0)
-        result = train(ds, ds, ENC, cfg, tmp_path / "run", topk=5, nms_iou=nms_iou)
+        options = InferenceOptions(top_k=5, nms_iou=nms_iou)
+        result = train(ds, ds, ENC, cfg, tmp_path / "run", options)
         logged = json.loads(result.metrics_log.read_text().splitlines()[-1])
-        records = predict_dataset(load_checkpoint(result.last_checkpoint), ds,
-                                  topk=5, nms_iou=nms_iou, batch_size=cfg.batch_size)
+        records = predict_dataset(load_checkpoint(result.last_checkpoint), ds, options,
+                                  batch_size=cfg.batch_size)
         write_predictions(tmp_path / "p.jsonl", records)
         save_dataset(ds, tmp_path / "data")
         assert cli_run(["eval", "--preds", str(tmp_path / "p.jsonl"),
