@@ -137,7 +137,8 @@ def _cmd_predict(args) -> int:
     if args.frames is not None and args.frames != lattice.num_frames:
         raise CliError(f"--frames {args.frames} but {args.ckpt} was trained at "
                        f"num_frames {lattice.num_frames}")
-    if args.scales is not None and tuple(_parse_floats(args.scales, "--scales")) != lattice.scales:
+    scales = None if args.scales is None else tuple(_parse_list(args.scales, "--scales", float))
+    if scales is not None and scales != lattice.scales:
         raise CliError(f"--scales {args.scales} but {args.ckpt} was trained with scales "
                        f"{','.join(map(str, lattice.scales))}")
     dataset = load_dataset(args.data)
@@ -189,26 +190,27 @@ def _cmd_eval(args) -> int:
     annotations, _ = read_annotations(args.annotations)
     report = evaluate(
         records, annotations,
-        ranks=_parse_ints(args.ranks, "--ranks"),
-        thresholds=_parse_floats(args.ious, "--ious"),
+        ranks=_parse_list(args.ranks, "--ranks", int),
+        thresholds=_parse_list(args.ious, "--ious", float),
         strict=args.strict,
     )
     print(report.to_table() if args.format == "table" else report_to_json(report))
     return 0
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind: type) -> list:
+    """Comma-separated values of `kind` (int or float), each given once, or a
+    CliError naming `flag`: a repeated rank or threshold would print its row
+    twice in the table report and once in the JSON one."""
     try:
-        return [float(x) for x in text.split(",") if x]
+        values = [kind(x) for x in text.split(",") if x]
     except ValueError:
-        raise CliError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise CliError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        what = "integers" if kind is int else "numbers"
+        raise CliError(f"{flag} expects comma-separated {what}, got {text!r}") from None
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise CliError(f"{flag} repeats the value {repeated[0]!r}, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------

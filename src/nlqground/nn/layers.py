@@ -7,19 +7,24 @@ dtype-polymorphic (float32 for runs, float64 for gradient checks): each
 computes in its input's dtype.
 
 Attention is memory-bound: its (B, heads, S, S) weights cost more than its
-FLOPs, and every pass over them (scores, scale, softmax, dropout, P.V)
-streams the whole tensor through DRAM when it is computed at once.  So
-attention, forward and backward, runs one tile of whole batch items at a
-time, each tile holding at most 2 MiB of weights (a per-core L2), or one
-item where an item holds more (the idea of FlashAttention, Dao et al. 2022,
-over the batch axis only).  Each row's
-arithmetic is unchanged, so outputs and gradients are bitwise those of the
-untiled form.  Softmax and its backward work in place on one fresh buffer
-(never on the caller's array).  The attention cache keeps the
-probabilities and the bool keep mask of its dropout; backward rebuilds each
-tile's kept probabilities from them, bit for bit.  Dropout draws 16-bit
-integers, not float64 uniforms, once per call (one draw rule for attention
-and the FFN), with its scale rounded in the input's dtype.  GELU is the
+FLOPs, and every pass over them (scores, softmax, dropout, P.V) streams the
+whole tensor through DRAM when it is computed at once.  So attention,
+forward and backward, runs one tile of whole batch items at a time, each
+tile holding at most 2 MiB of weights (a per-core L2), or one item where an
+item holds more (the idea of FlashAttention, Dao et al. 2022, over the
+batch axis only).  Each row's arithmetic is the same in every tiling, so
+outputs and gradients are bitwise those of the untiled form.  A tile also
+takes few passes: the scale 1/sqrt(d_head) goes on the (S, d_head)
+queries, the softmax runs in place on the fresh Q K^T product, and its
+normalisation is deferred to the (S, d_head) output, ctx = ((keep * scale
+* E) @ V) / rowsum(E) (FlashAttention's rescaling).  Softmax backward works
+on one fresh buffer (never on the caller's array).  The attention cache
+keeps the probabilities E / rowsum(E) and the bool keep mask of its
+dropout; backward rebuilds each tile's kept probabilities from them, bit
+for bit.  Dropout draws 16-bit integers, not float64 uniforms, once per
+call (one draw rule for attention and the FFN), as the generator's raw
+64-bit words wherever those are the bytes `Generator.bytes` would give,
+with its scale rounded in the input's dtype.  GELU is the
 tanh form (Hendrycks & Gimpel 2016, as in BERT and GPT-2), not the erf form.
 `train` selects the mode: a train forward applies dropout and returns the
 cache for backward; an eval forward returns None as its cache, allocates no
@@ -101,8 +106,14 @@ def _dropout_draw(shape, rate: float, rng: np.random.Generator, dtype):
     scale 2^16 / (2^16 - cut) rounded in `dtype`."""
     # a rate within 2^-17 of 1 would round to dropping every level
     cut = min(round(rate * _DRAW_LEVELS), _DRAW_LEVELS - 1)
-    draws = np.frombuffer(rng.bytes(2 * math.prod(shape)), dtype="<u2").reshape(shape)
-    return draws, cut, np.asarray(_DRAW_LEVELS / (_DRAW_LEVELS - cut), dtype=dtype)
+    n = math.prod(shape)
+    if n % 4 == 0 and rng.bit_generator.state.get("has_uint32") == 0:
+        # the 64-bit words `rng.bytes` would split into 32-bit halves, low
+        # half first, taken whole: the same bits without the copies
+        draws = rng.bit_generator.random_raw(n // 4).view("<u2")
+    else:
+        draws = np.frombuffer(rng.bytes(2 * n), dtype="<u2")
+    return draws.reshape(shape), cut, np.asarray(_DRAW_LEVELS / (_DRAW_LEVELS - cut), dtype=dtype)
 
 
 def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool):
@@ -171,21 +182,21 @@ def layer_norm_backward(dy: np.ndarray, cache):
 
 
 def masked_softmax(scores: np.ndarray, key_mask: np.ndarray):
-    """Softmax over the last axis with invalid keys forced to weight 0.
+    """Unnormalised softmax over the last axis, in place on `scores`, with
+    invalid keys forced to weight 0.
 
-    scores: (B, nh, S, S); key_mask: (B, S) bool.  Every row must have at
-    least one valid key (guaranteed upstream by the non-empty-modality check).
+    scores: (B, nh, S, S); key_mask: (B, S) bool.  Returns (E, rowsum):
+    E = exp(scores + mask bias - row max), written over `scores`, and its
+    (B, nh, S, 1) row sums, so the softmax is E / rowsum.  Every row must
+    have at least one valid key (guaranteed upstream by the non-empty-
+    modality check), so every row sum is at least 1.
     """
-    if key_mask.all():
-        # a zero bias changes no bit past the exp, so skip it
-        z = scores - scores.max(axis=-1, keepdims=True)
-    else:
-        bias = np.where(key_mask[:, None, None, :], 0.0, MASK_NEG).astype(scores.dtype)
-        z = scores + bias
-        z -= z.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    if not key_mask.all():
+        # with every key valid the bias is all zeros, which changes no bit
+        scores += np.where(key_mask[:, None, None, :], 0.0, MASK_NEG).astype(scores.dtype)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    return scores, scores.sum(axis=-1, keepdims=True)
 
 
 def softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -226,20 +237,24 @@ def mha_forward(
 
     The key projection carries no bias: softmax is invariant to constant
     shifts along the key axis, so a key bias would be a permanently
-    gradient-free parameter.  The dropout draw covers the whole
-    (B, heads, S, S) tensor in one call.  Per-tile draws would give the same
-    bytes only when every tile's byte count is a multiple of 4
-    (`Generator.bytes` consumes whole 32-bit words); the one draw needs no
-    such condition.  The cache (None in eval mode) keeps the probabilities
-    and the dropout's (keep mask, scale).
+    gradient-free parameter.  The scale 1/sqrt(d_head) multiplies the
+    (S, d_head) queries, not the (S, S) scores, and the softmax is
+    normalised on the (S, d_head) output: ctx = ((keep * scale * E) @ V) /
+    rowsum(E), exact in real arithmetic because dropout is elementwise and
+    the normalisation is per row.  The dropout draw covers the whole
+    (B, heads, S, S) tensor in one call, so the stream is the same however
+    the batch is tiled.  The cache (None in eval mode) keeps the scaled
+    queries, the normalised probabilities E / rowsum and the dropout's
+    (keep mask, scale).
     """
     q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
     k = x @ p["attn.wk"]
     k_cache = (x, p["attn.wk"])
     v, v_cache = linear_forward(x, p["attn.wv"], p["attn.bv"])
     qh, kh, vh = (_split_heads(a, num_heads) for a in (q, k, v))
-    B, _, S, _ = qh.shape
-    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=x.dtype)
+    B, _, S, d_head = qh.shape
+    scale = np.asarray(1.0 / np.sqrt(d_head), dtype=x.dtype)
+    qh *= scale
     drop = None
     if train and drop_rate > 0.0:
         draws, cut, drop_scale = _dropout_draw((B, num_heads, S, S), drop_rate, rng, x.dtype)
@@ -247,16 +262,15 @@ def mha_forward(
     probs = np.empty((B, num_heads, S, S), dtype=x.dtype) if train else None
     ctx = np.empty(qh.shape, dtype=x.dtype)
     for t in _tiles(B, num_heads, S, x.dtype.itemsize):
-        scores = qh[t] @ kh[t].swapaxes(-1, -2)
-        scores *= scale
-        pt = masked_softmax(scores, key_mask[t])
-        del scores
+        e, rowsum = masked_softmax(qh[t] @ kh[t].swapaxes(-1, -2), key_mask[t])
         if probs is not None:
-            probs[t] = pt
+            np.divide(e, rowsum, out=probs[t])
         if drop is not None:
-            pt = _scale_kept(pt, np.greater_equal(draws[t], cut, out=drop[0][t]), drop_scale)
-        np.matmul(pt, vh[t], out=ctx[t])
-        del pt  # at most two tile-sized buffers are alive at once
+            e *= drop_scale
+            e *= np.greater_equal(draws[t], cut, out=drop[0][t])
+        np.matmul(e, vh[t], out=ctx[t])
+        ctx[t] /= rowsum
+        del e  # one tile-sized buffer is alive at a time
     out, o_cache = linear_forward(_merge_heads(ctx), p["attn.wo"], p["attn.bo"])
     if not train:
         return out, None
@@ -277,9 +291,10 @@ def mha_backward(dy: np.ndarray, cache):
             dprobs = _scale_kept(dprobs, drop[0][t], drop[1])
         np.matmul(kept.swapaxes(-1, -2), dctx_h[t], out=dvh[t])
         dscores = softmax_backward(dprobs, pt)
-        dscores *= scale
         np.matmul(dscores, kh[t], out=dqh[t])
+        # qh holds the scaled queries, so dk needs no further scaling
         np.matmul(dscores.swapaxes(-1, -2), qh[t], out=dkh[t])
+    dqh *= scale
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), q_cache)
     dk, dwk, _ = linear_backward(_merge_heads(dkh), k_cache)
     dv, dwv, dbv = linear_backward(_merge_heads(dvh), v_cache)

@@ -25,9 +25,7 @@ from nlqground.nn.layers import (
     layer_norm_forward,
     linear_backward,
     linear_forward,
-    masked_softmax,
     sigmoid,
-    softmax_backward,
 )
 from nlqground.trainer import batch_loss_and_grads
 
@@ -137,11 +135,13 @@ def assert_bitwise_equal(a, b):
 # dropout mask.  The in-place kernels must match them bit for bit.
 
 def textbook_masked_softmax(scores, key_mask):
+    """(E, rowsum): the unnormalised masked softmax and its row sums, so the
+    softmax is E / rowsum."""
     bias = np.where(key_mask[:, None, None, :], 0.0, MASK_NEG).astype(scores.dtype)
     z = scores + bias
     z -= z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e, e.sum(axis=-1, keepdims=True)
 
 
 def textbook_softmax_backward(dp, p):
@@ -174,38 +174,38 @@ def _merge_heads(a):
 
 
 def untiled_mha_forward(x, key_mask, p, num_heads, drop_rate, rng, train):
-    """Attention over the whole (B, heads, S, S) tensor at once, with the
-    attention dropout through `dropout_forward`: the reference the tiled
-    `mha_forward` must match bit for bit, draw for draw."""
-    def split(a):
-        b, s, h = a.shape
-        return a.reshape(b, s, num_heads, h // num_heads).transpose(0, 2, 1, 3)
-
+    """Attention over the whole (B, heads, S, S) tensor at once, by the
+    textbook kernels, with the attention dropout through `dropout_forward`
+    on the unnormalised weights: the reference the tiled `mha_forward` must
+    match bit for bit, draw for draw.  The queries are scaled before the
+    scores, and the output is normalised by the row sums after the product
+    with V."""
     q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
     k = x @ p["attn.wk"]
     v, v_cache = linear_forward(x, p["attn.wv"], p["attn.bv"])
     qh, kh, vh = (_split_heads(a, num_heads) for a in (q, k, v))
     scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=x.dtype)
-    scores = qh @ kh.swapaxes(-1, -2)
-    scores *= scale
-    probs = masked_softmax(scores, key_mask)
-    probs_kept, drop_mask = dropout_forward(probs, drop_rate, rng, train)
-    ctx = _merge_heads(probs_kept @ vh)
+    qh = qh * scale
+    e, rowsum = textbook_masked_softmax(qh @ kh.swapaxes(-1, -2), key_mask)
+    probs = e / rowsum
+    e_kept, drop_mask = dropout_forward(e, drop_rate, rng, train)
+    ctx = _merge_heads((e_kept @ vh) / rowsum)
     out, o_cache = linear_forward(ctx, p["attn.wo"], p["attn.bo"])
+    probs_kept = dropout_backward(probs, drop_mask)
     return out, (q_cache, (x, p["attn.wk"]), v_cache, o_cache, qh, kh, vh, probs, probs_kept,
                  drop_mask, scale, num_heads)
 
 
 def untiled_mha_backward(dy, cache):
-    """The backward of `untiled_mha_forward`, on whole tensors."""
+    """The backward of `untiled_mha_forward`, on whole tensors: the scale
+    goes on dq, and dk comes from the scaled queries."""
     q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, probs_kept, drop_mask, scale, nh = cache
     dctx, dwo, dbo = linear_backward(dy, o_cache)
     dctx_h = _split_heads(dctx, nh)
     dvh = probs_kept.swapaxes(-1, -2) @ dctx_h
     dprobs = dropout_backward(dctx_h @ vh.swapaxes(-1, -2), drop_mask)
-    dscores = softmax_backward(dprobs, probs)
-    dscores *= scale
-    dqh = dscores @ kh
+    dscores = textbook_softmax_backward(dprobs, probs)
+    dqh = (dscores @ kh) * scale
     dkh = dscores.swapaxes(-1, -2) @ qh
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), q_cache)
     dk, dwk, _ = linear_backward(_merge_heads(dkh), k_cache)

@@ -508,6 +508,19 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "R@1" in out and "R@5" in out
 
+    @pytest.mark.parametrize("flag, value, repeated", [("--ranks", "5,1,5", "5"),
+                                                       ("--ious", "0.5,0.3,0.50", "0.5")])
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_repeated_rank_or_threshold_names_the_flag(self, pipeline, capsys, flag, value,
+                                                       repeated, fmt):
+        code = run(["eval", "--preds", str(pipeline["preds"]),
+                    "--annotations", str(pipeline["data"] / "annotations.json"),
+                    flag, value, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"{flag} repeats the value {repeated}" in captured.err
+
     def test_strict_mode_missing_prediction(self, pipeline, tmp_path):
         partial = tmp_path / "partial.jsonl"
         first = pipeline["preds"].read_text().splitlines()[0]

@@ -163,9 +163,12 @@ class TestForward:
         scores = rng.normal(size=(2, 2, 6, 6))
         mask = np.ones((2, 6), bool)
         mask[0, 4:] = False
-        probs = masked_softmax(scores, mask)
+        e, rowsum = masked_softmax(scores, mask)
+        probs = e / rowsum
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         assert (probs[0, :, :, 4:] == 0.0).all()
+        # each row's largest valid weight is exp(0)
+        assert (e.max(axis=-1) == 1.0).all()
 
     def test_all_masked_modality_rejected(self):
         model = init_model(TINY, seed=3)
@@ -285,18 +288,20 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("padded", [False, True])
-    def test_masked_softmax_bitwise_and_input_untouched(self, dtype, padded):
+    def test_masked_softmax_bitwise_in_place(self, dtype, padded):
         scores, mask = self._scores(dtype, padded)
-        before = scores.copy()
-        probs = masked_softmax(scores, mask)
-        assert_bitwise_equal(probs, textbook_masked_softmax(before, mask))
-        assert_bitwise_equal(scores, before)
+        ref_e, ref_rowsum = textbook_masked_softmax(scores.copy(), mask)
+        e, rowsum = masked_softmax(scores, mask)
+        assert e is scores
+        assert_bitwise_equal(e, ref_e)
+        assert_bitwise_equal(rowsum, ref_rowsum)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("padded", [False, True])
     def test_softmax_backward_bitwise_and_inputs_untouched(self, dtype, padded):
         scores, mask = self._scores(dtype, padded)
-        p = masked_softmax(scores, mask)
+        e, rowsum = masked_softmax(scores, mask)
+        p = e / rowsum
         dp = np.random.default_rng(12).normal(size=p.shape).astype(dtype)
         dp_before, p_before = dp.copy(), p.copy()
         assert_bitwise_equal(softmax_backward(dp, p), textbook_softmax_backward(dp_before, p_before))
@@ -325,13 +330,85 @@ class TestKernelOracles:
         out, (keep, scale) = dropout_forward(x, 1.0 - 2.0 ** -18, np.random.default_rng(0), True)
         assert scale == 65536.0 and np.isfinite(out).all()
 
+    # uint16 counts drawn in turn: whole 64-bit words (the raw path); an odd
+    # count; whole words again behind the half-word an odd number of 32-bit
+    # words left buffered (5 items, 1 head, S = 17); an odd count that ends
+    # on a whole 32-bit word, then whole words
+    @pytest.mark.parametrize("counts, buffered", [((972,), [0]), ((867,), [0]),
+                                                  ((5 * 17 * 17, 288), [0, 1]),
+                                                  ((3, 8), [0, 0])])
+    def test_dropout_draw_gives_the_generator_bytes(self, counts, buffered):
+        """Whichever path `_dropout_draw` takes, it returns the words
+        `Generator.bytes` would and leaves the generator where `bytes` does."""
+        rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for n, half_word in zip(counts, buffered):
+            assert rng.bit_generator.state["has_uint32"] == half_word
+            draws, _, _ = layers._dropout_draw((n,), 0.1, rng, np.float32)
+            np.testing.assert_array_equal(draws, np.frombuffer(ref_rng.bytes(2 * n), dtype="<u2"))
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scaling_q_equals_scaling_the_scores_at_d_head_16(self, dtype):
+        """At d_head = 16 the scale 1/sqrt(d_head) is 1/4, a power of two, so
+        scaling the (S, d_head) side gives the bits of scaling the (S, S)
+        side: the scores forward, dq and dk backward."""
+        rng = np.random.default_rng(19)
+        q, k = (rng.normal(size=(2, 4, 9, 16)).astype(dtype) for _ in range(2))
+        dscores = rng.normal(size=(2, 4, 9, 9)).astype(dtype)
+        scale = np.asarray(1.0 / np.sqrt(16), dtype=dtype)
+        assert scale == 0.25
+        assert_bitwise_equal((q * scale) @ k.swapaxes(-1, -2), (q @ k.swapaxes(-1, -2)) * scale)
+        assert_bitwise_equal((dscores @ k) * scale, (dscores * scale) @ k)
+        assert_bitwise_equal(dscores.swapaxes(-1, -2) @ (q * scale),
+                             (dscores * scale).swapaxes(-1, -2) @ q)
+
+    # the largest error allowed, in units of the dtype's epsilon times the
+    # largest |V| (each output is a convex combination of V rows); measured
+    # at most 2.2 over five seeds, at d_head 3, 16 and 128, in either dtype
+    @pytest.mark.parametrize("dtype, eps_units", [(np.float64, 4), (np.float32, 4)])
+    @pytest.mark.parametrize("d_head", [3, 16])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_attention_tracks_textbook_softmax_attention(self, dtype, eps_units, d_head, padded):
+        """The eval `mha_forward` against softmax(Q K^T / sqrt(d_head)) V,
+        computed in float64 from the same projections, with the output
+        projection set to the identity so the output is the attention."""
+        B, nh, S = 3, 2, 23
+        H = nh * d_head
+        rng = np.random.default_rng(18)
+        # weights at 1/sqrt(fan-in), so the scores stay O(1) as in training
+        p = {k: (rng.normal(size=shape) / np.sqrt(shape[0])).astype(dtype) for k, shape in
+             {"attn.wq": (H, H), "attn.bq": (1, H), "attn.wk": (H, H),
+              "attn.wv": (H, H), "attn.bv": (1, H)}.items()}
+        p.update({"attn.wo": np.eye(H, dtype=dtype), "attn.bo": np.zeros((1, H), dtype)})
+        x = rng.normal(size=(B, S, H)).astype(dtype)
+        mask = np.ones((B, S), bool)
+        if padded:
+            mask[0, S - 5:] = False
+            mask[-1, 2:6] = False
+        out, _ = mha_forward(x, mask, p, nh, 0.0, None, train=False)
+
+        def heads(a):
+            return a.astype(np.float64).reshape(B, S, nh, d_head).transpose(0, 2, 1, 3)
+
+        qh, kh, vh = heads(x @ p["attn.wq"] + p["attn.bq"]), heads(x @ p["attn.wk"]), \
+            heads(x @ p["attn.wv"] + p["attn.bv"])
+        scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(d_head)
+        scores = np.where(mask[:, None, None, :], scores, -np.inf)
+        weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights /= weights.sum(axis=-1, keepdims=True)
+        ref = (weights @ vh).transpose(0, 2, 1, 3).reshape(B, S, H)
+        err = np.abs(out - ref).max() / (np.finfo(dtype).eps * np.abs(vh).max())
+        assert out.dtype == dtype
+        assert err <= eps_units
+
     @staticmethod
     def _attention_inputs(B, nh, S, dtype, padded):
         rng = np.random.default_rng(15)
         H = 3 * nh
         shapes = {"attn.wq": (H, H), "attn.bq": (1, H), "attn.wk": (H, H), "attn.wv": (H, H),
                   "attn.bv": (1, H), "attn.wo": (H, H), "attn.bo": (1, H)}
-        p = {k: rng.normal(size=shape).astype(dtype) for k, shape in shapes.items()}
+        # weights at 1/sqrt(fan-in), so the scores stay O(1) as in training
+        p = {k: (rng.normal(size=shape) / np.sqrt(shape[0])).astype(dtype) for k, shape in shapes.items()}
         x = rng.normal(size=(B, S, H)).astype(dtype)
         dy = rng.normal(size=(B, S, H)).astype(dtype)
         mask = np.ones((B, S), bool)
