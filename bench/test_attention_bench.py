@@ -53,6 +53,15 @@ def test_mha_forward_backward_train(benchmark, shape):
     benchmark(step)
 
 
+@pytest.mark.parametrize("shape", SEQ)
+def test_mha_backward_train(benchmark, shape):
+    x, mask, p = _inputs(TRAIN_BATCH, SEQ[shape])
+    dy = np.random.default_rng(1).normal(size=x.shape).astype(np.float32)
+    # backward reads its cache and writes none of it, so one cache serves every round
+    _, cache = mha_forward(x, mask, p, HEADS, DROP_RATE, np.random.default_rng(2), True)
+    benchmark(mha_backward, dy, cache)
+
+
 # the attention weights' draw and the FFN activation's draw of one layer
 @pytest.mark.parametrize("site", ["attention", "ffn"])
 @pytest.mark.parametrize("shape", SEQ)

@@ -199,14 +199,17 @@ def _cmd_eval(args) -> int:
 
 
 def _parse_list(text: str, flag: str, kind: type) -> list:
-    """Comma-separated values of `kind` (int or float), each given once, or a
-    CliError naming `flag`: a repeated rank or threshold would print its row
-    twice in the table report and once in the JSON one."""
+    """At least one comma-separated value of `kind` (int or float), each
+    given once, or a CliError naming `flag`: a repeated rank or threshold
+    would print its row twice in the table report and once in the JSON one,
+    and none would print an empty report."""
+    what = "integers" if kind is int else "numbers"
     try:
         values = [kind(x) for x in text.split(",") if x]
     except ValueError:
-        what = "integers" if kind is int else "numbers"
         raise CliError(f"{flag} expects comma-separated {what}, got {text!r}") from None
+    if not values:
+        raise CliError(f"{flag} expects at least one of its comma-separated {what}, got {text!r}")
     repeated = [v for i, v in enumerate(values) if v in values[:i]]
     if repeated:
         raise CliError(f"{flag} repeats the value {repeated[0]!r}, got {text!r}")

@@ -420,6 +420,8 @@ def _read_one_width(path) -> dict[str, np.ndarray]:
 def load_dataset(data_dir) -> Dataset:
     data_dir = Path(data_dir)
     annotations, durations = read_annotations(data_dir / "annotations.json")
+    if not annotations:
+        raise AnnotationError(f"{data_dir / 'annotations.json'} holds no queries")
     video_features = _read_one_width(data_dir / "video_features.nlqc")
     text_features = _read_one_width(data_dir / "text_features.nlqc")
     for a in annotations:

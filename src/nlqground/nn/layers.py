@@ -19,13 +19,16 @@ queries, the softmax runs in place on the fresh Q K^T product, and its
 normalisation is deferred to the (S, d_head) output, ctx = ((keep * scale
 * E) @ V) / rowsum(E) (FlashAttention's rescaling).  Softmax backward works
 on one fresh buffer (never on the caller's array).  The attention cache
-keeps the probabilities E / rowsum(E) and the bool keep mask of its
-dropout; backward rebuilds each tile's kept probabilities from them, bit
-for bit.  Dropout draws 16-bit integers, not float64 uniforms, once per
-call (one draw rule for attention and the FFN), as the generator's raw
-64-bit words wherever those are the bytes `Generator.bytes` would give,
-with its scale rounded in the input's dtype.  GELU is the
-tanh form (Hendrycks & Gimpel 2016, as in BERT and GPT-2), not the erf form.
+keeps no (B, heads, S, S) float array: only each softmax row's max and sum
+and the bool keep mask of its dropout.  Backward recomputes each tile's
+probabilities from the cached queries and keys, the same product on the
+same tile, shifted by the cached max and divided by the cached sum, so
+they are the forward's bit for bit (FlashAttention's recompute).  Dropout
+draws 16-bit integers, not float64 uniforms, once per call (one draw rule
+for attention and the FFN), as the generator's raw 64-bit words wherever
+those are the bytes `Generator.bytes` would give, with its scale rounded in
+the input's dtype.  GELU is the tanh form (Hendrycks & Gimpel 2016, as in
+BERT and GPT-2), not the erf form.
 `train` selects the mode: a train forward applies dropout and returns the
 cache for backward; an eval forward returns None as its cache, allocates no
 (B, heads, S, S) array and keeps no layer's activations past the layer.
@@ -131,8 +134,8 @@ def dropout_backward(dy: np.ndarray, mask) -> np.ndarray:
     return dy if mask is None else _scale_kept(dy, *mask)
 
 
-def _scale_kept(x: np.ndarray, keep: np.ndarray, scale) -> np.ndarray:
-    out = x * scale
+def _scale_kept(x: np.ndarray, keep: np.ndarray, scale, out=None) -> np.ndarray:
+    out = np.multiply(x, scale, out=out)
     out *= keep
     return out
 
@@ -185,18 +188,28 @@ def masked_softmax(scores: np.ndarray, key_mask: np.ndarray):
     """Unnormalised softmax over the last axis, in place on `scores`, with
     invalid keys forced to weight 0.
 
-    scores: (B, nh, S, S); key_mask: (B, S) bool.  Returns (E, rowsum):
-    E = exp(scores + mask bias - row max), written over `scores`, and its
-    (B, nh, S, 1) row sums, so the softmax is E / rowsum.  Every row must
-    have at least one valid key (guaranteed upstream by the non-empty-
-    modality check), so every row sum is at least 1.
+    scores: (B, nh, S, S); key_mask: (B, S) bool.  Returns (E, rowmax,
+    rowsum): E = exp(scores + mask bias - rowmax), written over `scores`,
+    with rowmax the biased rows' (B, nh, S, 1) maxima, and E's row sums, so
+    the softmax is E / rowsum.  Every row must have at least one valid key
+    (guaranteed upstream by the non-empty-modality check), so every row sum
+    is at least 1.
     """
+    e, rowmax = _shifted_exp(scores, key_mask)
+    return e, rowmax, e.sum(axis=-1, keepdims=True)
+
+
+def _shifted_exp(scores: np.ndarray, key_mask: np.ndarray, rowmax: np.ndarray | None = None):
+    """exp(scores + mask bias - rowmax) in place on `scores`, rowmax being
+    the biased rows' maxima unless given; returns (E, rowmax)."""
     if not key_mask.all():
         # with every key valid the bias is all zeros, which changes no bit
         scores += np.where(key_mask[:, None, None, :], 0.0, MASK_NEG).astype(scores.dtype)
-    scores -= scores.max(axis=-1, keepdims=True)
+    if rowmax is None:
+        rowmax = scores.max(axis=-1, keepdims=True)
+    scores -= rowmax
     np.exp(scores, out=scores)
-    return scores, scores.sum(axis=-1, keepdims=True)
+    return scores, rowmax
 
 
 def softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -244,8 +257,9 @@ def mha_forward(
     the normalisation is per row.  The dropout draw covers the whole
     (B, heads, S, S) tensor in one call, so the stream is the same however
     the batch is tiled.  The cache (None in eval mode) keeps the scaled
-    queries, the normalised probabilities E / rowsum and the dropout's
-    (keep mask, scale).
+    queries, the keys, the key mask, each softmax row's (B, heads, S, 1)
+    max and sum, and the dropout's (keep mask, scale): backward recomputes
+    the probabilities from them.
     """
     q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
     k = x @ p["attn.wk"]
@@ -259,38 +273,39 @@ def mha_forward(
     if train and drop_rate > 0.0:
         draws, cut, drop_scale = _dropout_draw((B, num_heads, S, S), drop_rate, rng, x.dtype)
         drop = (np.empty(draws.shape, dtype=bool), drop_scale)
-    probs = np.empty((B, num_heads, S, S), dtype=x.dtype) if train else None
+    rowmax, rowsum = (np.empty((B, num_heads, S, 1), dtype=x.dtype) for _ in range(2))
     ctx = np.empty(qh.shape, dtype=x.dtype)
     for t in _tiles(B, num_heads, S, x.dtype.itemsize):
-        e, rowsum = masked_softmax(qh[t] @ kh[t].swapaxes(-1, -2), key_mask[t])
-        if probs is not None:
-            np.divide(e, rowsum, out=probs[t])
+        e, rowmax[t], rowsum[t] = masked_softmax(qh[t] @ kh[t].swapaxes(-1, -2), key_mask[t])
         if drop is not None:
             e *= drop_scale
             e *= np.greater_equal(draws[t], cut, out=drop[0][t])
         np.matmul(e, vh[t], out=ctx[t])
-        ctx[t] /= rowsum
+        ctx[t] /= rowsum[t]
         del e  # one tile-sized buffer is alive at a time
     out, o_cache = linear_forward(_merge_heads(ctx), p["attn.wo"], p["attn.bo"])
     if not train:
         return out, None
-    return out, (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, drop, scale, num_heads)
+    return out, (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, key_mask, rowmax, rowsum,
+                 drop, scale, num_heads)
 
 
 def mha_backward(dy: np.ndarray, cache):
-    q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, drop, scale, nh = cache
+    q_cache, k_cache, v_cache, o_cache, qh, kh, vh, key_mask, rowmax, rowsum, drop, scale, nh = cache
     dctx, dwo, dbo = linear_backward(dy, o_cache)
     dctx_h = _split_heads(dctx, nh)
     dqh, dkh, dvh = (np.empty(qh.shape, dtype=qh.dtype) for _ in range(3))
     for t in _tiles(len(qh), nh, qh.shape[2], qh.dtype.itemsize):
-        pt = probs[t]
+        # the forward's probabilities, recomputed bit for bit
+        pt, _ = _shifted_exp(qh[t] @ kh[t].swapaxes(-1, -2), key_mask[t], rowmax[t])
+        pt /= rowsum[t]
         dprobs = dctx_h[t] @ vh[t].swapaxes(-1, -2)
-        kept = pt
         if drop is not None:
-            kept = _scale_kept(pt, drop[0][t], drop[1])
-            dprobs = _scale_kept(dprobs, drop[0][t], drop[1])
-        np.matmul(kept.swapaxes(-1, -2), dctx_h[t], out=dvh[t])
+            _scale_kept(dprobs, drop[0][t], drop[1], out=dprobs)
         dscores = softmax_backward(dprobs, pt)
+        if drop is not None:
+            _scale_kept(pt, drop[0][t], drop[1], out=pt)  # the kept weights
+        np.matmul(pt.swapaxes(-1, -2), dctx_h[t], out=dvh[t])
         np.matmul(dscores, kh[t], out=dqh[t])
         # qh holds the scaled queries, so dk needs no further scaling
         np.matmul(dscores.swapaxes(-1, -2), qh[t], out=dkh[t])

@@ -1,18 +1,18 @@
 """Optimization loop: Adam with linear-warmup inverse-square-root scheduling,
 per-step loss assembly, per-epoch validation, and checkpoint retention.
 
-Per step: on glibc, hand free heap memory past 64 MiB back to the OS;
-forward in train mode; then, for the whole batch in array operations, label
-every anchor against its item's ground truth, decode offsets to index spans
-and take the alignment and boundary terms with their gradients; backprop by
-hand, and apply a clipped Adam update at the scheduled rate.  TrainConfig checks every field's range when it is built.  Per epoch: evaluate R@{1,5} / IoU@{0.3,0.5} on the
+Per step: forward in train mode; then, for the whole batch in array
+operations, label every anchor against its item's ground truth, decode
+offsets to index spans and take the alignment and boundary terms with their
+gradients; backprop by hand, and apply a clipped Adam update at the
+scheduled rate.  Per epoch: evaluate R@{1,5} / IoU@{0.3,0.5} on the
 validation split in eval mode, append one JSON line to the metric log, and
-keep the best checkpoint by val R@1 at IoU 0.5.
+keep the best checkpoint by val R@1 at IoU 0.5.  TrainConfig checks every
+field's range when it is built.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 from dataclasses import dataclass
@@ -27,28 +27,6 @@ from .data import Batch, Dataset, make_batches
 from .evaluation import evaluate
 from .inference import InferenceOptions, decode_index_spans, predict_dataset
 from .nn import EncoderConfig, GroundingModel, init_model, save_checkpoint
-
-
-class _MallInfo2(ctypes.Structure):  # glibc's struct mallinfo2
-    _fields_ = [(name, ctypes.c_size_t) for name in ("arena", "ordblks", "smblks", "hblks",
-                "hblkhd", "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
-
-
-# glibc keeps freed heap blocks resident for reuse and moves its mmap
-# threshold up to the largest block freed (32 MiB at most).  A T=600 step
-# frees 12-46 MiB attention caches, so where each step put them hung on what
-# earlier steps and calls had left in the heap, and one pipeline's peak RSS
-# read about 370 or 415 MB from run to run.  With fixed thresholds, blocks
-# of 8 MiB or more get their own mappings, and free heap memory past
-# `_HEAP_SLACK` is handed back to the OS before each step.
-_HEAP_SLACK = 64 << 20
-try:
-    _libc = ctypes.CDLL(None)
-    _libc.mallopt(-3, 8 << 20)  # M_MMAP_THRESHOLD
-    _libc.mallopt(-1, _HEAP_SLACK)  # M_TRIM_THRESHOLD
-    _libc.mallinfo2.restype = _MallInfo2
-except (AttributeError, OSError, TypeError):  # not glibc
-    _libc = None
 
 
 class DivergenceError(RuntimeError):
@@ -220,8 +198,6 @@ def train(
                                       encoder_config.anchors.num_frames,
                                       shuffle_seed=train_config.seed, epoch=epoch):
                 step += 1
-                if _libc is not None and _libc.mallinfo2().fordblks > _HEAP_SLACK:
-                    _libc.malloc_trim(0)
                 step_record, grads = batch_loss_and_grads(model, batch, train_config)
                 if not math.isfinite(step_record["loss"]):
                     raise DivergenceError(f"non-finite loss at step {step}")

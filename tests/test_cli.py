@@ -9,10 +9,12 @@ import pytest
 from nlqground.anchors import AnchorConfig
 from nlqground.cli import build_parser, load_run_config, run
 from nlqground.data import (
+    Dataset,
     load_dataset,
     make_batches,
     read_annotations,
     read_features,
+    save_dataset,
     write_matrices,
 )
 from nlqground.inference import InferenceOptions, decode_proposals, nms
@@ -124,6 +126,17 @@ def pipeline(tmp_path_factory):
 
 
 class TestTrainCommand:
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_dataset_without_queries_names_its_annotations(self, pipeline, tmp_path, capsys, command):
+        empty = tmp_path / "empty"
+        save_dataset(Dataset(video_features={}, text_features={}, annotations=[], durations={}), empty)
+        args = {"train": ["train", "--config", str(pipeline["cfg"]), "--out", str(tmp_path / "run")],
+                "predict": ["predict", "--ckpt", str(pipeline["out"] / "checkpoint_best.nlqc"),
+                            "--out", str(tmp_path / "p.jsonl")]}[command]
+        assert run(args + ["--data", str(empty)]) == 1
+        assert f"{empty / 'annotations.json'} holds no queries" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty"]
+
     def test_artifacts_exist(self, pipeline):
         out = pipeline["out"]
         assert (out / "checkpoint_best.nlqc").exists()
@@ -508,8 +521,10 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "R@1" in out and "R@5" in out
 
-    @pytest.mark.parametrize("flag, value, repeated", [("--ranks", "5,1,5", "5"),
-                                                       ("--ious", "0.5,0.3,0.50", "0.5")])
+    # a repeated value, then no value at all (None)
+    @pytest.mark.parametrize("flag, value, repeated", [
+        ("--ranks", "5,1,5", "5"), ("--ious", "0.5,0.3,0.50", "0.5"),
+        ("--ranks", "", None), ("--ranks", ",", None), ("--ious", "", None), ("--ious", ",", None)])
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_repeated_rank_or_threshold_names_the_flag(self, pipeline, capsys, flag, value,
                                                        repeated, fmt):
@@ -519,7 +534,8 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert f"{flag} repeats the value {repeated}" in captured.err
+        problem = "expects at least one" if repeated is None else f"repeats the value {repeated}"
+        assert f"{flag} {problem}" in captured.err
 
     def test_strict_mode_missing_prediction(self, pipeline, tmp_path):
         partial = tmp_path / "partial.jsonl"

@@ -38,6 +38,7 @@ from nlqground.data import MatrixFileError, write_features
 from nlqground.nn import layers
 from nlqground.nn import model as model_module
 from nlqground.nn.layers import (
+    _shifted_exp,
     dropout_backward,
     dropout_forward,
     gelu_backward,
@@ -163,7 +164,7 @@ class TestForward:
         scores = rng.normal(size=(2, 2, 6, 6))
         mask = np.ones((2, 6), bool)
         mask[0, 4:] = False
-        e, rowsum = masked_softmax(scores, mask)
+        e, _, rowsum = masked_softmax(scores, mask)
         probs = e / rowsum
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         assert (probs[0, :, :, 4:] == 0.0).all()
@@ -291,16 +292,20 @@ class TestKernelOracles:
     def test_masked_softmax_bitwise_in_place(self, dtype, padded):
         scores, mask = self._scores(dtype, padded)
         ref_e, ref_rowsum = textbook_masked_softmax(scores.copy(), mask)
-        e, rowsum = masked_softmax(scores, mask)
+        scores_before = scores.copy()
+        e, rowmax, rowsum = masked_softmax(scores, mask)
         assert e is scores
         assert_bitwise_equal(e, ref_e)
         assert_bitwise_equal(rowsum, ref_rowsum)
+        # the cached row max alone rebuilds E, as the attention backward does
+        rebuilt, _ = _shifted_exp(scores_before, mask, rowmax)
+        assert_bitwise_equal(rebuilt, ref_e)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("padded", [False, True])
     def test_softmax_backward_bitwise_and_inputs_untouched(self, dtype, padded):
         scores, mask = self._scores(dtype, padded)
-        e, rowsum = masked_softmax(scores, mask)
+        e, _, rowsum = masked_softmax(scores, mask)
         p = e / rowsum
         dp = np.random.default_rng(12).normal(size=p.shape).astype(dtype)
         dp_before, p_before = dp.copy(), p.copy()
@@ -488,7 +493,7 @@ class TestDtypeDiscipline:
         layer_caches = cache["intra_video"] + cache["intra_text"] + cache["cross"]
         assert len(layer_caches) == 4
         for ln1, mha, ln2, l1, gelu, ffn_drop, l2 in layer_caches:
-            attn_drop = mha[-3]  # (..., probs, drop_mask, scale, num_heads)
+            attn_drop = mha[-3]  # (..., rowsum, drop_mask, scale, num_heads)
             for keep, scale in (attn_drop, ffn_drop):
                 assert keep.dtype == bool
                 assert scale.dtype == np.float32
@@ -523,20 +528,39 @@ class TestAttentionMemory:
         assert cache is None
         assert 0 < peak < whole
 
-    def test_cache_keeps_one_float_attention_tensor_per_layer(self):
+    def test_train_cache_keeps_no_float_attention_tensor(self):
         B, T, L = 3, 10, 4
         nh = self.CFG.num_heads
-        model = init_model(self.CFG, seed=3, dtype=np.float32)
         video, rows, text, tmask = tiny_inputs(B=B, T=T, L=L)
         tmask[1, 3:] = False
-        _, _, cache = model.forward_batch(video, rows, text, tmask, train=True)
-        per_layer = [(c, T) for c in cache["intra_video"]] + [(c, L) for c in cache["intra_text"]] \
-            + [(c, T + L) for c in cache["cross"]]
-        assert len(per_layer) == 4
-        for layer, S in per_layer:
-            attention = [a for a in _leaves(layer) if np.shape(a) == (B, nh, S, S)]
-            # the probabilities and the dropout's keep mask
-            assert sorted(a.dtype.str for a in attention) == ["<f4", "|b1"]
+        for rate, kept in ((0.2, ["|b1"]), (0.0, [])):
+            model = init_model(replace(self.CFG, dropout_rate=rate), seed=3, dtype=np.float32)
+            _, _, cache = model.forward_batch(video, rows, text, tmask, train=True)
+            per_layer = [(c, T) for c in cache["intra_video"]] + [(c, L) for c in cache["intra_text"]] \
+                + [(c, T + L) for c in cache["cross"]]
+            assert len(per_layer) == 4
+            for layer, S in per_layer:
+                attention = [a for a in _leaves(layer) if np.shape(a) == (B, nh, S, S)]
+                # the dropout's keep mask alone: backward recomputes the probabilities
+                assert [a.dtype.str for a in attention] == kept
+
+    @pytest.mark.parametrize("rate", [0.0, 0.2])
+    def test_train_forward_keeps_under_half_a_float_attention_tensor(self, rate):
+        """Bytes a train `mha_forward` leaves allocated (its output and
+        cache), past the bool keep mask: its (B, S, H) activations and the
+        (B, nh, S, 1) row max and sum, not a (B, nh, S, S) float tensor."""
+        B, nh, S = 4, 4, 96
+        x, mask, p, _ = TestKernelOracles._attention_inputs(B, nh, S, np.float32, padded=True)
+        rng = np.random.default_rng(17)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out, cache = mha_forward(x, mask, p, nh, rate, rng, train=True)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        keep_mask_bytes = B * nh * S * S if rate else 0
+        assert 0 < kept - keep_mask_bytes < B * nh * S * S * 4 // 2
 
 
 class TestBackward:
