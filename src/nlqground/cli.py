@@ -29,7 +29,7 @@ from .data import (
     save_dataset,
     split_dataset,
 )
-from .evaluation import evaluate, report_to_json
+from .evaluation import evaluate
 from .inference import (
     InferenceOptions,
     predict_dataset,
@@ -194,7 +194,8 @@ def _cmd_eval(args) -> int:
         thresholds=_parse_list(args.ious, "--ious", float),
         strict=args.strict,
     )
-    print(report.to_table() if args.format == "table" else report_to_json(report))
+    print(report.to_table() if args.format == "table"
+          else json.dumps(report.to_json_dict(), indent=2))
     return 0
 
 

@@ -451,9 +451,10 @@ class Batch:
 
 
 def make_batches(dataset: Dataset, batch_size: int, target_t: int,
-                 shuffle_seed: int, epoch: int = 0, shuffle: bool = True):
+                 shuffle_seed: int | None, epoch: int = 0):
     """Yield padded batches; order is a deterministic shuffle of the query
-    list keyed by (shuffle_seed, epoch).
+    list keyed by (shuffle_seed, epoch), or annotation order when
+    shuffle_seed is None.
 
     Videos are resampled to exactly target_t rows (sampled once per video and
     reused), and a batch carries each distinct video once however many of
@@ -465,7 +466,7 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
     if len(dataset) == 0:
         raise ValueError("cannot batch an empty dataset")
     order = np.arange(len(dataset))
-    if shuffle:
+    if shuffle_seed is not None:
         np.random.default_rng([int(shuffle_seed), int(epoch)]).shuffle(order)
 
     sampled: dict[str, np.ndarray] = {}

@@ -10,7 +10,6 @@ is its best IoU within the top n, for every n at once.  Predictions are
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +25,6 @@ DEFAULT_THRESHOLDS = (0.3, 0.5)
 @dataclass(frozen=True)
 class MetricReport:
     recalls: dict[tuple[int, float], float]  # (n, m) -> hits / total
-    hits: dict[tuple[int, float], int]
     total_queries: int
     ranks: tuple[int, ...]
     thresholds: tuple[float, ...]
@@ -98,12 +96,6 @@ def evaluate(
         hit_counts = (best[:, :, None] > np.asarray(thresholds)).sum(axis=0)
 
     total = len(annotations)
-    hits = {(n, m): int(hit_counts[i, j])
-            for i, n in enumerate(ranks) for j, m in enumerate(thresholds)}
-    recalls = {cell: (h / total if total else 0.0) for cell, h in hits.items()}
-    return MetricReport(recalls=recalls, hits=hits, total_queries=total,
-                        ranks=ranks, thresholds=thresholds)
-
-
-def report_to_json(report: MetricReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2)
+    recalls = {(n, m): (int(hit_counts[i, j]) / total if total else 0.0)
+               for i, n in enumerate(ranks) for j, m in enumerate(thresholds)}
+    return MetricReport(recalls=recalls, total_queries=total, ranks=ranks, thresholds=thresholds)

@@ -167,7 +167,7 @@ def predict_dataset(model: GroundingModel, dataset, options: InferenceOptions = 
     """
     records = []
     for batch in make_batches(dataset, batch_size, model.config.anchors.num_frames,
-                              shuffle_seed=0, shuffle=False):
+                              shuffle_seed=None):
         conf, offs, _ = model.forward_batch(batch.videos, batch.video_rows, batch.text,
                                             batch.text_mask, train=False)
         spans, scores = decode_proposals(conf, offs, model.config.anchors, batch.durations)

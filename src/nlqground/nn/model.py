@@ -40,6 +40,7 @@ from .layers import (
 )
 
 CONF_EPS = 1e-7
+FFN_WIDTH_FACTOR = 4  # each encoder layer's feed-forward width, in units of hidden_dim
 
 
 class InvalidStateError(RuntimeError):
@@ -56,14 +57,11 @@ class EncoderConfig:
     text_input_dim: int = 512
     anchors: AnchorConfig = AnchorConfig()  # the lattice the heads predict over
     dropout_rate: float = 0.1
-    feedforward_dim: int = 0  # 0 -> 4 * hidden_dim
 
     def __post_init__(self):
         for name in ("hidden_dim", "num_heads", "intra_layers", "cross_layers",
-                     "video_input_dim", "text_input_dim", "feedforward_dim"):
-            require_int(self, name, 0 if name == "feedforward_dim" else 1)
-        if self.feedforward_dim == 0:
-            object.__setattr__(self, "feedforward_dim", 4 * self.hidden_dim)
+                     "video_input_dim", "text_input_dim"):
+            require_int(self, name, 1)
         if self.hidden_dim % self.num_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by num_heads {self.num_heads}"
@@ -94,6 +92,24 @@ def sinusoidal_positions(length: int, dim: int, dtype=np.float64) -> np.ndarray:
     table[:, 0::2] = np.sin(angles)
     table[:, 1::2] = np.cos(angles)
     return table.astype(dtype)
+
+
+def _head_forward(x, params, prefix):
+    """A prediction head, linear -> GELU -> linear, from the parameters
+    `<prefix>.w1` .. `<prefix>.b2`; returns (output, cache)."""
+    h, l1 = linear_forward(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"])
+    a, act = gelu_forward(h)
+    out, l2 = linear_forward(a, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return out, (l1, act, l2)
+
+
+def _head_backward(d_out, cache, prefix, grads):
+    """Reverse of `_head_forward`: writes the head's parameter gradients into
+    `grads` and returns the gradient on its input."""
+    l1, act, l2 = cache
+    da, grads[f"{prefix}.w2"], grads[f"{prefix}.b2"] = linear_backward(d_out, l2)
+    dx, grads[f"{prefix}.w1"], grads[f"{prefix}.b1"] = linear_backward(gelu_backward(da, act), l1)
+    return dx
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -210,24 +226,19 @@ class GroundingModel:
         x, final_ln_cache = layer_norm_forward(x, self.params["final_ln.g"], self.params["final_ln.b"])
         fused = x[:, :T, :]
 
-        c1, conf_l1 = linear_forward(fused, self.params["conf_head.w1"], self.params["conf_head.b1"])
-        ca, conf_gelu = gelu_forward(c1)
-        conf_logits, conf_l2 = linear_forward(ca, self.params["conf_head.w2"], self.params["conf_head.b2"])
+        conf_logits, conf_head = _head_forward(fused, self.params, "conf_head")
         s = sigmoid(conf_logits)
         lo = np.asarray(CONF_EPS, dtype=self.dtype)
         hi = np.asarray(1.0, dtype=self.dtype) - lo
         confidence = np.clip(s, lo, hi)
         conf_clamped = (s < lo) | (s > hi)
 
-        r1, reg_l1 = linear_forward(fused, self.params["reg_head.w1"], self.params["reg_head.b1"])
-        ra, reg_gelu = gelu_forward(r1)
-        offsets, reg_l2 = linear_forward(ra, self.params["reg_head.w2"], self.params["reg_head.b2"])
+        offsets, reg_head = _head_forward(fused, self.params, "reg_head")
 
         if not train:
             return confidence, offsets, None
         cache.update(B=B, T=T, L=L, vproj=vproj_cache, tproj=tproj_cache, final_ln=final_ln_cache,
-                     conf=(conf_l1, conf_gelu, conf_l2, s, conf_clamped),
-                     reg=(reg_l1, reg_gelu, reg_l2), param_ids=id(self.params))
+                     conf=(conf_head, s, conf_clamped), reg=reg_head, param_ids=id(self.params))
         return confidence, offsets, cache
 
     # -- backward ----------------------------------------------------------
@@ -256,20 +267,10 @@ class GroundingModel:
         d_offsets = np.asarray(d_offsets, dtype=self.dtype)
         grads = {}
 
-        conf_l1, conf_gelu, conf_l2, s, conf_clamped = cache["conf"]
+        conf_head, s, conf_clamped = cache["conf"]
         d_logits = np.where(conf_clamped, 0.0, d_confidence * s * (1.0 - s)).astype(self.dtype)
-        dca, dw, db = linear_backward(d_logits, conf_l2)
-        grads["conf_head.w2"], grads["conf_head.b2"] = dw, db
-        dc1 = gelu_backward(dca, conf_gelu)
-        dfused_c, dw, db = linear_backward(dc1, conf_l1)
-        grads["conf_head.w1"], grads["conf_head.b1"] = dw, db
-
-        reg_l1, reg_gelu, reg_l2 = cache["reg"]
-        dra, dw, db = linear_backward(d_offsets, reg_l2)
-        grads["reg_head.w2"], grads["reg_head.b2"] = dw, db
-        dr1 = gelu_backward(dra, reg_gelu)
-        dfused_r, dw, db = linear_backward(dr1, reg_l1)
-        grads["reg_head.w1"], grads["reg_head.b1"] = dw, db
+        dfused_c = _head_backward(d_logits, conf_head, "conf_head", grads)
+        dfused_r = _head_backward(d_offsets, cache["reg"], "reg_head", grads)
 
         dx = np.zeros((B, T + L, cfg.hidden_dim), dtype=self.dtype)
         dx[:, :T, :] = dfused_c + dfused_r
@@ -295,7 +296,7 @@ class GroundingModel:
 
 def parameter_shapes(config: EncoderConfig) -> list[tuple[str, int, int]]:
     """Deterministic (name, rows, cols) manifest; also fixes the init order."""
-    H, F, K = config.hidden_dim, config.feedforward_dim, len(config.anchors.scales)
+    H, F, K = config.hidden_dim, FFN_WIDTH_FACTOR * config.hidden_dim, len(config.anchors.scales)
     shapes: list[tuple[str, int, int]] = [
         ("video_proj.w", config.video_input_dim, H), ("video_proj.b", 1, H),
         ("text_proj.w", config.text_input_dim, H), ("text_proj.b", 1, H),

@@ -27,7 +27,7 @@ from nlqground.nn.layers import (
     linear_forward,
     sigmoid,
 )
-from nlqground.trainer import batch_loss_and_grads
+from nlqground.trainer import POSITIVE_THRESHOLD, SMOOTH_L1_BETA, batch_loss_and_grads
 
 
 def training_loss_fn(batch, train_config, seed=0):
@@ -251,7 +251,7 @@ def per_row_forward(model, video, text, text_mask, train=False):
     if not train:
         return np.clip(s, lo, hi), offsets, None
     cache.update(B=B, T=T, L=L, vproj=vproj_cache, tproj=tproj_cache, final_ln=final_ln_cache,
-                 conf=(conf_l1, conf_gelu, conf_l2, s, (s < lo) | (s > hi)),
+                 conf=((conf_l1, conf_gelu, conf_l2), s, (s < lo) | (s > hi)),
                  reg=(reg_l1, reg_gelu, reg_l2), param_ids=id(p))
     return np.clip(s, lo, hi), offsets, cache
 
@@ -360,13 +360,13 @@ def per_item_objective(conf, offs, gt_index, lattice, config):
     values; and the counts 'forced' (promoted rows), 'swaps' and 'clamps'
     (decoded endpoints)."""
     B, T, K = conf.shape
-    beta, mu = config.smooth_l1_beta, config.mu
+    beta, mu = SMOOTH_L1_BETA, config.mu
     out = {"d_conf": np.zeros(conf.shape), "d_offs": np.zeros(offs.shape),
            "align": [], "box": [], "forced": 0, "swaps": 0, "clamps": 0}
     for j in range(B):
         gt = gt_index[j].tolist()
         o = np.array([scalar_iou(a, gt) for a in build_lattice(lattice).tolist()])
-        positive = o > config.positive_threshold
+        positive = o > POSITIVE_THRESHOLD
         if not positive.any():
             positive[int(np.argmax(o))] = True
             out["forced"] += 1

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from nlqground.anchors import AnchorConfig, build_lattice, label_anchors
 from nlqground.core import OutOfRangeError
-from nlqground.trainer import TrainConfig
 from helpers import flat_index, scalar_iou
 
 
@@ -131,12 +130,6 @@ class TestLabelAnchors:
             label_one(self.lattice, 6.0, 5.0)
         with pytest.raises(OutOfRangeError):
             label_one(self.lattice, -1.0, 5.0)
-
-    def test_bad_threshold(self):
-        # the threshold is checked once, where it is configured
-        for bad in (1.0, -0.1, float("nan")):
-            with pytest.raises(ValueError, match="positive_threshold"):
-                TrainConfig(positive_threshold=bad)
 
     @given(
         start=st.floats(0, 8, allow_nan=False),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shlex
@@ -56,7 +57,8 @@ def test_readme_commands_parse():
 
 def test_readme_run_config_loads(tmp_path):
     """README's run config reads as written: every key it sets reaches the
-    configs `load_run_config` builds, and `{}` builds the defaults."""
+    configs `load_run_config` builds, and `{}` builds the defaults.  It sets
+    every key a run config can set, so a new field needs its README line."""
     section = README.read_text(encoding="utf-8").split("### Run config", 1)[1]
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     path = tmp_path / "run.json"
@@ -64,7 +66,12 @@ def test_readme_run_config_loads(tmp_path):
     encoder, train, inference = load_run_config(path, 32, 16)
     built = {"encoder": encoder, "train": train, "anchors": encoder.anchors,
              "inference": inference}
-    for name, keys in json.loads(block).items():
+    doc = json.loads(block)
+    assert doc.keys() == built.keys()
+    set_elsewhere = {"video_input_dim", "text_input_dim", "anchors"}  # the data; `anchors`
+    for name, config in built.items():
+        assert set(doc[name]) == {f.name for f in dataclasses.fields(config)} - set_elsewhere, name
+    for name, keys in doc.items():
         for key, value in keys.items():
             assert getattr(built[name], key) == (tuple(value) if isinstance(value, list)
                                                  else value), (name, key)
@@ -161,21 +168,31 @@ class TestTrainCommand:
         assert code == 1
         assert "'prediction_mode'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [
-        ("num_scales", 2), ("anchors", {"scales": [0.15, 0.4], "num_frames": 20}),
-        ("video_input_dim", 8), ("text_input_dim", 4)])
+    @pytest.mark.parametrize("section, key, value", [
+        ("encoder", "num_scales", 2),
+        ("encoder", "anchors", {"scales": [0.15, 0.4], "num_frames": 20}),
+        ("encoder", "video_input_dim", 8), ("encoder", "text_input_dim", 4),
+        ("encoder", "feedforward_dim", 64), ("train", "adam_beta1", 0.9),
+        ("train", "adam_beta2", 0.999), ("train", "adam_eps", 1e-8),
+        ("train", "grad_clip_norm", 1.0), ("train", "positive_threshold", 0.5),
+        ("train", "smooth_l1_beta", 1.0),
+    ], ids=["num_scales-2", "anchors-value1", "video_input_dim-8", "text_input_dim-4",
+            "feedforward_dim-64", "adam_beta1-0.9", "adam_beta2-0.999", "adam_eps-1e-08",
+            "grad_clip_norm-1.0", "positive_threshold-0.5", "smooth_l1_beta-1.0"])
     def test_lattice_in_encoder_section_is_an_unknown_key(self, pipeline, tmp_path, capsys,
-                                                          key, value):
+                                                          section, key, value):
         """The lattice is set by the `anchors` section alone, and the input
-        dims by the data alone."""
+        dims by the data alone; the FFN width, Adam's moments and epsilon,
+        the clip norm, the positive threshold and the smooth-L1 beta are
+        constants, set by no section."""
         doc = json.loads(pipeline["cfg"].read_text())
-        doc["encoder"][key] = value
+        doc[section][key] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         code = run(["train", "--config", str(bad), "--data", str(pipeline["data"]),
                     "--out", str(tmp_path / "o")])
         assert code == 1
-        assert f"config section 'encoder': unknown key {key!r}" in capsys.readouterr().err
+        assert f"config section {section!r}: unknown key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_no_val_message(self, pipeline, tmp_path, capsys):
@@ -185,8 +202,8 @@ class TestTrainCommand:
         assert "no validation split given" in out
         assert "-inf" not in out
 
-    @pytest.mark.parametrize("field, value", [("adam_beta1", 1.0), ("adam_eps", 0.0),
-                                              ("grad_clip_norm", float("inf")), ("mu", -1.0)])
+    @pytest.mark.parametrize("field, value", [("base_lr", 0.0), ("base_lr", float("inf")),
+                                              ("warmup_steps", 0), ("mu", -1.0)])
     def test_bad_train_field_names_section_and_field(self, pipeline, tmp_path, capsys,
                                                      field, value):
         bad = tmp_path / "bad.json"
@@ -478,7 +495,7 @@ class TestSelectionIdentity:
         lattice = AnchorConfig(scales=(0.15, 0.4), num_frames=20)
         written = {r["query_id"]: r for r in map(json.loads, pipeline["preds"].read_text().splitlines())}
         checked = 0
-        for batch in make_batches(load_dataset(pipeline["data"]), 32, 20, shuffle_seed=0, shuffle=False):
+        for batch in make_batches(load_dataset(pipeline["data"]), 32, 20, shuffle_seed=None):
             conf, offs, _ = model.forward_batch(batch.videos, batch.video_rows, batch.text,
                                                 batch.text_mask, train=False)
             batch_spans, batch_scores = decode_proposals(conf, offs, lattice, batch.durations)

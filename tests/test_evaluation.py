@@ -16,7 +16,7 @@ def query_hit(spans, gt, n, m):
     """Whether one query with these ranked spans is a hit for cell (n, m)."""
     report = evaluate([pred("q", spans)], [QueryAnnotation("v", "q", "", *gt)],
                       ranks=(n,), thresholds=(m,))
-    return report.hits[(n, m)] == 1
+    return report.recalls[(n, m)] == 1.0
 
 
 class TestQueryHit:
@@ -90,7 +90,7 @@ class TestEvaluate:
     def test_short_and_empty_lists_padded_beside_longer_ones(self):
         predictions = [pred("A", [(20, 30), (40, 50), (60, 70), (0.0, 10.0)]), pred("B", [])]
         report = evaluate(predictions, self.anns, ranks=(1, 3, 4, 10))
-        assert [report.hits[(n, 0.5)] for n in (1, 3, 4, 10)] == [0, 0, 1, 1]
+        assert [report.recalls[(n, 0.5)] for n in (1, 3, 4, 10)] == [0.0, 0.0, 0.5, 0.5]
 
     def test_repeated_rank_counts_once(self):
         predictions = [pred("A", [(0.0, 10.0)]), pred("B", [(0.0, 5.0)])]
@@ -106,7 +106,7 @@ class TestEvaluate:
     def test_recall_is_exact_ratio(self):
         predictions = [pred("A", [(0, 10)]), pred("B", [(20, 30)])]
         report = evaluate(predictions, self.anns)
-        assert report.recalls[(1, 0.3)] == report.hits[(1, 0.3)] / report.total_queries
+        assert report.recalls[(1, 0.3)] == 1 / report.total_queries  # A hits, B misses
 
     def test_json_and_table_output(self):
         predictions = [pred("A", [(0, 10)]), pred("B", [(0, 5)])]

@@ -713,11 +713,12 @@ class TestCheckpoint:
          "config: 'dropout_rate' must be a number in [0, 1), got '0.1'"),
         (lambda h: h["config"].update(dropout_rate=False),
          "config: 'dropout_rate' must be a number in [0, 1), got False"),
+        (lambda h: h["config"].update(feedforward_dim=32), "config: unknown key 'feedforward_dim'"),
     ], ids=["no_manifest", "missing_parameter", "unknown_config_key", "shape_mismatch", "bad_seed",
             "no_seed", "negative_seed", "no_anchors", "non_object_anchors", "unknown_anchors_key",
             "no_num_frames", "decreasing_scales", "string_scales", "zero_frames",
             "float_hidden_dim", "float_num_frames", "bool_cross_layers", "string_dropout_rate",
-            "bool_dropout_rate"])
+            "bool_dropout_rate", "feedforward_dim"])
     def test_bad_header_names_path_and_offender(self, tmp_path, edit, named):
         path = tmp_path / "m.nlqc"
         save_checkpoint(init_model(TINY, seed=8), path)

@@ -35,25 +35,18 @@ def tiny_dataset(seed=1, videos=4):
 
 class TestTrainConfig:
     @pytest.mark.parametrize("field, bad", [
-        ("mu", -0.1), ("positive_threshold", 1.0), ("positive_threshold", -0.1),
-        ("smooth_l1_beta", 0.0), ("adam_beta1", 1.0), ("adam_beta1", -0.1),
-        ("adam_beta2", 1.0), ("adam_eps", 0.0), ("grad_clip_norm", -1.0),
-        ("grad_clip_norm", math.inf), ("base_lr", 0.0),
-        *[(f, math.nan) for f in ("mu", "positive_threshold", "smooth_l1_beta", "adam_beta1",
-                                  "adam_beta2", "adam_eps", "grad_clip_norm", "base_lr")],
-        ("mu", False), ("base_lr", True), ("adam_eps", "1e-8"), ("grad_clip_norm", [1.0]),
-        ("mu", math.inf), ("base_lr", math.inf),
+        ("mu", -0.1), ("base_lr", 0.0), *[(f, math.nan) for f in ("mu", "base_lr")],
+        ("mu", False), ("base_lr", True), ("mu", math.inf), ("base_lr", math.inf),
     ])
     def test_rejects_out_of_range_field(self, field, bad):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: bad})
 
     def test_edges_accepted(self):
-        TrainConfig(mu=0.0, positive_threshold=0.0, adam_beta1=0.0, adam_beta2=0.0,
-                    grad_clip_norm=0.0)
+        TrainConfig(mu=0.0, seed=0)
 
 
-def check_against_per_item_oracle(B, T, K, gt_index, threshold, offset_gain, seed):
+def check_against_per_item_oracle(B, T, K, gt_index, offset_gain, seed):
     """batch_loss_and_grads against `per_item_objective` on a float32 model
     whose regression head is scaled by offset_gain: the upstream gradients,
     the parameter gradients and the forced count bit for bit, the logged
@@ -66,7 +59,7 @@ def check_against_per_item_oracle(B, T, K, gt_index, threshold, offset_gain, see
     model = init_model(enc, seed=seed)
     for name in ("reg_head.w2", "reg_head.b2"):
         model.params[name] *= np.float32(offset_gain)
-    config = TrainConfig(mu=2.5, positive_threshold=threshold, smooth_l1_beta=0.02, seed=0)
+    config = TrainConfig(mu=2.5, seed=0)
     batch = Batch(videos=rng.normal(size=(B, T, 5)), video_rows=np.arange(B),
                   text=rng.normal(size=(B, 3, 4)),
                   text_mask=np.ones((B, 3), dtype=bool), gt_index=gt_index,
@@ -108,17 +101,16 @@ class TestBatchObjective:
     def test_fixed_batch_exercises_every_branch(self):
         # slivers force rows; a large offset gain swaps and clamps endpoints
         gt = np.array([[0.0, 0.02], [3.0, 7.5], [15.9, 16.0], [6.0, 6.0]])
-        oracle = check_against_per_item_oracle(4, 16, 2, gt, 0.6, 40.0, seed=1)
+        oracle = check_against_per_item_oracle(4, 16, 2, gt, 40.0, seed=1)
         assert oracle["forced"] >= 2 and oracle["swaps"] > 0 and oracle["clamps"] > 0
 
     @given(rows=st.lists(_ROW, min_size=1, max_size=4), T=st.sampled_from([8, 13]),
-           K=st.sampled_from([1, 2]), threshold=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(0, 0.99),
-           offset_gain=st.sampled_from([0.0, 1.0, 30.0, 300.0]), seed=st.integers(0, 2**16))
+           K=st.sampled_from([1, 2]), offset_gain=st.sampled_from([0.0, 1.0, 30.0, 300.0]),
+           seed=st.integers(0, 2**16))
     @settings(max_examples=40, deadline=None)
-    def test_matches_per_item_oracle(self, rows, T, K, threshold, offset_gain, seed):
+    def test_matches_per_item_oracle(self, rows, T, K, offset_gain, seed):
         gt = np.array([(min(s, 1 - w) * T, (min(s, 1 - w) + w) * T) for s, w in rows])
-        check_against_per_item_oracle(len(rows), T, K, np.clip(gt, 0, T), threshold,
-                                      offset_gain, seed)
+        check_against_per_item_oracle(len(rows), T, K, np.clip(gt, 0, T), offset_gain, seed)
 
 
 class TestLrSchedule:
@@ -150,7 +142,7 @@ class TestAdam:
         model = init_model(ENC, seed=0)
         state = OptimizerState.for_model(model)
         before = {k: v.copy() for k, v in model.params.items()}
-        adam_step(model.params, model.zero_grads(), state, lr=1e-3, config=TrainConfig(seed=0))
+        adam_step(model.params, model.zero_grads(), state, lr=1e-3)
         for k in before:
             np.testing.assert_array_equal(model.params[k], before[k])
 
@@ -159,19 +151,17 @@ class TestAdam:
         params = {"w": np.zeros((1, 1), dtype=np.float64)}
         grads = {"w": np.ones((1, 1), dtype=np.float64)}
         state = OptimizerState(m={"w": np.zeros((1, 1))}, v={"w": np.zeros((1, 1))})
-        cfg = TrainConfig(grad_clip_norm=0.0, seed=0)
-        adam_step(params, grads, state, lr=1e-3, config=cfg)
+        adam_step(params, grads, state, lr=1e-3)
         assert params["w"][0, 0] == pytest.approx(-1e-3, rel=1e-6)
         assert state.step_count == 1
 
     def test_clipping_makes_update_scale_invariant(self):
-        cfg = TrainConfig(grad_clip_norm=1.0, seed=0)
         outs = []
         for scale in (3.0, 30.0):
             params = {"w": np.zeros((1, 2), dtype=np.float64)}
             grads = {"w": np.full((1, 2), scale, dtype=np.float64)}
             state = OptimizerState(m={"w": np.zeros((1, 2))}, v={"w": np.zeros((1, 2))})
-            adam_step(params, grads, state, lr=1e-3, config=cfg)
+            adam_step(params, grads, state, lr=1e-3)
             outs.append(params["w"].copy())
         np.testing.assert_allclose(outs[0], outs[1], rtol=1e-12)
 
@@ -180,7 +170,7 @@ class TestAdam:
         grads = {"w": np.array([[np.nan]])}
         state = OptimizerState(m={"w": np.zeros((1, 1))}, v={"w": np.zeros((1, 1))})
         with pytest.raises(DivergenceError):
-            adam_step(params, grads, state, lr=1e-3, config=TrainConfig(seed=0))
+            adam_step(params, grads, state, lr=1e-3)
 
 
 class TestTrainLoop:
@@ -234,7 +224,7 @@ class TestTrainLoop:
 
     def test_loss_decreases_on_fixed_batch(self):
         ds = tiny_dataset(videos=4)
-        batch = next(make_batches(ds, 4, 24, shuffle_seed=0, shuffle=False))
+        batch = next(make_batches(ds, 4, 24, shuffle_seed=None))
         decreased = False
         for lr in (2e-4, 1e-3):
             cfg = TrainConfig(epochs=1, batch_size=4, base_lr=lr, warmup_steps=1, seed=0)
@@ -243,7 +233,7 @@ class TestTrainLoop:
             first = last = None
             for step in range(50):
                 record, grads = batch_loss_and_grads(model, batch, cfg)
-                adam_step(model.params, grads, state, lr, cfg)
+                adam_step(model.params, grads, state, lr)
                 if first is None:
                     first = record["loss"]
                 last = record["loss"]
@@ -256,7 +246,7 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, batch_size=2, base_lr=1e-3, warmup_steps=10, seed=0)
         result = train(ds, ds, ENC, cfg, tmp_path)
         model = load_checkpoint(result.last_checkpoint)
-        batch = next(make_batches(ds, 2, 24, shuffle_seed=0, shuffle=False))
+        batch = next(make_batches(ds, 2, 24, shuffle_seed=None))
         a = model.forward_batch(batch.videos, batch.video_rows, batch.text, batch.text_mask)
         model2 = load_checkpoint(result.last_checkpoint)
         b = model2.forward_batch(batch.videos, batch.video_rows, batch.text, batch.text_mask)
