@@ -1,7 +1,8 @@
 """Per-block timings of attention and the dropout draw at the benchmark
 workloads' shapes: hidden width 64, 4 heads, the joint sequence S = T + 16
-text tokens (T = 128 and T = 600), 8 items per training batch and 24 per
-eval batch, float32, dropout 0.1.
+text tokens (T = 128 and T = 600) and, for attention, the text stack's
+S = 16 alone, 8 items per training batch and 24 per eval batch, float32,
+dropout 0.1.
 
     PYTHONPATH=src python -m pytest bench -q -p no:cacheprovider \\
         --benchmark-columns=median,iqr,rounds --benchmark-json=bench.json
@@ -20,6 +21,7 @@ from nlqground.nn.layers import _dropout_draw, mha_backward, mha_forward
 HIDDEN, HEADS, TOKENS, DROP_RATE = 64, 4, 16, 0.1
 TRAIN_BATCH, EVAL_BATCH = 8, 24
 SEQ = {"t128": 128 + TOKENS, "t600": 600 + TOKENS}
+ATTN_SEQ = {**SEQ, "text": TOKENS}
 
 
 def _inputs(batch, seq):
@@ -34,15 +36,15 @@ def _inputs(batch, seq):
     return x, mask, p
 
 
-@pytest.mark.parametrize("shape", SEQ)
+@pytest.mark.parametrize("shape", ATTN_SEQ)
 def test_mha_forward_eval(benchmark, shape):
-    x, mask, p = _inputs(EVAL_BATCH, SEQ[shape])
+    x, mask, p = _inputs(EVAL_BATCH, ATTN_SEQ[shape])
     benchmark(mha_forward, x, mask, p, HEADS, DROP_RATE, None, False)
 
 
-@pytest.mark.parametrize("shape", SEQ)
+@pytest.mark.parametrize("shape", ATTN_SEQ)
 def test_mha_forward_backward_train(benchmark, shape):
-    x, mask, p = _inputs(TRAIN_BATCH, SEQ[shape])
+    x, mask, p = _inputs(TRAIN_BATCH, ATTN_SEQ[shape])
     dy = np.random.default_rng(1).normal(size=x.shape).astype(np.float32)
     rng = np.random.default_rng(2)
 
@@ -53,9 +55,9 @@ def test_mha_forward_backward_train(benchmark, shape):
     benchmark(step)
 
 
-@pytest.mark.parametrize("shape", SEQ)
+@pytest.mark.parametrize("shape", ATTN_SEQ)
 def test_mha_backward_train(benchmark, shape):
-    x, mask, p = _inputs(TRAIN_BATCH, SEQ[shape])
+    x, mask, p = _inputs(TRAIN_BATCH, ATTN_SEQ[shape])
     dy = np.random.default_rng(1).normal(size=x.shape).astype(np.float32)
     # backward reads its cache and writes none of it, so one cache serves every round
     _, cache = mha_forward(x, mask, p, HEADS, DROP_RATE, np.random.default_rng(2), True)

@@ -116,12 +116,20 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _check_widths(data_dir, dataset, widths, source: str) -> None:
+    """Exit 1 unless `dataset`'s (video, text) feature widths are `widths`."""
+    for name, got, want in zip(("video", "text"), dataset.widths, widths):
+        if got != want:
+            raise CliError(f"{Path(data_dir) / name}_features.nlqc: features are {got} wide, "
+                           f"but {source} are {want} wide")
+
+
 def _cmd_train(args) -> int:
     train_data = load_dataset(args.data)
     val_data = load_dataset(args.val) if args.val else None
-    encoder_config, train_config, infer_opts = load_run_config(
-        args.config, next(iter(train_data.video_features.values())).shape[1],
-        next(iter(train_data.text_features.values())).shape[1])
+    if val_data is not None:
+        _check_widths(args.val, val_data, train_data.widths, f"those of {args.data}")
+    encoder_config, train_config, infer_opts = load_run_config(args.config, *train_data.widths)
 
     result = train(train_data, val_data, encoder_config, train_config, args.out, infer_opts)
     score = (f"val R@1 IoU=0.5: {result.best_r1_iou50:.4f}" if val_data is not None
@@ -142,6 +150,8 @@ def _cmd_predict(args) -> int:
         raise CliError(f"--scales {args.scales} but {args.ckpt} was trained with scales "
                        f"{','.join(map(str, lattice.scales))}")
     dataset = load_dataset(args.data)
+    cfg = model.config
+    _check_widths(args.data, dataset, (cfg.video_input_dim, cfg.text_input_dim), f"{args.ckpt}'s")
     records = predict_dataset(model, dataset, opts)
     write_predictions(args.out, records)
     print(f"wrote predictions for {len(records)} queries to {args.out}")

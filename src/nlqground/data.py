@@ -289,6 +289,11 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.annotations)
 
+    @property
+    def widths(self) -> tuple[int, int]:
+        """The (video, text) feature widths, one per feature file."""
+        return tuple(next(iter(f.values())).shape[1] for f in (self.video_features, self.text_features))
+
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic planted-signal dataset.
@@ -474,7 +479,7 @@ def make_batches(dataset: Dataset, batch_size: int, target_t: int,
         chunk = [dataset.annotations[i] for i in order[start:start + batch_size]]
         b = len(chunk)
         lmax = max(dataset.text_features[a.query_id].shape[0] for a in chunk)
-        dt = next(iter(dataset.text_features.values())).shape[1]
+        dt = dataset.widths[1]
         text = np.zeros((b, lmax, dt), dtype=np.float32)
         text_mask = np.zeros((b, lmax), dtype=bool)
         rows: dict[str, int] = {}  # video id -> its row of `videos`

@@ -6,29 +6,25 @@ All functions are shape-polymorphic over leading axes (batch, sequence) and
 dtype-polymorphic (float32 for runs, float64 for gradient checks): each
 computes in its input's dtype.
 
-Attention is memory-bound: its (B, heads, S, S) weights cost more than its
-FLOPs, and every pass over them (scores, softmax, dropout, P.V) streams the
-whole tensor through DRAM when it is computed at once.  So attention,
-forward and backward, runs one tile of whole batch items at a time, each
-tile holding at most 2 MiB of weights (a per-core L2), or one item where an
-item holds more (the idea of FlashAttention, Dao et al. 2022, over the
-batch axis only).  Each row's arithmetic is the same in every tiling, so
-outputs and gradients are bitwise those of the untiled form.  A tile also
-takes few passes: the scale 1/sqrt(d_head) goes on the (S, d_head)
-queries, the softmax runs in place on the fresh Q K^T product, and its
-normalisation is deferred to the (S, d_head) output, ctx = ((keep * scale
-* E) @ V) / rowsum(E) (FlashAttention's rescaling).  Softmax backward works
-on one fresh buffer (never on the caller's array).  The attention cache
-keeps no (B, heads, S, S) float array: only each softmax row's max and sum
-and the bool keep mask of its dropout.  Backward recomputes each tile's
-probabilities from the cached queries and keys, the same product on the
-same tile, shifted by the cached max and divided by the cached sum, so
-they are the forward's bit for bit (FlashAttention's recompute).  Dropout
-draws 16-bit integers, not float64 uniforms, once per call (one draw rule
-for attention and the FFN), as the generator's raw 64-bit words wherever
-those are the bytes `Generator.bytes` would give, with its scale rounded in
-the input's dtype.  GELU is the tanh form (Hendrycks & Gimpel 2016, as in
-BERT and GPT-2), not the erf form.
+Attention is memory-bound: every pass over its (B, heads, S, S) weights
+(scores, softmax, dropout, P.V) streams the whole tensor through DRAM when
+it is computed at once.  So attention, forward and backward, runs one batch
+item at a time (FlashAttention's idea, Dao et al. 2022, over the batch axis
+only), each row's arithmetic unchanged, so outputs and gradients are
+bitwise those of the untiled form.  An item takes few passes: the scale
+1/sqrt(d_head) goes on the (S, d_head) queries, the softmax runs in place
+on the fresh Q K^T product, and its normalisation is deferred to the
+(S, d_head) output, ctx = ((keep * scale * E) @ V) / rowsum(E)
+(FlashAttention's rescaling).  Softmax backward works on one fresh buffer
+(never on the caller's array).  The attention cache keeps no (B, heads, S,
+S) float array, only each softmax row's max and sum and the bool keep mask
+of its dropout: backward recomputes an item's probabilities by the same
+product from the cached queries and keys, bit for bit (FlashAttention's
+recompute).  Dropout draws 16-bit integers, not float64 uniforms, once per
+call (one draw rule for attention and the FFN), as the generator's raw
+64-bit words wherever those are the bytes `Generator.bytes` would give,
+with its scale rounded in the input's dtype.  GELU is the tanh form
+(Hendrycks & Gimpel 2016, as in BERT and GPT-2), not the erf form.
 `train` selects the mode: a train forward applies dropout and returns the
 cache for backward; an eval forward returns None as its cache, allocates no
 (B, heads, S, S) array and keeps no layer's activations past the layer.
@@ -50,9 +46,6 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 # dropout draws uint16 values: the rate is quantised to a multiple of 1/2^16
 _DRAW_LEVELS = 1 << 16
-# attention works on tiles of whole batch items whose (heads, S, S) weights
-# fill at most this many bytes (a 2 MiB per-core L2), one item at least
-_TILE_BYTES = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +222,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * dh)
 
 
-def _tiles(batch: int, heads: int, seq: int, itemsize: int) -> list[slice]:
-    """Runs of whole batch items whose (heads, seq, seq) weights fill at most
-    `_TILE_BYTES`, one item at least."""
-    step = max(1, _TILE_BYTES // (heads * seq * seq * itemsize))
-    return [slice(i, i + step) for i in range(0, batch, step)]
-
-
 def mha_forward(
     x: np.ndarray,
     key_mask: np.ndarray,
@@ -246,7 +232,7 @@ def mha_forward(
     train: bool,
 ):
     """Multi-head self-attention with key-padding mask and attention-weight
-    dropout, one tile of batch items at a time.
+    dropout, one batch item at a time.
 
     The key projection carries no bias: softmax is invariant to constant
     shifts along the key axis, so a key bias would be a permanently
@@ -254,9 +240,8 @@ def mha_forward(
     (S, d_head) queries, not the (S, S) scores, and the softmax is
     normalised on the (S, d_head) output: ctx = ((keep * scale * E) @ V) /
     rowsum(E), exact in real arithmetic because dropout is elementwise and
-    the normalisation is per row.  The dropout draw covers the whole
-    (B, heads, S, S) tensor in one call, so the stream is the same however
-    the batch is tiled.  The cache (None in eval mode) keeps the scaled
+    the normalisation is per row.  One dropout draw covers the whole
+    (B, heads, S, S) tensor.  The cache (None in eval mode) keeps the scaled
     queries, the keys, the key mask, each softmax row's (B, heads, S, 1)
     max and sum, and the dropout's (keep mask, scale): backward recomputes
     the probabilities from them.
@@ -275,14 +260,15 @@ def mha_forward(
         drop = (np.empty(draws.shape, dtype=bool), drop_scale)
     rowmax, rowsum = (np.empty((B, num_heads, S, 1), dtype=x.dtype) for _ in range(2))
     ctx = np.empty(qh.shape, dtype=x.dtype)
-    for t in _tiles(B, num_heads, S, x.dtype.itemsize):
+    for b in range(B):
+        t = slice(b, b + 1)
         e, rowmax[t], rowsum[t] = masked_softmax(qh[t] @ kh[t].swapaxes(-1, -2), key_mask[t])
         if drop is not None:
             e *= drop_scale
             e *= np.greater_equal(draws[t], cut, out=drop[0][t])
         np.matmul(e, vh[t], out=ctx[t])
         ctx[t] /= rowsum[t]
-        del e  # one tile-sized buffer is alive at a time
+        del e  # one item's (heads, S, S) buffer is alive at a time
     out, o_cache = linear_forward(_merge_heads(ctx), p["attn.wo"], p["attn.bo"])
     if not train:
         return out, None
@@ -295,7 +281,8 @@ def mha_backward(dy: np.ndarray, cache):
     dctx, dwo, dbo = linear_backward(dy, o_cache)
     dctx_h = _split_heads(dctx, nh)
     dqh, dkh, dvh = (np.empty(qh.shape, dtype=qh.dtype) for _ in range(3))
-    for t in _tiles(len(qh), nh, qh.shape[2], qh.dtype.itemsize):
+    for b in range(len(qh)):
+        t = slice(b, b + 1)
         # the forward's probabilities, recomputed bit for bit
         pt, _ = _shifted_exp(qh[t] @ kh[t].swapaxes(-1, -2), key_mask[t], rowmax[t])
         pt /= rowsum[t]

@@ -184,12 +184,9 @@ class GroundingModel:
         text_mask = np.asarray(text_mask, dtype=bool)
         if videos.ndim != 3 or text.ndim != 3:
             raise ValueError("forward_batch expects 3-D feature arrays (B, S, D)")
-        if videos.shape[-1] != cfg.video_input_dim:
-            raise ValueError(
-                f"video feature dim {videos.shape[-1]} != config {cfg.video_input_dim}")
-        if text.shape[-1] != cfg.text_input_dim:
-            raise ValueError(
-                f"text feature dim {text.shape[-1]} != config {cfg.text_input_dim}")
+        if (videos.shape[-1], text.shape[-1]) != (cfg.video_input_dim, cfg.text_input_dim):
+            raise ValueError(f"(video, text) feature dims {videos.shape[-1], text.shape[-1]} "
+                             f"!= config {cfg.video_input_dim, cfg.text_input_dim}")
         if video_rows.shape != text.shape[:1]:
             raise ValueError("video_rows must hold one row of videos per text item")
         if text_mask.shape != text.shape[:2]:

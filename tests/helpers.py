@@ -176,7 +176,7 @@ def _merge_heads(a):
 def untiled_mha_forward(x, key_mask, p, num_heads, drop_rate, rng, train):
     """Attention over the whole (B, heads, S, S) tensor at once, by the
     textbook kernels, with the attention dropout through `dropout_forward`
-    on the unnormalised weights: the reference the tiled `mha_forward` must
+    on the unnormalised weights: the reference the per-item `mha_forward` must
     match bit for bit, draw for draw.  The queries are scaled before the
     scores, and the output is normalised by the row sums after the product
     with V."""

@@ -238,6 +238,30 @@ class TestTrainCommand:
         assert "'encoder'" in err and "hidden_dim must be even" in err
         assert not (tmp_path / "o").exists()
 
+    # gen-data writes video features 8 wide and text features 4 wide
+    @pytest.mark.parametrize("flag, name, got, want", [
+        ("--dim", "video_features.nlqc", 6, 8), ("--text-dim", "text_features.nlqc", 5, 4)])
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    def test_other_feature_width_names_file_and_widths_before_running(
+            self, pipeline, tmp_path, capsys, command, flag, name, got, want):
+        other = tmp_path / "other"
+        assert run(GEN + ["--out", str(other), flag, str(got)]) == 0
+        capsys.readouterr()
+        if command == "train":
+            out = tmp_path / "o"
+            code = run(["train", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"]),
+                        "--val", str(other), "--out", str(out)])
+            expected = f"those of {pipeline['data']}"
+        else:
+            out = tmp_path / "p.jsonl"
+            ckpt = pipeline["out"] / "checkpoint_best.nlqc"
+            code = run(["predict", "--ckpt", str(ckpt), "--data", str(other), "--out", str(out)])
+            expected = f"{ckpt}'s"
+        assert code == 1
+        assert (f"{other / name}: features are {got} wide, but {expected} are {want} wide"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("inference", [{"top_k": 0}, {"top_k": 2.5}, {"nms_iou": -0.5},
                                            {"nms_iou": 1.5}, {"nms_iou": float("nan")}])
     def test_bad_inference_option_rejected_before_training(self, pipeline, tmp_path, capsys,
