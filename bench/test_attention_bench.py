@@ -16,7 +16,7 @@ queries do."""
 import numpy as np
 import pytest
 
-from nlqground.nn.layers import _dropout_draw, mha_backward, mha_forward
+from nlqground.nn.layers import _dropout_cut, _keep, mha_backward, mha_forward
 
 HIDDEN, HEADS, TOKENS, DROP_RATE = 64, 4, 16, 0.1
 TRAIN_BATCH, EVAL_BATCH = 8, 24
@@ -64,11 +64,13 @@ def test_mha_backward_train(benchmark, shape):
     benchmark(mha_backward, dy, cache)
 
 
-# the attention weights' draw and the FFN activation's draw of one layer
+# one layer's dropout draws: one attention item's weights, into a keep mask
+# as `mha_forward` draws them, and a training batch's FFN activation
 @pytest.mark.parametrize("site", ["attention", "ffn"])
 @pytest.mark.parametrize("shape", SEQ)
 def test_dropout_draw(benchmark, shape, site):
     seq = SEQ[shape]
-    dims = (TRAIN_BATCH, HEADS, seq, seq) if site == "attention" else (TRAIN_BATCH, seq, 4 * HIDDEN)
-    rng = np.random.default_rng(3)
-    benchmark(_dropout_draw, dims, DROP_RATE, rng, np.float32)
+    dims = (HEADS, seq, seq) if site == "attention" else (TRAIN_BATCH, seq, 4 * HIDDEN)
+    out = np.empty(dims, bool) if site == "attention" else None
+    cut, _ = _dropout_cut(DROP_RATE, np.float32)
+    benchmark(_keep, np.random.default_rng(3), dims, cut, out)

@@ -210,9 +210,10 @@ def read_annotations(path) -> tuple[list[QueryAnnotation], dict[str, float]]:
             for key in ("query_id", "start_sec", "end_sec"):
                 if key not in q:
                     raise AnnotationError(f"{where}: missing key {key!r}")
-            qid = q["query_id"]
-            if not isinstance(qid, str):
-                raise AnnotationError(f"{where}: 'query_id' must be a string, got {qid!r}")
+            qid, text = q["query_id"], q.get("text", "")
+            for key, value in (("query_id", qid), ("text", text)):
+                if not isinstance(value, str):
+                    raise AnnotationError(f"{where}: {key!r} must be a string, got {value!r}")
             if qid in query_at:
                 raise AnnotationError(f"{where}: query_id {qid!r} repeats {query_at[qid]}")
             query_at[qid] = where
@@ -223,7 +224,7 @@ def read_annotations(path) -> tuple[list[QueryAnnotation], dict[str, float]]:
                     f"0 <= start <= end <= duration ({duration})")
             annotations.append(QueryAnnotation(
                 video_id=vid, query_id=qid,
-                text=q.get("text", ""), start_sec=start, end_sec=end))
+                text=text, start_sec=start, end_sec=end))
     return annotations, durations
 
 

@@ -20,10 +20,10 @@ on the fresh Q K^T product, and its normalisation is deferred to the
 S) float array, only each softmax row's max and sum and the bool keep mask
 of its dropout: backward recomputes an item's probabilities by the same
 product from the cached queries and keys, bit for bit (FlashAttention's
-recompute).  Dropout draws 16-bit integers, not float64 uniforms, once per
-call (one draw rule for attention and the FFN), as the generator's raw
-64-bit words wherever those are the bytes `Generator.bytes` would give,
-with its scale rounded in the input's dtype.  GELU is the tanh form
+recompute).  Dropout draws 16-bit integers, not float64 uniforms, by one
+rule for the FFN and each attention item: n values are the first n of the
+generator's next ceil(n / 4) raw 64-bit words (an odd count drops its last
+word's tail), the scale rounded in the input's dtype.  GELU is the tanh form
 (Hendrycks & Gimpel 2016, as in BERT and GPT-2), not the erf form.
 `train` selects the mode: a train forward applies dropout and returns the
 cache for backward; an eval forward returns None as its cache, allocates no
@@ -96,30 +96,29 @@ def gelu_backward(dy: np.ndarray, cache) -> np.ndarray:
     return dt
 
 
-def _dropout_draw(shape, rate: float, rng: np.random.Generator, dtype):
-    """One dropout draw over `shape`: uniform uint16 values, the cut
-    round(rate * 2^16) below which a value is dropped, and the kept values'
-    scale 2^16 / (2^16 - cut) rounded in `dtype`."""
+def _dropout_cut(rate: float, dtype):
+    """The cut round(rate * 2^16) below which a uint16 draw is dropped, and
+    the kept values' scale 2^16 / (2^16 - cut) rounded in `dtype`."""
     # a rate within 2^-17 of 1 would round to dropping every level
     cut = min(round(rate * _DRAW_LEVELS), _DRAW_LEVELS - 1)
+    return cut, np.asarray(_DRAW_LEVELS / (_DRAW_LEVELS - cut), dtype=dtype)
+
+
+def _keep(rng: np.random.Generator, shape, cut: int, out=None) -> np.ndarray:
+    """The bool keep mask over `shape`: its n uint16 draws are the first n
+    of the generator's next ceil(n / 4) raw 64-bit words, kept at >= cut."""
     n = math.prod(shape)
-    if n % 4 == 0 and rng.bit_generator.state.get("has_uint32") == 0:
-        # the 64-bit words `rng.bytes` would split into 32-bit halves, low
-        # half first, taken whole: the same bits without the copies
-        draws = rng.bit_generator.random_raw(n // 4).view("<u2")
-    else:
-        draws = np.frombuffer(rng.bytes(2 * n), dtype="<u2")
-    return draws.reshape(shape), cut, np.asarray(_DRAW_LEVELS / (_DRAW_LEVELS - cut), dtype=dtype)
+    draws = rng.bit_generator.random_raw(-(-n // 4)).view("<u2")[:n]
+    return np.greater_equal(draws.reshape(shape), cut, out=out)
 
 
 def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool):
-    """Inverted dropout by `_dropout_draw`, so the layer is unbiased at the
-    quantised rate.  The bool keep mask and the scale are cached for
-    backward."""
+    """Inverted dropout by `_keep`, so the layer is unbiased at the quantised
+    rate.  The bool keep mask and the scale are cached for backward."""
     if not train or rate == 0.0:
         return x, None
-    draws, cut, scale = _dropout_draw(x.shape, rate, rng, x.dtype)
-    keep = draws >= cut
+    cut, scale = _dropout_cut(rate, x.dtype)
+    keep = _keep(rng, x.shape, cut)
     return _scale_kept(x, keep, scale), (keep, scale)
 
 
@@ -240,11 +239,11 @@ def mha_forward(
     (S, d_head) queries, not the (S, S) scores, and the softmax is
     normalised on the (S, d_head) output: ctx = ((keep * scale * E) @ V) /
     rowsum(E), exact in real arithmetic because dropout is elementwise and
-    the normalisation is per row.  One dropout draw covers the whole
-    (B, heads, S, S) tensor.  The cache (None in eval mode) keeps the scaled
-    queries, the keys, the key mask, each softmax row's (B, heads, S, 1)
-    max and sum, and the dropout's (keep mask, scale): backward recomputes
-    the probabilities from them.
+    the normalisation is per row.  Each item draws its dropout in turn,
+    straight into the (B, heads, S, S) bool keep mask.  The cache (None in
+    eval mode) keeps the scaled queries, the keys, the key mask, each
+    softmax row's (B, heads, S, 1) max and sum, and the dropout's (keep
+    mask, scale): backward recomputes the probabilities from them.
     """
     q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
     k = x @ p["attn.wk"]
@@ -256,16 +255,15 @@ def mha_forward(
     qh *= scale
     drop = None
     if train and drop_rate > 0.0:
-        draws, cut, drop_scale = _dropout_draw((B, num_heads, S, S), drop_rate, rng, x.dtype)
-        drop = (np.empty(draws.shape, dtype=bool), drop_scale)
+        cut, drop_scale = _dropout_cut(drop_rate, x.dtype)
+        drop = (np.empty((B, num_heads, S, S), dtype=bool), drop_scale)
     rowmax, rowsum = (np.empty((B, num_heads, S, 1), dtype=x.dtype) for _ in range(2))
     ctx = np.empty(qh.shape, dtype=x.dtype)
     for b in range(B):
         t = slice(b, b + 1)
         e, rowmax[t], rowsum[t] = masked_softmax(qh[t] @ kh[t].swapaxes(-1, -2), key_mask[t])
         if drop is not None:
-            e *= drop_scale
-            e *= np.greater_equal(draws[t], cut, out=drop[0][t])
+            _scale_kept(e, _keep(rng, e.shape, cut, out=drop[0][t]), drop_scale, out=e)
         np.matmul(e, vh[t], out=ctx[t])
         ctx[t] /= rowsum[t]
         del e  # one item's (heads, S, S) buffer is alive at a time

@@ -19,8 +19,6 @@ from nlqground.data import Batch
 from nlqground.nn import CONF_EPS, GroundingModel, InvalidStateError, sinusoidal_positions
 from nlqground.nn.layers import (
     MASK_NEG,
-    dropout_backward,
-    dropout_forward,
     gelu_forward,
     layer_norm_forward,
     linear_backward,
@@ -148,14 +146,23 @@ def textbook_softmax_backward(dp, p):
     return p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
 
 
+def textbook_dropout_mask(shape, rate, rng, dtype):
+    """Keep where a uint16 draw is at least cut = round(rate * 65536), kept
+    values scaled by 65536 / (65536 - cut) in `dtype`.  The n draws over
+    `shape` are the first n little-endian uint16 of the generator's next
+    ceil(n / 4) raw 64-bit words."""
+    n = math.prod(shape)
+    words = rng.bit_generator.random_raw(math.ceil(n / 4))
+    draws = np.frombuffer(words.astype("<u8").tobytes(), dtype="<u2")[:n].reshape(shape)
+    cut = round(rate * 65536)
+    return (draws >= cut).astype(dtype) * np.asarray(65536 / (65536 - cut), dtype=dtype)
+
+
 def textbook_dropout_forward(x, rate, rng, train):
-    """Keep where a little-endian uint16 draw is at least round(rate * 65536);
-    scale kept values by 65536 / (65536 - cut) in x's dtype."""
+    """Inverted dropout by `textbook_dropout_mask`; the mask is returned."""
     if not train or rate == 0.0:
         return x, None
-    cut = round(rate * 65536)
-    draws = np.frombuffer(rng.bytes(2 * x.size), dtype="<u2").reshape(x.shape)
-    mask = (draws >= cut).astype(x.dtype) * np.asarray(65536 / (65536 - cut), dtype=x.dtype)
+    mask = textbook_dropout_mask(x.shape, rate, rng, x.dtype)
     return x * mask, mask
 
 
@@ -175,11 +182,11 @@ def _merge_heads(a):
 
 def untiled_mha_forward(x, key_mask, p, num_heads, drop_rate, rng, train):
     """Attention over the whole (B, heads, S, S) tensor at once, by the
-    textbook kernels, with the attention dropout through `dropout_forward`
-    on the unnormalised weights: the reference the per-item `mha_forward` must
-    match bit for bit, draw for draw.  The queries are scaled before the
-    scores, and the output is normalised by the row sums after the product
-    with V."""
+    textbook kernels, with the attention dropout by `textbook_dropout_mask`
+    on the unnormalised weights, one draw per item in item order: the
+    reference the per-item `mha_forward` must match bit for bit, draw for
+    draw.  The queries are scaled before the scores, and the output is
+    normalised by the row sums after the product with V."""
     q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
     k = x @ p["attn.wk"]
     v, v_cache = linear_forward(x, p["attn.wv"], p["attn.bv"])
@@ -188,10 +195,12 @@ def untiled_mha_forward(x, key_mask, p, num_heads, drop_rate, rng, train):
     qh = qh * scale
     e, rowsum = textbook_masked_softmax(qh @ kh.swapaxes(-1, -2), key_mask)
     probs = e / rowsum
-    e_kept, drop_mask = dropout_forward(e, drop_rate, rng, train)
+    drop_mask = None
+    if train and drop_rate > 0.0:
+        drop_mask = np.stack([textbook_dropout_mask(a.shape, drop_rate, rng, x.dtype) for a in e])
+    e_kept, probs_kept = (textbook_dropout_backward(a, drop_mask) for a in (e, probs))
     ctx = _merge_heads((e_kept @ vh) / rowsum)
     out, o_cache = linear_forward(ctx, p["attn.wo"], p["attn.bo"])
-    probs_kept = dropout_backward(probs, drop_mask)
     return out, (q_cache, (x, p["attn.wk"]), v_cache, o_cache, qh, kh, vh, probs, probs_kept,
                  drop_mask, scale, num_heads)
 
@@ -203,7 +212,7 @@ def untiled_mha_backward(dy, cache):
     dctx, dwo, dbo = linear_backward(dy, o_cache)
     dctx_h = _split_heads(dctx, nh)
     dvh = probs_kept.swapaxes(-1, -2) @ dctx_h
-    dprobs = dropout_backward(dctx_h @ vh.swapaxes(-1, -2), drop_mask)
+    dprobs = textbook_dropout_backward(dctx_h @ vh.swapaxes(-1, -2), drop_mask)
     dscores = textbook_softmax_backward(dprobs, probs)
     dqh = (dscores @ kh) * scale
     dkh = dscores.swapaxes(-1, -2) @ qh

@@ -268,6 +268,9 @@ class TestAnnotations:
         ([{"video_id": "v1", "duration_sec": 60.0,
            "queries": [{"query_id": ["q"], "start_sec": 1.0, "end_sec": 2.0}]}],
          r"videos\[0\]\.queries\[0\]: 'query_id'"),
+        ([{"video_id": "v1", "duration_sec": 60.0, "queries": [
+            {"query_id": "q", "text": [1, {"a": None}], "start_sec": 1.0, "end_sec": 2.0}]}],
+         r"videos\[0\]\.queries\[0\]: 'text'"),
     ])
     def test_wrong_shape_names_position(self, tmp_path, videos, where):
         with pytest.raises(AnnotationError, match=where):

@@ -14,6 +14,7 @@ from helpers import (
     per_row_forward,
     textbook_dropout_backward,
     textbook_dropout_forward,
+    textbook_dropout_mask,
     textbook_masked_softmax,
     textbook_softmax_backward,
     tiny_training_batch,
@@ -313,11 +314,13 @@ class TestKernelOracles:
         assert_bitwise_equal(dp, dp_before)
         assert_bitwise_equal(p, p_before)
 
+    # a whole number of 64-bit words of uint16 draws, and an odd count
+    @pytest.mark.parametrize("shape", [(4, 3, 9, 9), (3, 1, 17, 17)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("rate", [0.0, 0.1])
-    def test_dropout_bitwise_and_same_stream(self, dtype, rate):
+    def test_dropout_bitwise_and_same_stream(self, shape, dtype, rate):
         data = np.random.default_rng(13)
-        x = data.normal(size=(4, 3, 9, 9)).astype(dtype)
+        x = data.normal(size=shape).astype(dtype)
         dy = data.normal(size=x.shape).astype(dtype)
         rng, ref_rng = np.random.default_rng(14), np.random.default_rng(14)
         out, cache = dropout_forward(x, rate, rng, train=True)
@@ -335,22 +338,27 @@ class TestKernelOracles:
         out, (keep, scale) = dropout_forward(x, 1.0 - 2.0 ** -18, np.random.default_rng(0), True)
         assert scale == 65536.0 and np.isfinite(out).all()
 
-    # uint16 counts drawn in turn: whole 64-bit words (the raw path); an odd
-    # count; whole words again behind the half-word an odd number of 32-bit
-    # words left buffered (5 items, 1 head, S = 17); an odd count that ends
-    # on a whole 32-bit word, then whole words
-    @pytest.mark.parametrize("counts, buffered", [((972,), [0]), ((867,), [0]),
-                                                  ((5 * 17 * 17, 288), [0, 1]),
-                                                  ((3, 8), [0, 0])])
-    def test_dropout_draw_gives_the_generator_bytes(self, counts, buffered):
-        """Whichever path `_dropout_draw` takes, it returns the words
-        `Generator.bytes` would and leaves the generator where `bytes` does."""
+    # uint16 counts drawn in turn: whole 64-bit words; an odd count; an odd
+    # count (5 items, 1 head, S = 17), then whole words; three values (one
+    # word, its last value unused), then whole words
+    @pytest.mark.parametrize("counts", [(972,), (867,), (5 * 17 * 17, 288), (3, 8)])
+    def test_dropout_draws_the_next_raw_words(self, counts):
+        """Each draw of n uint16 values is the first n of the generator's
+        next ceil(n / 4) raw 64-bit words, the rest of the last one unused."""
         rng, ref_rng = np.random.default_rng(17), np.random.default_rng(17)
-        for n, half_word in zip(counts, buffered):
-            assert rng.bit_generator.state["has_uint32"] == half_word
-            draws, _, _ = layers._dropout_draw((n,), 0.1, rng, np.float32)
-            np.testing.assert_array_equal(draws, np.frombuffer(ref_rng.bytes(2 * n), dtype="<u2"))
-        assert rng.random() == ref_rng.random()
+        cut, _ = layers._dropout_cut(0.1, np.float32)
+        for n in counts:
+            ref_keep = textbook_dropout_mask((n,), 0.1, ref_rng, np.float32) != 0
+            np.testing.assert_array_equal(layers._keep(rng, (n,), cut), ref_keep)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_whole_word_draws_are_the_generator_bytes(self):
+        """From a fresh generator, a whole number of words draws the values
+        `Generator.bytes` gives."""
+        cut, _ = layers._dropout_cut(0.1, np.float32)
+        keep = layers._keep(np.random.default_rng(17), (972,), cut)
+        draws = np.frombuffer(np.random.default_rng(17).bytes(2 * 972), dtype="<u2")
+        np.testing.assert_array_equal(keep, draws >= cut)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_scaling_q_equals_scaling_the_scores_at_d_head_16(self, dtype):
@@ -423,8 +431,8 @@ class TestKernelOracles:
         return x, mask, p, dy
 
     # (B, heads, S): five items; an odd heads * S * S, whose per-item uint16
-    # draw is not a whole number of the generator's 4-byte words; four items
-    # of two heads
+    # draw ends inside one of the generator's 64-bit words; four items of two
+    # heads, whose draws end halfway through a word
     @pytest.mark.parametrize("B, nh, S", [(5, 2, 6), (3, 1, 17), (4, 2, 9)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("padded", [False, True])
@@ -566,6 +574,22 @@ class TestAttentionMemory:
             tracemalloc.stop()
         keep_mask_bytes = B * nh * S * S if rate else 0
         assert 0 < kept - keep_mask_bytes < B * nh * S * S * 4 // 2
+
+    @pytest.mark.parametrize("B, nh, S", [(4, 4, 96), (8, 4, 64)])
+    def test_train_forward_peaks_near_what_it_keeps(self, B, nh, S):
+        """A train `mha_forward` draws its dropout one item at a time, into
+        the keep mask: its tracemalloc peak exceeds the bytes it leaves
+        allocated by at most 8 bytes per element of one item's (heads, S, S)
+        weights, whatever the batch size."""
+        x, mask, p, _ = TestKernelOracles._attention_inputs(B, nh, S, np.float32, padded=True)
+        rng = np.random.default_rng(17)
+        tracemalloc.start()
+        try:
+            out, cache = mha_forward(x, mask, p, nh, 0.2, rng, train=True)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - kept <= 8 * nh * S * S, (peak - kept) / (nh * S * S)
 
 
 class TestBackward:
