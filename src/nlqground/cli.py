@@ -309,7 +309,7 @@ def run(argv: list[str] | None = None) -> int:
     except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as e:  # a bad input path
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError) as e:  # a bad path
         print(f"error: {e.strerror}: {e.filename}", file=sys.stderr)
         return 1
     except SystemExit as e:  # argparse --help path

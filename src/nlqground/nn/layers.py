@@ -15,11 +15,11 @@ bitwise those of the untiled form.  An item takes few passes: the scale
 1/sqrt(d_head) goes on the (S, d_head) queries, the softmax runs in place
 on the fresh Q K^T product, and its normalisation is deferred to the
 (S, d_head) output, ctx = ((keep * scale * E) @ V) / rowsum(E)
-(FlashAttention's rescaling).  Softmax backward works on one fresh buffer
-(never on the caller's array).  The attention cache keeps no (B, heads, S,
-S) float array, only each softmax row's max and sum and the bool keep mask
-of its dropout: backward recomputes an item's probabilities by the same
-product from the cached queries and keys, bit for bit (FlashAttention's
+(FlashAttention's rescaling).  Softmax backward runs in place on dP, with
+the row term rowsum(dP * P) taken as D = rowsum(dO * O) over d_head
+(FlashAttention's D).  The cache keeps no (B, heads, S, S) float array,
+only each softmax row's max and sum and the bool keep mask of its dropout:
+backward recomputes an item's probabilities bit for bit (FlashAttention's
 recompute).  Dropout draws 16-bit integers, not float64 uniforms, by one
 rule for the FFN and each attention item: n values are the first n of the
 generator's next ceil(n / 4) raw 64-bit words (an odd count drops its last
@@ -204,11 +204,11 @@ def _shifted_exp(scores: np.ndarray, key_mask: np.ndarray, rowmax: np.ndarray | 
     return scores, rowmax
 
 
-def softmax_backward(dp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    out = dp * p
-    np.subtract(dp, out.sum(axis=-1, keepdims=True), out=out)
-    out *= p
-    return out
+def softmax_backward(dp: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """(dp - d) * p in place on `dp`, d being the row term rowsum(dp * p)."""
+    dp -= d
+    dp *= p
+    return dp
 
 
 def _split_heads(x: np.ndarray, nh: int) -> np.ndarray:
@@ -278,6 +278,8 @@ def mha_backward(dy: np.ndarray, cache):
     q_cache, k_cache, v_cache, o_cache, qh, kh, vh, key_mask, rowmax, rowsum, drop, scale, nh = cache
     dctx, dwo, dbo = linear_backward(dy, o_cache)
     dctx_h = _split_heads(dctx, nh)
+    # softmax's row term rowsum(dP * P) is rowsum(dO * O) (FlashAttention's D)
+    d = (dctx_h * _split_heads(o_cache[0], nh)).sum(axis=-1, keepdims=True)
     dqh, dkh, dvh = (np.empty(qh.shape, dtype=qh.dtype) for _ in range(3))
     for b in range(len(qh)):
         t = slice(b, b + 1)
@@ -287,7 +289,7 @@ def mha_backward(dy: np.ndarray, cache):
         dprobs = dctx_h[t] @ vh[t].swapaxes(-1, -2)
         if drop is not None:
             _scale_kept(dprobs, drop[0][t], drop[1], out=dprobs)
-        dscores = softmax_backward(dprobs, pt)
+        dscores = softmax_backward(dprobs, pt, d[t])
         if drop is not None:
             _scale_kept(pt, drop[0][t], drop[1], out=pt)  # the kept weights
         np.matmul(pt.swapaxes(-1, -2), dctx_h[t], out=dvh[t])

@@ -205,15 +205,22 @@ def untiled_mha_forward(x, key_mask, p, num_heads, drop_rate, rng, train):
                  drop_mask, scale, num_heads)
 
 
-def untiled_mha_backward(dy, cache):
+def untiled_mha_backward(dy, cache, textbook_row_term=False):
     """The backward of `untiled_mha_forward`, on whole tensors: the scale
-    goes on dq, and dk comes from the scaled queries."""
+    goes on dq, and dk comes from the scaled queries.  The softmax's row
+    term rowsum(dP * P) is D = rowsum(dO * O) from the merged context, in
+    the order `mha_backward` computes it, or with `textbook_row_term` the
+    (S, S) row sum of `textbook_softmax_backward`."""
     q_cache, k_cache, v_cache, o_cache, qh, kh, vh, probs, probs_kept, drop_mask, scale, nh = cache
     dctx, dwo, dbo = linear_backward(dy, o_cache)
     dctx_h = _split_heads(dctx, nh)
     dvh = probs_kept.swapaxes(-1, -2) @ dctx_h
     dprobs = textbook_dropout_backward(dctx_h @ vh.swapaxes(-1, -2), drop_mask)
-    dscores = textbook_softmax_backward(dprobs, probs)
+    if textbook_row_term:
+        dscores = textbook_softmax_backward(dprobs, probs)
+    else:
+        d = (dctx_h * _split_heads(o_cache[0], nh)).sum(axis=-1, keepdims=True)
+        dscores = probs * (dprobs - d)
     dqh = (dscores @ kh) * scale
     dkh = dscores.swapaxes(-1, -2) @ qh
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), q_cache)

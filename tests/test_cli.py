@@ -923,6 +923,16 @@ class TestUsageErrors:
         assert str(nope) in capsys.readouterr().err
         assert not Path(out).exists()
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    def test_existing_file_as_out_names_it(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_bytes(b"kept")
+        argv = GEN if command == "gen-data" else [
+            "train", "--config", str(pipeline["cfg"]), "--data", str(pipeline["data"])]
+        assert run(argv + ["--out", str(out)]) == 1
+        assert f"error: File exists: {out}" in capsys.readouterr().err
+        assert out.read_bytes() == b"kept"
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
 

@@ -304,14 +304,19 @@ class TestKernelOracles:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("padded", [False, True])
-    def test_softmax_backward_bitwise_and_inputs_untouched(self, dtype, padded):
+    def test_softmax_backward_bitwise_in_place_on_dp(self, dtype, padded):
+        """Given the row term d = rowsum(dp * p), `softmax_backward` writes
+        the textbook gradient over `dp` and leaves `p` untouched."""
         scores, mask = self._scores(dtype, padded)
         e, _, rowsum = masked_softmax(scores, mask)
         p = e / rowsum
         dp = np.random.default_rng(12).normal(size=p.shape).astype(dtype)
-        dp_before, p_before = dp.copy(), p.copy()
-        assert_bitwise_equal(softmax_backward(dp, p), textbook_softmax_backward(dp_before, p_before))
-        assert_bitwise_equal(dp, dp_before)
+        ref = textbook_softmax_backward(dp, p)
+        d = np.sum(dp * p, axis=-1, keepdims=True)
+        p_before = p.copy()
+        out = softmax_backward(dp, p, d)
+        assert out is dp
+        assert_bitwise_equal(out, ref)
         assert_bitwise_equal(p, p_before)
 
     # a whole number of 64-bit words of uint16 draws, and an odd count
@@ -456,6 +461,25 @@ class TestKernelOracles:
         assert grads.keys() == ref_grads.keys()
         for k in grads:
             assert_bitwise_equal(grads[k], ref_grads[k])
+
+    # measured at most 3.2 units over these shapes and (4, 2, 9)
+    @pytest.mark.parametrize("B, nh, S", [(5, 2, 6), (3, 1, 17)])
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_attention_backward_tracks_the_textbook_row_term(self, B, nh, S, padded):
+        """FlashAttention's D: `mha_backward` takes the softmax's row term as
+        rowsum(dO * O), which equals the textbook rowsum(dP * P) through
+        dropout in real arithmetic.  In float64, dx and every gradient are
+        within 16 units of epsilon times the largest entry of the textbook
+        backward's array."""
+        x, mask, p, dy = self._attention_inputs(B, nh, S, np.float64, padded)
+        _, ref_cache = untiled_mha_forward(x, mask, p, nh, 0.3, np.random.default_rng(16), True)
+        _, cache = mha_forward(x, mask, p, nh, 0.3, np.random.default_rng(16), True)
+        assert not cache[10][0].all()  # dropout dropped some weights
+        ref_dx, ref_grads = untiled_mha_backward(dy, ref_cache, textbook_row_term=True)
+        dx, grads = mha_backward(dy, cache)
+        assert grads.keys() == ref_grads.keys()
+        for got, ref in [(dx, ref_dx)] + [(grads[k], ref_grads[k]) for k in grads]:
+            assert np.abs(got - ref).max() <= 16 * np.finfo(np.float64).eps * np.abs(ref).max()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tanh_gelu_tracks_erf_gelu(self, dtype):
