@@ -2,7 +2,9 @@
 workloads' shapes: hidden width 64, 4 heads, the joint sequence S = T + 16
 text tokens (T = 128 and T = 600) and, for attention, the text stack's
 S = 16 alone, 8 items per training batch and 24 per eval batch, float32,
-dropout 0.1.
+dropout 0.1.  The eval first cross layer's attention is timed as `predict`
+batches it: 24 items over 8 videos at T = 600 and 32 over 11 at T = 128,
+each with and without its shared video block, and with no video shared.
 
     PYTHONPATH=src python -m pytest bench -q -p no:cacheprovider \\
         --benchmark-columns=median,iqr,rounds --benchmark-json=bench.json
@@ -62,6 +64,26 @@ def test_mha_backward_train(benchmark, shape):
     # backward reads its cache and writes none of it, so one cache serves every round
     _, cache = mha_forward(x, mask, p, HEADS, DROP_RATE, np.random.default_rng(2), True)
     benchmark(mha_backward, dy, cache)
+
+
+# the eval first cross layer's attention: B items over U distinct videos,
+# each item's first T rows its video's, as `predict` batches them
+CROSS = {"t600": (24, 8, 600), "t128": (32, 11, 128)}
+
+
+@pytest.mark.parametrize("videos", ["shared", "unshared", "direct"])
+@pytest.mark.parametrize("shape", CROSS)
+def test_first_cross_attention_eval(benchmark, shape, videos):
+    """`shared` has U videos, `unshared` B (U = B: what the split costs when
+    no video repeats), and `direct` the shared inputs without `video_prefix`."""
+    batch, distinct, frames = CROSS[shape]
+    x, mask, p = _inputs(batch, frames + TOKENS)
+    rows = np.arange(batch)
+    if videos != "unshared":
+        rows = np.random.default_rng(4).permutation(rows % distinct)
+        x[:, :frames] = x[:distinct, :frames][rows]
+    prefix = None if videos == "direct" else (frames, rows)
+    benchmark(mha_forward, x, mask, p, HEADS, DROP_RATE, None, False, prefix)
 
 
 # one layer's dropout draws: one attention item's weights, into a keep mask

@@ -309,12 +309,13 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     proj = rng.normal(size=(spec.feature_dim, spec.text_dim))
     duration = float(spec.frames_per_video)
 
-    # Draw every query's signature and span first so distractors can borrow
-    # signatures across videos.
-    queries = []  # (video_idx, query_id, u, start_sec, end_sec)
+    # Draw every query's signature and span first, video by video (video v's
+    # own are queries[v*Q:(v+1)*Q]), so distractors can borrow across videos.
+    Q = spec.queries_per_video
+    queries = []  # (query_id, u, start_sec, end_sec)
     for v in range(spec.num_videos):
         taken: list[tuple[float, float]] = []
-        for q in range(spec.queries_per_video):
+        for q in range(Q):
             u = rng.normal(size=spec.text_dim)
             u /= np.linalg.norm(u)
             for _ in range(20):  # avoid overlapping spans within one video
@@ -325,7 +326,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
                 if all(end <= s or start >= e for s, e in taken):
                     break
             taken.append((start, end))
-            queries.append((v, f"v{v:04d}_q{q}", u, start, end))
+            queries.append((f"v{v:04d}_q{q}", u, start, end))
 
     video_features: dict[str, np.ndarray] = {}
     text_features: dict[str, np.ndarray] = {}
@@ -334,18 +335,18 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     for v in range(spec.num_videos):
         vid = f"v{v:04d}"
         frames = rng.normal(size=(spec.frames_per_video, spec.feature_dim))
-        own = [q for q in queries if q[0] == v]
+        own = queries[v * Q:(v + 1) * Q]
         own_rows = np.zeros(spec.frames_per_video, dtype=bool)
-        for _, qid, u, start, end in own:
+        for qid, u, start, end in own:
             lo, hi = int(np.floor(start)), int(np.ceil(end))
             hi = min(hi, spec.frames_per_video)
             frames[lo:hi] = proj @ u + rng.normal(size=(hi - lo, spec.feature_dim)) * spec.noise_sigma
             own_rows[lo:hi] = True
 
-        others = [q for q in queries if q[0] != v]
-        if others:
-            for _ in range(spec.queries_per_video):
-                _, _, u, _, _ = others[rng.integers(len(others))]
+        if len(queries) > Q:  # the others: queries without video v's own
+            for _ in range(Q):
+                i = rng.integers(len(queries) - Q)
+                _, u, _, _ = queries[i if i < v * Q else i + Q]
                 frac = rng.uniform(*spec.span_fraction_range)
                 length = max(1, int(round(frac * spec.frames_per_video)))
                 lo = int(rng.integers(0, spec.frames_per_video - length + 1))
@@ -355,7 +356,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
         video_features[vid] = frames.astype(np.float32)
         durations[vid] = duration
-        for _, qid, u, start, end in own:
+        for qid, u, start, end in own:
             tokens = u[None, :] + rng.normal(size=(spec.tokens_per_query, spec.text_dim)) * spec.noise_sigma
             text_features[qid] = tokens.astype(np.float32)
             annotation_rows.append(QueryAnnotation(

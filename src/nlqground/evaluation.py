@@ -28,6 +28,7 @@ class MetricReport:
     total_queries: int
     ranks: tuple[int, ...]
     thresholds: tuple[float, ...]
+    shortest_third: dict[tuple[int, float], float]  # over the ceil(N / 3) shortest truths
 
     def cell_name(self, n: int, m: float) -> str:
         return f"R@{n},IoU={m:g}"
@@ -74,11 +75,14 @@ def evaluate(
             raise ValueError(f"duplicate query_id {qid!r} in predictions")
         by_query[qid] = spans
 
-    rows, gts = [], []  # proposal spans and ground truth of each predicted query
-    for a in annotations:
+    lengths = [a.end_sec - a.start_sec for a in annotations]
+    shortest = set(np.argsort(lengths, kind="stable")[:-(-len(lengths) // 3)].tolist())
+    rows, gts, short = [], [], []  # proposal spans and ground truth of each predicted query
+    for i, a in enumerate(annotations):
         if a.query_id in by_query:
             rows.append(by_query[a.query_id])
             gts.append((a.start_sec, a.end_sec))
+            short.append(i in shortest)
         elif strict:
             raise ValueError(f"no predictions for query {a.query_id!r} (strict mode)")
         else:
@@ -86,16 +90,17 @@ def evaluate(
 
     # rows padded with [0, 0] spans, whose IoU of 0 is never a hit, to one grid
     width = max(map(len, rows), default=0)
-    hit_counts = np.zeros((len(ranks), len(thresholds)), dtype=np.int64)
+    hits = np.zeros((len(rows), len(ranks), len(thresholds)), dtype=bool)
     if width:
         padded = np.zeros((len(rows), width, 2))
         for i, spans in enumerate(rows):
             padded[i, :len(spans)] = spans
         ious = iou_batch(padded, np.array(gts, dtype=np.float64)[:, None, :])
         best = np.maximum.accumulate(ious, axis=1)[:, [min(n, width) - 1 for n in ranks]]
-        hit_counts = (best[:, :, None] > np.asarray(thresholds)).sum(axis=0)
+        hits = best[:, :, None] > np.asarray(thresholds)
 
-    total = len(annotations)
-    recalls = {(n, m): (int(hit_counts[i, j]) / total if total else 0.0)
-               for i, n in enumerate(ranks) for j, m in enumerate(thresholds)}
-    return MetricReport(recalls=recalls, total_queries=total, ranks=ranks, thresholds=thresholds)
+    def recalls(hit_counts, total):
+        return {(n, m): (int(hit_counts[i, j]) / total if total else 0.0)
+                for i, n in enumerate(ranks) for j, m in enumerate(thresholds)}
+    return MetricReport(recalls(hits.sum(axis=0), len(annotations)), len(annotations), ranks,
+                        thresholds, recalls(hits[np.array(short, dtype=bool)].sum(axis=0), len(shortest)))

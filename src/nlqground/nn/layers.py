@@ -229,6 +229,7 @@ def mha_forward(
     drop_rate: float,
     rng: np.random.Generator,
     train: bool,
+    video_prefix: tuple[int, np.ndarray] | None = None,
 ):
     """Multi-head self-attention with key-padding mask and attention-weight
     dropout, one batch item at a time.
@@ -253,6 +254,9 @@ def mha_forward(
     B, _, S, d_head = qh.shape
     scale = np.asarray(1.0 / np.sqrt(d_head), dtype=x.dtype)
     qh *= scale
+    if video_prefix is not None:
+        ctx = _merge_heads(_shared_prefix_ctx(qh, kh, vh, key_mask, *video_prefix))
+        return linear_forward(ctx, p["attn.wo"], p["attn.bo"])[0], None
     drop = None
     if train and drop_rate > 0.0:
         cut, drop_scale = _dropout_cut(drop_rate, x.dtype)
@@ -272,6 +276,32 @@ def mha_forward(
         return out, None
     return out, (q_cache, k_cache, v_cache, o_cache, qh, kh, vh, key_mask, rowmax, rowsum,
                  drop, scale, num_heads)
+
+
+def _shared_prefix_ctx(qh, kh, vh, key_mask, T, video_rows):
+    """The eval attention context (B, heads, S, d_head) when items with equal
+    `video_rows` share their first T rows, all valid keys (Hydragen's shared
+    prefix, Juravsky et al. 2024): each video's (heads, T, T) block once, its
+    rows' max m_vv, sum r_vv and E_vv V_v merged with each item's strip over
+    its text keys, held keys-major (numpy reduces faster across rows), by
+    FlashAttention's rescaling of row statistics (Dao et al. 2022)."""
+    _, first, inv = np.unique(video_rows, return_index=True, return_inverse=True)
+    m_vv, r_vv, ev_vv = (np.empty((len(first), qh.shape[1], T, n), qh.dtype) for n in (1, 1, qh.shape[-1]))
+    for u, b in enumerate(first):
+        e, m_vv[u], r_vv[u] = masked_softmax(qh[b, None, :, :T] @ kh[b, None, :, :T].swapaxes(-1, -2),
+                                             key_mask[b, None, :T])
+        np.matmul(e[0], vh[b, :, :T], out=ev_vv[u])
+        del e  # one (heads, T, T) block, then one (B, heads, ., .) strip, is alive at a time
+    m_vv, r_vv, ev_vv = m_vv[inv], r_vv[inv], ev_vv[inv]
+    e, m_vt, r_vt = masked_softmax(
+        (kh[:, :, T:] @ qh[:, :, :T].swapaxes(-1, -2)).swapaxes(-1, -2), key_mask[:, T:])
+    a_vv, a_vt = (np.exp(np.minimum(d, 0.0)) for d in (m_vv - m_vt, m_vt - m_vv))
+    ev_vv *= a_vv
+    ev_vv += a_vt * (e @ vh[:, :, T:])
+    ev_vv /= a_vv * r_vv + a_vt * r_vt
+    del e
+    e, _, r_t = masked_softmax(qh[:, :, T:] @ kh.swapaxes(-1, -2), key_mask)
+    return np.concatenate([ev_vv, (e @ vh) / r_t], axis=2)
 
 
 def mha_backward(dy: np.ndarray, cache):
@@ -323,14 +353,15 @@ def encoder_layer_forward(
     drop_rate: float,
     rng: np.random.Generator,
     train: bool,
+    video_prefix: tuple[int, np.ndarray] | None = None,
 ):
     """Pre-LN residual block: LN -> MHA -> add, then LN -> FFN(GELU) -> add.
 
     Dropout sits on the attention weights and on the FFN activation.  An eval
-    forward returns None as its cache.
+    forward returns None as its cache; `video_prefix` goes to `mha_forward`.
     """
     h1, ln1_cache = layer_norm_forward(x, p["ln1.g"], p["ln1.b"])
-    attn, mha_cache = mha_forward(h1, key_mask, p, num_heads, drop_rate, rng, train)
+    attn, mha_cache = mha_forward(h1, key_mask, p, num_heads, drop_rate, rng, train, video_prefix)
     x2 = x + attn
     h2, ln2_cache = layer_norm_forward(x2, p["ln2.g"], p["ln2.b"])
     f1, l1_cache = linear_forward(h2, p["ffn.w1"], p["ffn.b1"])

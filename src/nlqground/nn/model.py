@@ -16,7 +16,9 @@ alone.  `train` alone selects the mode: a train forward gathers each
 query's video row before the projection, applies dropout and keeps the
 cache that the hand-written `backward` walks in reverse to return gradients
 for every parameter plus the input features; an eval forward does neither,
-and encodes each distinct video once.
+encodes each distinct video once, and in the first cross layer computes each
+video's attention block once, merged with each query's text keys by
+FlashAttention's rescaling (Dao et al. 2022; Hydragen, Juravsky et al. 2024).
 """
 
 from __future__ import annotations
@@ -153,15 +155,15 @@ class GroundingModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _encode(self, x, key_mask, prefix, train, cache):
+    def _encode(self, x, key_mask, prefix, train, cache, video_prefix=None):
         """Run the stack `prefix`, appending its layer caches (None in eval
-        mode) to cache[prefix]."""
+        mode) to cache[prefix]; its first layer alone takes `video_prefix`."""
         cfg = self.config
         for i in range(_stacks(cfg)[prefix]):
             pre = f"{prefix}.{i}."
             p = {k[len(pre):]: v for k, v in self.params.items() if k.startswith(pre)}
             x, c = encoder_layer_forward(x, key_mask, p, cfg.num_heads, cfg.dropout_rate,
-                                         self._dropout_rng, train)
+                                         self._dropout_rng, train, None if i else video_prefix)
             cache.setdefault(prefix, []).append(c)
         return x
 
@@ -219,7 +221,7 @@ class GroundingModel:
 
         x = np.concatenate([v, t], axis=1)
         joint_mask = np.concatenate([np.ones((B, T), dtype=bool), text_mask], axis=1)
-        x = self._encode(x, joint_mask, "cross", train, cache)
+        x = self._encode(x, joint_mask, "cross", train, cache, None if train else (T, video_rows))
         x, final_ln_cache = layer_norm_forward(x, self.params["final_ln.g"], self.params["final_ln.b"])
         fused = x[:, :T, :]
 

@@ -220,6 +220,7 @@ def train(
                 record.update({
                     "R1@0.3": report.recalls[(1, 0.3)], "R1@0.5": report.recalls[(1, 0.5)],
                     "R5@0.3": report.recalls[(5, 0.3)], "R5@0.5": report.recalls[(5, 0.5)],
+                    **{f"short_R{n}@0.5": report.shortest_third[(n, 0.5)] for n in (1, 5)},
                 })
                 r1 = report.recalls[(1, 0.5)]
             else:

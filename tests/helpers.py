@@ -129,6 +129,14 @@ def assert_bitwise_equal(a, b):
     np.testing.assert_array_equal(a.view(bits), b.view(bits))
 
 
+def assert_within_eps(a, ref, ulps=16):
+    """Same dtype and shape, and every entry within `ulps` machine epsilons
+    of the dtype times the largest magnitude in `ref`."""
+    a, ref = np.asarray(a), np.asarray(ref)
+    assert a.dtype == ref.dtype and a.shape == ref.shape
+    assert np.abs(a - ref).max() <= ulps * np.finfo(ref.dtype).eps * np.abs(ref).max()
+
+
 # Textbook kernels: each allocates a fresh array per step and keeps a float
 # dropout mask.  The in-place kernels must match them bit for bit.
 

@@ -151,7 +151,7 @@ class TestTrainCommand:
         assert (out / "metrics.jsonl").exists()
         record = json.loads((out / "metrics.jsonl").read_text().splitlines()[0])
         assert {"epoch", "loss_align", "loss_box", "R1@0.3", "R1@0.5",
-                "R5@0.3", "R5@0.5"} == set(record)
+                "R5@0.3", "R5@0.5", "short_R1@0.5", "short_R5@0.5"} == set(record)
 
     def test_unknown_config_key_rejected(self, pipeline, tmp_path):
         bad = tmp_path / "bad.json"

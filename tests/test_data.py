@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -391,6 +392,21 @@ class TestSyntheticGeneration:
     def test_bad_noise_rejected(self, noise):
         with pytest.raises(ValueError, match="'noise_sigma' must be a number in"):
             SyntheticSpec(noise_sigma=noise)
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        """A small spec's three files, byte for byte (SHA-256 prefixes):
+        three queries per video, so each video's own queries and its
+        distractors' picks among the others come from slices of one list."""
+        spec = SyntheticSpec(num_videos=4, frames_per_video=24, feature_dim=5, text_dim=3,
+                             tokens_per_query=2, queries_per_video=3,
+                             span_fraction_range=(0.05, 0.2), noise_sigma=0.5, seed=11)
+        save_dataset(generate_synthetic(spec), tmp_path)
+        assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                for p in tmp_path.iterdir()} == {
+            "annotations.json": "348a3504cb4602be",
+            "text_features.nlqc": "7ea680723769db33",
+            "video_features.nlqc": "1202c432dfcc70a3",
+        }
 
     def test_disk_round_trip(self, tmp_path):
         ds = generate_synthetic(self.spec)

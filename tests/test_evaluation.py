@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -134,23 +136,39 @@ class TestOracleEquivalence:
         return anns, predictions
 
     def test_matches_brute_force_double_loop(self):
+        """Every cell, over all queries and over the ceil(N / 3) with the
+        shortest ground truths."""
         rng = np.random.default_rng(0)
         ranks, ths = (1, 5), (0.3, 0.5)
         for _ in range(100):
             anns, predictions = self._random_instance(rng)
             report = evaluate(predictions, anns, ranks=ranks, thresholds=ths)
             by_qid = {qid: spans.tolist() for qid, _, spans, _ in predictions}
+            by_length = sorted(anns, key=lambda a: a.end_sec - a.start_sec)
+            shortest = by_length[:math.ceil(len(anns) / 3)]
             for n in ranks:
                 for m in ths:
-                    hits = 0
+                    hit = {}
                     for a in anns:
                         gt = (a.start_sec, a.end_sec)
                         found = False
                         for span in by_qid[a.query_id][:n]:
                             if scalar_iou(span, gt) > m:
                                 found = True
-                        hits += found
-                    assert report.recalls[(n, m)] == hits / len(anns)
+                        hit[a.query_id] = found
+                    assert report.recalls[(n, m)] == sum(hit.values()) / len(anns)
+                    assert report.shortest_third[(n, m)] == (
+                        sum(hit[a.query_id] for a in shortest) / len(shortest))
+
+    def test_shortest_third_counts_a_missing_query_as_a_miss(self):
+        anns = [QueryAnnotation("v", q, "", 0.0, length)
+                for q, length in (("a", 9.0), ("b", 1.0), ("c", 2.0), ("d", 8.0))]
+        predictions = [pred("a", [(0.0, 9.0)]), pred("c", [(0.0, 2.0)]), pred("d", [(50, 60)])]
+        with pytest.warns(UserWarning, match="'b'"):
+            report = evaluate(predictions, anns)
+        # the shortest third of four is b and c; b has no predictions
+        assert report.shortest_third[(1, 0.5)] == 0.5
+        assert report.recalls[(1, 0.5)] == 0.5
 
     def test_monotonicity_in_n_and_m(self):
         rng = np.random.default_rng(1)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from helpers import (
     assert_bitwise_equal,
+    assert_within_eps,
     edit_matrix_header,
     erf_gelu,
     gradcheck,
@@ -188,8 +189,10 @@ class TestForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_train_flag_alone_selects_the_mode(self, dtype):
         """An eval forward returns no cache; at dropout rate 0 a train
-        forward gives the same bits and draws nothing from the dropout
-        generator."""
+        forward draws nothing from the dropout generator and gives the bits
+        of the direct joint attention, and the eval forward, whose first
+        cross layer merges a separate video block, gives them within 16
+        eps."""
         model = init_model(TINY, seed=3, dtype=dtype)
         video, rows, text, tmask = tiny_inputs()
         tmask[1, 3:] = False
@@ -199,8 +202,11 @@ class TestForward:
         conf_t, offs_t, cache_t = model.forward_batch(video, rows, text, tmask, train=True)
         assert cache_t is not None
         assert model._dropout_rng.bit_generator.state == state
-        assert_bitwise_equal(conf, conf_t)
-        assert_bitwise_equal(offs, offs_t)
+        ref_conf, ref_offs, _ = per_row_forward(model, video[rows], text, tmask)
+        assert_bitwise_equal(conf_t, ref_conf)
+        assert_bitwise_equal(offs_t, ref_offs)
+        assert_within_eps(conf, conf_t)
+        assert_within_eps(offs, offs_t)
 
     @staticmethod
     def _shared_video_inputs():
@@ -213,10 +219,11 @@ class TestForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("train", [False, True])
     def test_shared_videos_match_the_per_row_oracle_bitwise(self, dtype, train):
-        """A forward on (videos, video_rows) gives the outputs of the
-        per-row forward on videos[video_rows]; in train mode also the
-        gradients, d_video and d_text, and the dropout generator's next
-        draw."""
+        """A train forward on (videos, video_rows) gives the outputs of the
+        per-row forward on videos[video_rows], the gradients, d_video and
+        d_text, and the dropout generator's next draw.  An eval forward
+        gives the bits of one on (videos[video_rows], arange(B)), and the
+        per-row forward's direct joint attention within 16 eps."""
         model = init_model(replace(TINY, dropout_rate=0.3), seed=3, dtype=dtype)
         videos, rows, text, tmask = self._shared_video_inputs()
         model._dropout_rng = np.random.default_rng(7)
@@ -224,12 +231,17 @@ class TestForward:
         after = model._dropout_rng
         model._dropout_rng = np.random.default_rng(7)
         ref_conf, ref_offs, ref_cache = per_row_forward(model, videos[rows], text, tmask, train)
-        assert_bitwise_equal(conf, ref_conf)
-        assert_bitwise_equal(offs, ref_offs)
         assert after.random() == model._dropout_rng.random()
         if not train:
             assert cache is None
+            alone = model.forward_batch(videos[rows], np.arange(len(rows)), text, tmask)
+            assert_bitwise_equal(conf, alone[0])
+            assert_bitwise_equal(offs, alone[1])
+            assert_within_eps(conf, ref_conf)
+            assert_within_eps(offs, ref_offs)
             return
+        assert_bitwise_equal(conf, ref_conf)
+        assert_bitwise_equal(offs, ref_offs)
         upstream = np.random.default_rng(8)
         d_conf = upstream.normal(size=conf.shape).astype(dtype)
         d_offs = upstream.normal(size=offs.shape).astype(dtype)
@@ -241,6 +253,57 @@ class TestForward:
         assert grads.keys() == ref_grads.keys()
         for k in grads:
             assert_bitwise_equal(grads[k], ref_grads[k])
+
+    @staticmethod
+    def _grouped_inputs():
+        """Three videos asked about once, twice and three times, in mixed
+        order, two of the six items with padded text."""
+        videos, _, _, _ = tiny_inputs(B=3, seed=2)
+        _, _, text, tmask = tiny_inputs(B=6, seed=4)
+        tmask[1, 2:] = False
+        tmask[3, 1:] = False
+        return videos, np.array([2, 0, 1, 2, 1, 2]), text, tmask
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_eval_shares_each_video_block_bitwise(self, dtype):
+        """An eval forward on (videos, video_rows) gives the bits of one on
+        (videos[video_rows], arange(B)), where no two items share a video."""
+        model = init_model(TINY, seed=3, dtype=dtype)
+        videos, rows, text, tmask = self._grouped_inputs()
+        conf, offs, _ = model.forward_batch(videos, rows, text, tmask)
+        ref_conf, ref_offs, _ = model.forward_batch(videos[rows], np.arange(len(rows)), text, tmask)
+        assert_bitwise_equal(conf, ref_conf)
+        assert_bitwise_equal(offs, ref_offs)
+
+    def test_eval_matches_the_direct_joint_attention_in_float64(self):
+        """Against the per-row forward, whose first cross layer attends over
+        each item's whole joint sequence at once, within 16 eps (about 1.5
+        measured)."""
+        model = init_model(TINY, seed=3, dtype=np.float64)
+        videos, rows, text, tmask = self._grouped_inputs()
+        conf, offs, _ = model.forward_batch(videos, rows, text, tmask)
+        ref_conf, ref_offs, _ = per_row_forward(model, videos[rows], text, tmask)
+        assert_within_eps(conf, ref_conf)
+        assert_within_eps(offs, ref_offs)
+
+    def test_first_cross_layer_builds_each_video_block_once_in_eval(self, monkeypatch):
+        """Of an eval forward's softmax calls, the first cross layer's are
+        one (heads, T, T) block per distinct video, then the (B, heads, T,
+        L) strip of video rows over text keys and the text rows' (B, heads,
+        L, S); the second cross layer makes one S = T + L block per item."""
+        model = init_model(TINY, seed=3)
+        videos, rows, text, tmask = self._grouped_inputs()
+        shapes, masked_softmax_ = [], layers.masked_softmax
+
+        def spy(scores, key_mask):
+            shapes.append(scores.shape)
+            return masked_softmax_(scores, key_mask)
+
+        monkeypatch.setattr(layers, "masked_softmax", spy)
+        model.forward_batch(videos, rows, text, tmask)
+        video, text_, joint = (1, 2, 8, 8), (1, 2, 4, 4), (1, 2, 12, 12)
+        strip, text_rows = (6, 2, 8, 4), (6, 2, 4, 12)
+        assert shapes == [video] * 3 + [text_] * 6 + [video] * 3 + [strip, text_rows] + [joint] * 6
 
     @pytest.mark.parametrize("train", [False, True])
     def test_intra_video_stack_encodes_each_video_once_in_eval(self, monkeypatch, train):
@@ -560,7 +623,9 @@ class TestAttentionMemory:
         assert cache is None
         # the video and joint stacks, whose whole batch of weights is 8 items'
         # worth; each call holds one item's float32 (heads, S, S) weights
-        # beside its (B, S, hidden) projections (1.4 items' worth at S = 80)
+        # beside its (B, S, hidden) projections (1.4 items' worth at S = 80);
+        # the first joint call holds one video's (heads, T, T) block, then
+        # its (B, heads, L, T) and (B, heads, L, S) strips one at a time
         assert [len(peaks[S]) for S in (T, T + L)] == [1, 2]
         for S in (T, T + L):
             assert all(0 < peak < 3 * nh * S * S * 4 for peak in peaks[S]), (S, peaks[S])

@@ -183,7 +183,8 @@ class TestTrainLoop:
         records = [json.loads(l) for l in result.metrics_log.read_text().splitlines()]
         assert len(records) == 1
         assert set(records[0]) == {"epoch", "loss_align", "loss_box",
-                                   "R1@0.3", "R1@0.5", "R5@0.3", "R5@0.5"}
+                                   "R1@0.3", "R1@0.5", "R5@0.3", "R5@0.5",
+                                   "short_R1@0.5", "short_R5@0.5"}
 
     def test_metric_log_epochs_contiguous(self, tmp_path):
         ds = tiny_dataset(videos=2)
