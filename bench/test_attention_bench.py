@@ -5,6 +5,8 @@ S = 16 alone, 8 items per training batch and 24 per eval batch, float32,
 dropout 0.1.  The eval first cross layer's attention is timed as `predict`
 batches it: 24 items over 8 videos at T = 600 and 32 over 11 at T = 128,
 each with and without its shared video block, and with no video shared.
+Attention on its worker pool is timed against one worker (every unit in
+the calling thread) at S = 144, 256 and 616, about the pool's floor.
 
     PYTHONPATH=src python -m pytest bench -q -p no:cacheprovider \\
         --benchmark-columns=median,iqr,rounds --benchmark-json=bench.json
@@ -18,6 +20,7 @@ queries do."""
 import numpy as np
 import pytest
 
+from nlqground.nn import layers
 from nlqground.nn.layers import _dropout_cut, _keep, mha_backward, mha_forward
 
 HIDDEN, HEADS, TOKENS, DROP_RATE = 64, 4, 16, 0.1
@@ -84,6 +87,33 @@ def test_first_cross_attention_eval(benchmark, shape, videos):
         x[:, :frames] = x[:distinct, :frames][rows]
     prefix = None if videos == "direct" else (frames, rows)
     benchmark(mha_forward, x, mask, p, HEADS, DROP_RATE, None, False, prefix)
+
+
+# the pool against one worker: at S = 144 units are whole items of 4 heads,
+# at 256 and 616 single heads
+POOL_SEQ = (144, 256, 616)
+
+
+@pytest.mark.parametrize("workers", ["pool", "one"])
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("seq", POOL_SEQ)
+def test_attention_pool(benchmark, monkeypatch, seq, mode, workers):
+    """`train` is a forward and backward of a training batch, `eval` an eval
+    forward of an eval batch."""
+    if workers == "one":
+        monkeypatch.setattr(layers, "ATTENTION_WORKERS", 1)
+    x, mask, p = _inputs(TRAIN_BATCH if mode == "train" else EVAL_BATCH, seq)
+    if mode == "eval":
+        benchmark(mha_forward, x, mask, p, HEADS, DROP_RATE, None, False)
+        return
+    dy = np.random.default_rng(1).normal(size=x.shape).astype(np.float32)
+    rng = np.random.default_rng(2)
+
+    def step():
+        _, cache = mha_forward(x, mask, p, HEADS, DROP_RATE, rng, True)
+        return mha_backward(dy, cache)
+
+    benchmark(step)
 
 
 # one layer's dropout draws: one attention item's weights, into a keep mask

@@ -8,13 +8,22 @@ computes in its input's dtype.
 
 Attention is memory-bound: every pass over its (B, heads, S, S) weights
 (scores, softmax, dropout, P.V) streams the whole tensor through DRAM when
-it is computed at once.  So attention, forward and backward, runs one batch
-item at a time (FlashAttention's idea, Dao et al. 2022, over the batch axis
-only), each row's arithmetic unchanged, so outputs and gradients are
-bitwise those of the untiled form.  An item takes few passes: the scale
-1/sqrt(d_head) goes on the (S, d_head) queries, the softmax runs in place
-on the fresh Q K^T product, and its normalisation is deferred to the
-(S, d_head) output, ctx = ((keep * scale * E) @ V) / rowsum(E)
+it is computed at once.  So attention, forward and backward, runs in
+(item, head group) units, FlashAttention's split over (batch, head) blocks
+(Dao et al. 2022), each row's arithmetic unchanged, so outputs and
+gradients are bitwise those of the untiled form.  A unit spans the fewest
+heads of an item whose weights reach _POOL_FLOOR, and the units run on a
+module-level thread pool of one worker per core, one contiguous run per
+worker, each in a copy of the caller's context and on scratch the calling
+thread allocates.  A call whose whole items fall under the floor runs them
+in the calling thread, by the same unit function.  On import numpy's
+bundled OpenBLAS is pinned to one thread: over a 2-thread BLAS, two
+workers ran slower than one, and the pin also makes outputs independent
+of the host's BLAS thread count.  The train forward draws every item's
+dropout mask, in item order, before any unit runs.  A unit takes few
+passes: the scale 1/sqrt(d_head) goes on the (S, d_head) queries, the
+softmax runs in place on the fresh Q K^T product, and its normalisation
+is deferred to the (S, d_head) output, ctx = ((keep * scale * E) @ V) / rowsum(E)
 (FlashAttention's rescaling).  Softmax backward runs in place on dP, with
 the row term rowsum(dP * P) taken as D = rowsum(dO * O) over d_head
 (FlashAttention's D).  The cache keeps no (B, heads, S, S) float array,
@@ -32,7 +41,12 @@ cache for backward; an eval forward returns None as its cache, allocates no
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import glob
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -46,6 +60,33 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 # dropout draws uint16 values: the rate is quantised to a multiple of 1/2^16
 _DRAW_LEVELS = 1 << 16
+# attention weights per unit: a unit spans the fewest heads of one item that
+# reach it, and a call whose whole items fall short runs in the calling
+# thread, as tiny numpy calls hold the GIL (two workers broke even on whole
+# items of 16,384 to 36,864 weights, and gained at 65,536 in every sweep)
+_POOL_FLOOR = 1 << 16
+
+
+def _pin_blas() -> int | None:
+    """Pins numpy's bundled OpenBLAS to one thread, so that attention's
+    workers, not BLAS threads, share the cores; returns its thread count
+    after, or None where the library or its setter is not found."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        getter = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter(1)
+            return int(getter())
+    return None
+
+
+BLAS_THREADS = _pin_blas()
+# one worker per core once BLAS is pinned; without the pin, one
+ATTENTION_WORKERS = len(os.sched_getaffinity(0)) if BLAS_THREADS == 1 else 1
+_POOL = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="attention")
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +252,38 @@ def softmax_backward(dp: np.ndarray, p: np.ndarray, d: np.ndarray) -> np.ndarray
     return dp
 
 
+def _each_unit(unit, items: int, heads: int, rows: int, cols: int, dtype, buffers: int) -> None:
+    """Calls unit(i, hs, *scratch) on every (item i, head slice hs) unit of
+    `items` items of `heads` (rows, cols) weight blocks.  A unit spans the
+    fewest heads whose weights reach _POOL_FLOOR, and the units go to the
+    pool as one contiguous run per worker, each run in a copy of the
+    caller's context (numpy keeps errstate in a context variable).  Under
+    the floor, or with one worker, the units are whole items, run here.
+    Each run's `buffers` unit-sized scratch blocks are allocated here, in
+    the calling thread: blocks a worker allocated would go to its own
+    malloc arena, which keeps their pages."""
+    group = next((g for g in range(1, heads + 1) if heads % g == 0 and g * rows * cols >= _POOL_FLOOR),
+                 None)
+    workers = min(ATTENTION_WORKERS, items * heads // group) if group else 1
+    if workers == 1:
+        group = heads
+    units = [(i, slice(h, h + group)) for i in range(items) for h in range(0, heads, group)]
+    runs = [(units[k * len(units) // workers:(k + 1) * len(units) // workers],
+             [np.empty((1, group, rows, cols), dtype) for _ in range(buffers)]) for k in range(workers)]
+    if workers == 1:
+        _run_units(unit, *runs[0])
+        return
+    futures = [_POOL.submit(contextvars.copy_context().run, _run_units, unit, *run) for run in runs]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _run_units(unit, units, scratch) -> None:
+    for i, hs in units:
+        unit(i, hs, *scratch)
+
+
 def _split_heads(x: np.ndarray, nh: int) -> np.ndarray:
     b, s, h = x.shape
     return x.reshape(b, s, nh, h // nh).transpose(0, 2, 1, 3)
@@ -261,16 +334,21 @@ def mha_forward(
     if train and drop_rate > 0.0:
         cut, drop_scale = _dropout_cut(drop_rate, x.dtype)
         drop = (np.empty((B, num_heads, S, S), dtype=bool), drop_scale)
+        for keep in drop[0]:  # item by item, in order, before any unit runs
+            _keep(rng, keep.shape, cut, out=keep)
     rowmax, rowsum = (np.empty((B, num_heads, S, 1), dtype=x.dtype) for _ in range(2))
     ctx = np.empty(qh.shape, dtype=x.dtype)
-    for b in range(B):
-        t = slice(b, b + 1)
-        e, rowmax[t], rowsum[t] = masked_softmax(qh[t] @ kh[t].swapaxes(-1, -2), key_mask[t])
+
+    def attend(b, hs, e):
+        t = (slice(b, b + 1), hs)
+        np.matmul(qh[t], kh[t].swapaxes(-1, -2), out=e)
+        _, rowmax[t], rowsum[t] = masked_softmax(e, key_mask[t[0]])
         if drop is not None:
-            _scale_kept(e, _keep(rng, e.shape, cut, out=drop[0][t]), drop_scale, out=e)
+            _scale_kept(e, drop[0][t], drop[1], out=e)
         np.matmul(e, vh[t], out=ctx[t])
         ctx[t] /= rowsum[t]
-        del e  # one item's (heads, S, S) buffer is alive at a time
+
+    _each_unit(attend, B, num_heads, S, S, x.dtype, 1)
     out, o_cache = linear_forward(_merge_heads(ctx), p["attn.wo"], p["attn.bo"])
     if not train:
         return out, None
@@ -287,11 +365,15 @@ def _shared_prefix_ctx(qh, kh, vh, key_mask, T, video_rows):
     FlashAttention's rescaling of row statistics (Dao et al. 2022)."""
     _, first, inv = np.unique(video_rows, return_index=True, return_inverse=True)
     m_vv, r_vv, ev_vv = (np.empty((len(first), qh.shape[1], T, n), qh.dtype) for n in (1, 1, qh.shape[-1]))
-    for u, b in enumerate(first):
-        e, m_vv[u], r_vv[u] = masked_softmax(qh[b, None, :, :T] @ kh[b, None, :, :T].swapaxes(-1, -2),
-                                             key_mask[b, None, :T])
-        np.matmul(e[0], vh[b, :, :T], out=ev_vv[u])
-        del e  # one (heads, T, T) block, then one (B, heads, ., .) strip, is alive at a time
+
+    def video_block(u, hs, e):
+        b = first[u]
+        np.matmul(qh[b, None, hs, :T], kh[b, None, hs, :T].swapaxes(-1, -2), out=e)
+        _, m_vv[u, hs], r_vv[u, hs] = masked_softmax(e, key_mask[b, None, :T])
+        np.matmul(e[0], vh[b, hs, :T], out=ev_vv[u, hs])
+
+    # the video blocks' scratch, then one (B, heads, ., .) strip, is alive at a time
+    _each_unit(video_block, len(first), qh.shape[1], T, T, qh.dtype, 1)
     m_vv, r_vv, ev_vv = m_vv[inv], r_vv[inv], ev_vv[inv]
     e, m_vt, r_vt = masked_softmax(
         (kh[:, :, T:] @ qh[:, :, :T].swapaxes(-1, -2)).swapaxes(-1, -2), key_mask[:, T:])
@@ -311,12 +393,14 @@ def mha_backward(dy: np.ndarray, cache):
     # softmax's row term rowsum(dP * P) is rowsum(dO * O) (FlashAttention's D)
     d = (dctx_h * _split_heads(o_cache[0], nh)).sum(axis=-1, keepdims=True)
     dqh, dkh, dvh = (np.empty(qh.shape, dtype=qh.dtype) for _ in range(3))
-    for b in range(len(qh)):
-        t = slice(b, b + 1)
+
+    def attend_back(b, hs, pt, dprobs):
+        t = (slice(b, b + 1), hs)
         # the forward's probabilities, recomputed bit for bit
-        pt, _ = _shifted_exp(qh[t] @ kh[t].swapaxes(-1, -2), key_mask[t], rowmax[t])
+        np.matmul(qh[t], kh[t].swapaxes(-1, -2), out=pt)
+        _shifted_exp(pt, key_mask[t[0]], rowmax[t])
         pt /= rowsum[t]
-        dprobs = dctx_h[t] @ vh[t].swapaxes(-1, -2)
+        np.matmul(dctx_h[t], vh[t].swapaxes(-1, -2), out=dprobs)
         if drop is not None:
             _scale_kept(dprobs, drop[0][t], drop[1], out=dprobs)
         dscores = softmax_backward(dprobs, pt, d[t])
@@ -326,6 +410,9 @@ def mha_backward(dy: np.ndarray, cache):
         np.matmul(dscores, kh[t], out=dqh[t])
         # qh holds the scaled queries, so dk needs no further scaling
         np.matmul(dscores.swapaxes(-1, -2), qh[t], out=dkh[t])
+
+    B, _, S, _ = qh.shape
+    _each_unit(attend_back, B, nh, S, S, qh.dtype, 2)
     dqh *= scale
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), q_cache)
     dk, dwk, _ = linear_backward(_merge_heads(dkh), k_cache)

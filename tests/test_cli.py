@@ -146,9 +146,14 @@ class TestTrainCommand:
 
     def test_artifacts_exist(self, pipeline):
         out = pipeline["out"]
-        assert (out / "checkpoint_best.nlqc").exists()
-        assert (out / "checkpoint_last.nlqc").exists()
-        assert (out / "metrics.jsonl").exists()
+        assert sorted(p.name for p in out.iterdir()) == [
+            "checkpoint_best.nlqc", "checkpoint_last.nlqc", "metrics.jsonl", "run.json", "steps.jsonl"]
+        # the resolved config: what the run config set, and every default
+        run_record = json.loads((out / "run.json").read_text())
+        assert run_record["encoder"]["anchors"] == {"scales": [0.15, 0.4], "num_frames": 20}
+        assert run_record["train"]["batch_size"] == 2 and run_record["train"]["mu"] == TrainConfig().mu
+        assert run_record["inference"] == {"top_k": 5, "nms_iou": 0.5}
+        assert {"seed", "numpy", "blas_threads", "attention_workers"} < run_record.keys()
         record = json.loads((out / "metrics.jsonl").read_text().splitlines()[0])
         assert {"epoch", "loss_align", "loss_box", "R1@0.3", "R1@0.5",
                 "R5@0.3", "R5@0.5", "short_R1@0.5", "short_R5@0.5"} == set(record)

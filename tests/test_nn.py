@@ -1,7 +1,12 @@
 import errno
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +40,7 @@ from nlqground.nn import (
     save_checkpoint,
     sinusoidal_positions,
 )
+import nlqground
 from nlqground import data
 from nlqground.data import MatrixFileError, write_features
 from nlqground.nn import layers
@@ -55,6 +61,33 @@ from nlqground.trainer import TrainConfig
 TINY = EncoderConfig(hidden_dim=8, num_heads=2, intra_layers=1, cross_layers=2,
                      video_input_dim=5, text_input_dim=3, dropout_rate=0.0,
                      anchors=AnchorConfig(scales=(0.25, 0.75), num_frames=8))
+
+
+class CountingPool(ThreadPoolExecutor):
+    """A thread pool that counts the runs given to it."""
+
+    submitted = 0
+
+    def submit(self, *args, **kwargs):
+        self.submitted += 1
+        return super().submit(*args, **kwargs)
+
+
+@pytest.fixture
+def attention_workers(monkeypatch):
+    """set_workers(n) gives attention a pool of n workers (with n = 1, every
+    unit runs in the calling thread) and returns it."""
+    pools = []
+
+    def set_workers(n):
+        pools.append(CountingPool(n))
+        monkeypatch.setattr(layers, "ATTENTION_WORKERS", n)
+        monkeypatch.setattr(layers, "_POOL", pools[-1])
+        return pools[-1]
+
+    yield set_workers
+    for pool in pools:
+        pool.shutdown()
 
 
 def tiny_inputs(B=2, T=8, L=4, seed=0, dv=5, dt=3):
@@ -599,8 +632,12 @@ class TestAttentionMemory:
     CFG = EncoderConfig(hidden_dim=8, num_heads=4, intra_layers=1, cross_layers=2,
                         video_input_dim=5, text_input_dim=3, dropout_rate=0.2)
 
-    def test_eval_forward_never_holds_a_whole_attention_tensor(self, monkeypatch):
-        B, T, L = 8, 72, 8
+    # (3, 176, 16) pools the video and joint calls: whole items at T = 176,
+    # units of 2 heads at S = 192
+    @pytest.mark.parametrize("B, T, L", [(8, 72, 8), (3, 176, 16)])
+    def test_eval_forward_never_holds_a_whole_attention_tensor(self, monkeypatch, attention_workers,
+                                                               B, T, L):
+        attention_workers(2)
         nh = self.CFG.num_heads
         peaks = {}  # sequence length -> each attention call's peak bytes past its entry
 
@@ -621,11 +658,12 @@ class TestAttentionMemory:
         finally:
             tracemalloc.stop()
         assert cache is None
-        # the video and joint stacks, whose whole batch of weights is 8 items'
-        # worth; each call holds one item's float32 (heads, S, S) weights
-        # beside its (B, S, hidden) projections (1.4 items' worth at S = 80);
-        # the first joint call holds one video's (heads, T, T) block, then
-        # its (B, heads, L, T) and (B, heads, L, S) strips one at a time
+        # the video and joint stacks, whose whole batch of weights is B
+        # items' worth; each call holds one unit's float32 weights per worker
+        # (at most one item's each) beside its (B, S, hidden) projections
+        # (1.4 items' worth at S = 80); the first joint call holds those of
+        # the video blocks, then its (B, heads, L, T) and (B, heads, L, S)
+        # strips one at a time
         assert [len(peaks[S]) for S in (T, T + L)] == [1, 2]
         for S in (T, T + L):
             assert all(0 < peak < 3 * nh * S * S * 4 for peak in peaks[S]), (S, peaks[S])
@@ -664,12 +702,15 @@ class TestAttentionMemory:
         keep_mask_bytes = B * nh * S * S if rate else 0
         assert 0 < kept - keep_mask_bytes < B * nh * S * S * 4 // 2
 
-    @pytest.mark.parametrize("B, nh, S", [(4, 4, 96), (8, 4, 64)])
-    def test_train_forward_peaks_near_what_it_keeps(self, B, nh, S):
+    # S = 192 pools units of 2 heads over 2 workers
+    @pytest.mark.parametrize("B, nh, S", [(4, 4, 96), (8, 4, 64), (2, 4, 192), (3, 4, 192)])
+    def test_train_forward_peaks_near_what_it_keeps(self, attention_workers, B, nh, S):
         """A train `mha_forward` draws its dropout one item at a time, into
-        the keep mask: its tracemalloc peak exceeds the bytes it leaves
-        allocated by at most 8 bytes per element of one item's (heads, S, S)
-        weights, whatever the batch size."""
+        the keep mask, and gives each worker one unit's scratch: its
+        tracemalloc peak exceeds the bytes it leaves allocated by at most 8
+        bytes per element of one item's (heads, S, S) weights, whatever the
+        batch size."""
+        attention_workers(2)
         x, mask, p, _ = TestKernelOracles._attention_inputs(B, nh, S, np.float32, padded=True)
         rng = np.random.default_rng(17)
         tracemalloc.start()
@@ -679,6 +720,100 @@ class TestAttentionMemory:
         finally:
             tracemalloc.stop()
         assert peak - kept <= 8 * nh * S * S, (peak - kept) / (nh * S * S)
+
+
+class TestAttentionPool:
+    """Attention above the pool's floor: units of 2 heads at S = 192, whole
+    items at T = 176.  The pool changes no bit, and the caller's errstate
+    and the dropout stream hold in it."""
+
+    NH, S, T = 4, 192, 176
+
+    def _train_and_eval(self, B, dtype):
+        x, mask, p, dy = TestKernelOracles._attention_inputs(B, self.NH, self.S, dtype, padded=True)
+        rng = np.random.default_rng(18)
+        out, cache = mha_forward(x, mask, p, self.NH, 0.2, rng, train=True)
+        dx, grads = mha_backward(dy, cache)
+        eval_out, _ = mha_forward(x, mask, p, self.NH, 0.2, None, train=False)
+        return [out, *_leaves(cache), dx, *_leaves(grads), eval_out], rng.bit_generator.state
+
+    @pytest.mark.parametrize("B", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_matches_one_worker_bitwise(self, attention_workers, B, dtype, workers):
+        """Train outputs, caches and gradients, eval outputs and the dropout
+        generator's end state, with 2 workers and with more workers than
+        this host has cores, under a short thread switch interval."""
+        attention_workers(1)
+        ref, ref_state = self._train_and_eval(B, dtype)
+        pool = attention_workers(workers)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got, state = self._train_and_eval(B, dtype)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool.submitted > 0
+        assert state == ref_state
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            if isinstance(a, np.ndarray) and a.dtype == bool:
+                assert np.array_equal(a, b)
+            else:
+                assert_bitwise_equal(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_prefix_ctx_pools_bitwise(self, attention_workers, dtype):
+        """`_shared_prefix_ctx` over three videos asked about 1, 2 and 3
+        times, with padded text: the pool gives one worker's contexts."""
+        rng = np.random.default_rng(19)
+        qh, kh, vh = (rng.normal(size=(6, self.NH, self.S, 3)).astype(dtype) for _ in range(3))
+        rows = np.array([2, 0, 1, 2, 1, 2])
+        for a in (qh, kh, vh):
+            a[:, :, :self.T] = a[rows, :, :self.T]
+        mask = np.ones((6, self.S), bool)
+        mask[1, -4:] = False
+        mask[3, -1:] = False
+        contexts = []
+        for workers in (1, 2):
+            pool = attention_workers(workers)
+            contexts.append(layers._shared_prefix_ctx(qh, kh, vh, mask, self.T, rows))
+        assert pool.submitted > 0
+        assert_bitwise_equal(contexts[1], contexts[0])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caller_errstate_reaches_the_workers(self, attention_workers, workers):
+        """Scores that overflow float32 raise FloatingPointError under the
+        caller's np.errstate(over="raise"), in the pool as in the calling
+        thread."""
+        pool = attention_workers(workers)
+        x, mask, p, _ = TestKernelOracles._attention_inputs(2, self.NH, self.S, np.float32, padded=False)
+        p = {**p, "attn.wq": p["attn.wq"] * 1e20, "attn.wk": p["attn.wk"] * 1e20}
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            mha_forward(x, mask, p, self.NH, 0.0, None, train=False)
+        assert (pool.submitted > 0) == (workers > 1)
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self):
+        """A fixed-seed eval forward at S = 616, width 64, gives the same
+        bits under OPENBLAS_NUM_THREADS=1 and =2: attention pins BLAS to one
+        thread at import (unpinned, the two differ at this shape)."""
+        probe = (
+            "import hashlib, numpy as np\n"
+            "from nlqground.nn.layers import mha_forward\n"
+            "rng = np.random.default_rng(20)\n"
+            "p = {k: (rng.normal(size=s) / 8).astype(np.float32) for k, s in [\n"
+            "    ('attn.wq', (64, 64)), ('attn.bq', (1, 64)), ('attn.wk', (64, 64)),\n"
+            "    ('attn.wv', (64, 64)), ('attn.bv', (1, 64)), ('attn.wo', (64, 64)), ('attn.bo', (1, 64))]}\n"
+            "x = rng.normal(size=(2, 616, 64)).astype(np.float32)\n"
+            "out, _ = mha_forward(x, np.ones((2, 616), bool), p, 4, 0.1, None, False)\n"
+            "print(hashlib.sha256(out.tobytes()).hexdigest())\n")
+        src = str(Path(nlqground.__file__).resolve().parents[1])
+        digests = [subprocess.run([sys.executable, "-c", probe], check=True, capture_output=True,
+                                  text=True, env={**os.environ, "PYTHONPATH": src,
+                                                  "OPENBLAS_NUM_THREADS": threads}).stdout
+                   for threads in ("1", "2")]
+        assert len(digests[0]) == 65
+        assert digests[0] == digests[1]
 
 
 class TestBackward:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,7 +10,7 @@ from nlqground.anchors import AnchorConfig
 from nlqground.cli import run as cli_run
 from nlqground.data import Batch, SyntheticSpec, generate_synthetic, make_batches, save_dataset
 from nlqground.inference import InferenceOptions, predict_dataset, write_predictions
-from nlqground.nn import EncoderConfig, init_model, load_checkpoint
+from nlqground.nn import EncoderConfig, init_model, layers, load_checkpoint
 from nlqground.trainer import (
     DivergenceError,
     OptimizerState,
@@ -185,6 +186,15 @@ class TestTrainLoop:
         assert set(records[0]) == {"epoch", "loss_align", "loss_box",
                                    "R1@0.3", "R1@0.5", "R5@0.3", "R5@0.5",
                                    "short_R1@0.5", "short_R5@0.5"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint_best.nlqc", "checkpoint_last.nlqc", "metrics.jsonl", "run.json", "steps.jsonl"]
+        run_record = json.loads((tmp_path / "run.json").read_text())
+        assert run_record["train"] == json.loads(json.dumps(dataclasses.asdict(cfg)))
+        assert run_record["encoder"] == json.loads(json.dumps(dataclasses.asdict(ENC)))
+        assert run_record["inference"] == {"top_k": 5, "nms_iou": 0.5}
+        assert run_record["seed"] == 0 and run_record["numpy"] == np.__version__
+        assert run_record["blas_threads"] == layers.BLAS_THREADS
+        assert run_record["attention_workers"] == layers.ATTENTION_WORKERS >= 1
 
     def test_metric_log_epochs_contiguous(self, tmp_path):
         ds = tiny_dataset(videos=2)
