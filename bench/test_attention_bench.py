@@ -5,8 +5,9 @@ S = 16 alone, 8 items per training batch and 24 per eval batch, float32,
 dropout 0.1.  The eval first cross layer's attention is timed as `predict`
 batches it: 24 items over 8 videos at T = 600 and 32 over 11 at T = 128,
 each with and without its shared video block, and with no video shared.
-Attention on its worker pool is timed against one worker (every unit in
-the calling thread) at S = 144, 256 and 616, about the pool's floor.
+Attention on its worker pool is timed against one worker (every unit and
+projection in the calling thread) at S = 144, 256 and 616, about the
+pool's floor.
 
     PYTHONPATH=src python -m pytest bench -q -p no:cacheprovider \\
         --benchmark-columns=median,iqr,rounds --benchmark-json=bench.json
@@ -101,7 +102,7 @@ def test_attention_pool(benchmark, monkeypatch, seq, mode, workers):
     """`train` is a forward and backward of a training batch, `eval` an eval
     forward of an eval batch."""
     if workers == "one":
-        monkeypatch.setattr(layers, "ATTENTION_WORKERS", 1)
+        monkeypatch.setattr(layers, "WORKERS", 1)
     x, mask, p = _inputs(TRAIN_BATCH if mode == "train" else EVAL_BATCH, seq)
     if mode == "eval":
         benchmark(mha_forward, x, mask, p, HEADS, DROP_RATE, None, False)

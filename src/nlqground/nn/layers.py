@@ -6,21 +6,31 @@ All functions are shape-polymorphic over leading axes (batch, sequence) and
 dtype-polymorphic (float32 for runs, float64 for gradient checks): each
 computes in its input's dtype.
 
+The encoder layer runs on every core.  On import numpy's bundled OpenBLAS is
+pinned to one thread: over a 2-thread BLAS, two workers ran slower than
+one, and the pin also makes outputs independent of the host's BLAS thread
+count.  A module-level thread pool of one worker per core then runs the
+layer's row-independent blocks (the projections, layer norm, GELU and the
+FFN dropout's scaling) as one contiguous range of batch items per worker,
+and attention as (item, head group) units, FlashAttention's split over
+(batch, head) blocks (Dao et al. 2022).  Each worker's run executes in a
+copy of the caller's context and writes only into arrays the calling
+thread allocated.  A matmul splits only along numpy's own per-matrix BLAS
+calls, so a linear's dx splits by item while its dw and db, sums over
+every row, go whole to a worker of their own; the layer norm's dg and db
+stay in the calling thread, and so do the dropout draws, in item order.
+Every output, gradient and the dropout stream are thus bitwise those of
+one worker.  A call whose largest array falls under _PART_FLOOR elements,
+or whose attention items fall under _POOL_FLOOR weights, runs in the
+calling thread, by the same part or unit function.
+
 Attention is memory-bound: every pass over its (B, heads, S, S) weights
 (scores, softmax, dropout, P.V) streams the whole tensor through DRAM when
 it is computed at once.  So attention, forward and backward, runs in
-(item, head group) units, FlashAttention's split over (batch, head) blocks
-(Dao et al. 2022), each row's arithmetic unchanged, so outputs and
-gradients are bitwise those of the untiled form.  A unit spans the fewest
-heads of an item whose weights reach _POOL_FLOOR, and the units run on a
-module-level thread pool of one worker per core, one contiguous run per
-worker, each in a copy of the caller's context and on scratch the calling
-thread allocates.  A call whose whole items fall under the floor runs them
-in the calling thread, by the same unit function.  On import numpy's
-bundled OpenBLAS is pinned to one thread: over a 2-thread BLAS, two
-workers ran slower than one, and the pin also makes outputs independent
-of the host's BLAS thread count.  The train forward draws every item's
-dropout mask, in item order, before any unit runs.  A unit takes few
+units, each row's arithmetic unchanged, so outputs and gradients are
+bitwise those of the untiled form; a unit spans the fewest heads of an
+item whose weights reach _POOL_FLOOR.  The train forward draws every
+item's dropout mask, in item order, before any unit runs.  A unit takes few
 passes: the scale 1/sqrt(d_head) goes on the (S, d_head) queries, the
 softmax runs in place on the fresh Q K^T product, and its normalisation
 is deferred to the (S, d_head) output, ctx = ((keep * scale * E) @ V) / rowsum(E)
@@ -65,10 +75,15 @@ _DRAW_LEVELS = 1 << 16
 # thread, as tiny numpy calls hold the GIL (two workers broke even on whole
 # items of 16,384 to 36,864 weights, and gained at 65,536 in every sweep)
 _POOL_FLOOR = 1 << 16
+# elements in a call's largest array from which its row-independent blocks
+# split by item range over the workers; below it they run in the calling
+# thread (in three rounds, two workers lost on layer norms of 73,728
+# elements, and from 294,912 up gained in all but one flat round)
+_PART_FLOOR = 1 << 18
 
 
 def _pin_blas() -> int | None:
-    """Pins numpy's bundled OpenBLAS to one thread, so that attention's
+    """Pins numpy's bundled OpenBLAS to one thread, so that the layers'
     workers, not BLAS threads, share the cores; returns its thread count
     after, or None where the library or its setter is not found."""
     for path in glob.glob(os.path.join(os.path.dirname(np.__file__), "..", "numpy.libs", "*openblas*")):
@@ -85,8 +100,41 @@ def _pin_blas() -> int | None:
 
 BLAS_THREADS = _pin_blas()
 # one worker per core once BLAS is pinned; without the pin, one
-ATTENTION_WORKERS = len(os.sched_getaffinity(0)) if BLAS_THREADS == 1 else 1
-_POOL = ThreadPoolExecutor(ATTENTION_WORKERS, thread_name_prefix="attention")
+WORKERS = len(os.sched_getaffinity(0)) if BLAS_THREADS == 1 else 1
+_POOL = ThreadPoolExecutor(WORKERS, thread_name_prefix="worker")
+
+
+def _on_pool(calls) -> None:
+    """Runs each (fn, *args) of `calls`: a single one in the calling thread,
+    several on the pool, each in a copy of the caller's context (numpy keeps
+    errstate in a context variable), and raises the first one's error."""
+    if len(calls) == 1:
+        fn, *args = calls[0]
+        fn(*args)
+        return
+    futures = [_POOL.submit(contextvars.copy_context().run, *call) for call in calls]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _each_part(part, items: int, elements: int, *whole) -> None:
+    """Calls part(r) over contiguous ranges r of `items` batch items and
+    each function of `whole` once, for a call whose largest array holds
+    `elements`.  From _PART_FLOOR up, the ranges and `whole` go to the pool,
+    one range per worker that `whole` leaves free; below it, or with one
+    worker, they run here, the part once over every item.  The caller
+    allocates every array a part writes: arrays a worker allocated would
+    go to its own malloc arena, which keeps their pages."""
+    if elements < _PART_FLOOR or WORKERS == 1:
+        part(slice(None))
+        for fn in whole:
+            fn()
+        return
+    shares = min(WORKERS - len(whole), items)
+    ranges = [slice(k * items // shares, (k + 1) * items // shares) for k in range(shares)] \
+        if shares > 1 else [slice(None)]
+    _on_pool([(part, r) for r in ranges] + [(fn,) for fn in whole])
 
 
 # ---------------------------------------------------------------------------
@@ -106,15 +154,21 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def gelu_forward(x: np.ndarray):
     """tanh-form GELU in x's dtype; the tanh is cached for backward."""
-    t = x * x
-    t *= _GELU_A
-    t += 1.0
-    t *= x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = t + 1.0
-    out *= x
-    out *= 0.5
+    t, out = np.empty_like(x), np.empty_like(x)
+
+    def part(r):
+        xr, tr, o = x[r], t[r], out[r]
+        np.multiply(xr, xr, out=tr)
+        tr *= _GELU_A
+        tr += 1.0
+        tr *= xr
+        tr *= _GELU_C
+        np.tanh(tr, out=tr)
+        np.add(tr, 1.0, out=o)
+        o *= xr
+        o *= 0.5
+
+    _each_part(part, len(x), x.size)
     return out, (x, t)
 
 
@@ -122,18 +176,24 @@ def gelu_backward(dy: np.ndarray, cache) -> np.ndarray:
     """Exact derivative of the tanh form:
     0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2)."""
     x, t = cache
-    dt = x * x
-    dt *= 3.0 * _GELU_A
-    dt += 1.0
-    dt *= _GELU_C
-    dt *= x
-    sech2 = t * t
-    np.subtract(1.0, sech2, out=sech2)
-    dt *= sech2
-    dt += t
-    dt += 1.0
-    dt *= 0.5
-    dt *= dy
+    dt, sech2 = np.empty_like(x), np.empty_like(t)
+
+    def part(r):
+        xr, tr, d, s = x[r], t[r], dt[r], sech2[r]
+        np.multiply(xr, xr, out=d)
+        d *= 3.0 * _GELU_A
+        d += 1.0
+        d *= _GELU_C
+        d *= xr
+        np.multiply(tr, tr, out=s)
+        np.subtract(1.0, s, out=s)
+        d *= s
+        d += tr
+        d += 1.0
+        d *= 0.5
+        d *= dy[r]
+
+    _each_part(part, len(x), x.size)
     return dt
 
 
@@ -160,16 +220,23 @@ def dropout_forward(x: np.ndarray, rate: float, rng: np.random.Generator, train:
         return x, None
     cut, scale = _dropout_cut(rate, x.dtype)
     keep = _keep(rng, x.shape, cut)
-    return _scale_kept(x, keep, scale), (keep, scale)
+    return _scale_kept_parts(x, keep, scale), (keep, scale)
 
 
 def dropout_backward(dy: np.ndarray, mask) -> np.ndarray:
-    return dy if mask is None else _scale_kept(dy, *mask)
+    return dy if mask is None else _scale_kept_parts(dy, *mask)
 
 
 def _scale_kept(x: np.ndarray, keep: np.ndarray, scale, out=None) -> np.ndarray:
     out = np.multiply(x, scale, out=out)
     out *= keep
+    return out
+
+
+def _scale_kept_parts(x: np.ndarray, keep: np.ndarray, scale) -> np.ndarray:
+    """`_scale_kept` into a new array, by item range."""
+    out = np.empty(x.shape, np.result_type(x, scale))
+    _each_part(lambda r: _scale_kept(x[r], keep[r], scale, out=out[r]), len(x), x.size)
     return out
 
 
@@ -179,36 +246,92 @@ def _scale_kept(x: np.ndarray, keep: np.ndarray, scale, out=None) -> np.ndarray:
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    return x @ w + b, (x, w)
+    return _project(x, w, b), (x, w)
+
+
+def _project(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """x @ w (+ b), by item range."""
+    out = np.empty((*x.shape[:-1], w.shape[1]), np.result_type(x, w))
+
+    def part(r):
+        np.matmul(x[r], w, out=out[r])
+        if b is not None:
+            out[r] += b
+
+    _each_part(part, _items(x), max(x.size, out.size))
+    return out
+
+
+def _items(x: np.ndarray) -> int:
+    """The items a matmul over x splits into: a stack of matrices splits by
+    matrix, each one numpy's own BLAS call; a matrix stays whole, since BLAS
+    may round a block of its rows otherwise."""
+    return len(x) if x.ndim > 2 else 1
 
 
 def linear_backward(dy: np.ndarray, cache):
+    """dx by item range; dw and db, sums over every row, on a worker of
+    their own (BLAS may round a block of dw's columns otherwise)."""
     x, w = cache
-    dx = dy @ w.T
     x2 = x.reshape(-1, x.shape[-1])
     dy2 = dy.reshape(-1, dy.shape[-1])
-    dw = x2.T @ dy2
-    db = dy2.sum(axis=0, keepdims=True)
+    dx = np.empty((*dy.shape[:-1], w.shape[0]), np.result_type(dy, w))
+    dw = np.empty((x2.shape[1], dy2.shape[1]), np.result_type(x, dy))
+    db = np.empty((1, dy2.shape[1]), dy.dtype)
+
+    def weights():
+        np.matmul(x2.T, dy2, out=dw)
+        np.sum(dy2, axis=0, keepdims=True, out=db)
+
+    _each_part(lambda r: np.matmul(dy[r], w.T, out=dx[r]), _items(dy), max(dx.size, dy.size), weights)
     return dx, dw, db
 
 
 def layer_norm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + np.asarray(LN_EPS, dtype=x.dtype))
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    """Normalises each row in x's dtype, by item range."""
+    y, xhat = np.empty_like(x), np.empty_like(x)
+    mu, inv = np.empty((*x.shape[:-1], 1), x.dtype), np.empty((*x.shape[:-1], 1), x.dtype)
+    eps = np.asarray(LN_EPS, dtype=x.dtype)
+
+    def part(r):
+        xc, yr, ir = xhat[r], y[r], inv[r]
+        np.mean(x[r], axis=-1, keepdims=True, out=mu[r])
+        np.subtract(x[r], mu[r], out=xc)
+        np.multiply(xc, xc, out=yr)
+        np.mean(yr, axis=-1, keepdims=True, out=ir)  # the variance
+        ir += eps
+        np.sqrt(ir, out=ir)
+        np.divide(1.0, ir, out=ir)
+        xc *= ir  # xhat
+        np.multiply(g, xc, out=yr)
+        yr += b
+
+    _each_part(part, len(x), x.size)
+    return y, (xhat, inv, g)
 
 
 def layer_norm_backward(dy: np.ndarray, cache):
+    """dx and the products dy * xhat by item range; dg and db, sums over
+    every row, here."""
     xhat, inv, g = cache
-    dg = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0, keepdims=True)
+    dx, scratch, dy_xhat = np.empty_like(xhat), np.empty_like(xhat), np.empty_like(xhat)
+    m1, m2 = np.empty_like(inv), np.empty_like(inv)
+
+    def part(r):
+        d, s, xr = dx[r], scratch[r], xhat[r]
+        np.multiply(dy[r], xr, out=dy_xhat[r])
+        np.multiply(dy[r], g, out=d)  # dxhat
+        np.mean(d, axis=-1, keepdims=True, out=m1[r])
+        np.multiply(d, xr, out=s)
+        np.mean(s, axis=-1, keepdims=True, out=m2[r])
+        d -= m1[r]
+        np.multiply(xr, m2[r], out=s)
+        d -= s
+        d *= inv[r]
+
+    _each_part(part, len(dy), dy.size)
+    dg = dy_xhat.reshape(-1, dy.shape[-1]).sum(axis=0, keepdims=True)
     db = dy.reshape(-1, dy.shape[-1]).sum(axis=0, keepdims=True)
-    dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
     return dx, dg, db
 
 
@@ -264,19 +387,13 @@ def _each_unit(unit, items: int, heads: int, rows: int, cols: int, dtype, buffer
     malloc arena, which keeps their pages."""
     group = next((g for g in range(1, heads + 1) if heads % g == 0 and g * rows * cols >= _POOL_FLOOR),
                  None)
-    workers = min(ATTENTION_WORKERS, items * heads // group) if group else 1
+    workers = min(WORKERS, items * heads // group) if group else 1
     if workers == 1:
         group = heads
     units = [(i, slice(h, h + group)) for i in range(items) for h in range(0, heads, group)]
     runs = [(units[k * len(units) // workers:(k + 1) * len(units) // workers],
              [np.empty((1, group, rows, cols), dtype) for _ in range(buffers)]) for k in range(workers)]
-    if workers == 1:
-        _run_units(unit, *runs[0])
-        return
-    futures = [_POOL.submit(contextvars.copy_context().run, _run_units, unit, *run) for run in runs]
-    wait(futures)
-    for future in futures:
-        future.result()
+    _on_pool([(_run_units, unit, *run) for run in runs])
 
 
 def _run_units(unit, units, scratch) -> None:
@@ -320,7 +437,7 @@ def mha_forward(
     mask, scale): backward recomputes the probabilities from them.
     """
     q, q_cache = linear_forward(x, p["attn.wq"], p["attn.bq"])
-    k = x @ p["attn.wk"]
+    k = _project(x, p["attn.wk"])
     k_cache = (x, p["attn.wk"])
     v, v_cache = linear_forward(x, p["attn.wv"], p["attn.bv"])
     qh, kh, vh = (_split_heads(a, num_heads) for a in (q, k, v))

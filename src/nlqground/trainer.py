@@ -10,8 +10,8 @@ gradient clipped to global norm GRAD_CLIP_NORM, at the scheduled rate.  Per
 epoch: evaluate R@{1,5} / IoU@{0.3,0.5} on the validation split in eval
 mode, append one JSON line to the metric log, and keep the best checkpoint
 by val R@1 at IoU 0.5.  At start, `run.json` records the resolved config,
-the seed, the numpy version, the BLAS thread count and the attention
-worker count.  TrainConfig holds what a run sets, and checks every
+the seed, the numpy version, the BLAS build and thread count and the
+layers' worker count.  TrainConfig holds what a run sets, and checks every
 field's range when it is built; the constants below are the method's.
 """
 
@@ -186,10 +186,12 @@ def train(
     best_path = out_dir / "checkpoint_best.nlqc"
     last_path = out_dir / "checkpoint_last.nlqc"
     # what the run was and what it ran on; no file criterion 8 compares
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     (out_dir / "run.json").write_text(json.dumps({
         "encoder": asdict(encoder_config), "train": asdict(train_config),
         "inference": asdict(inference), "seed": train_config.seed, "numpy": np.__version__,
-        "blas_threads": layers.BLAS_THREADS, "attention_workers": layers.ATTENTION_WORKERS,
+        "blas": {k: blas.get(k) for k in ("name", "version", "openblas configuration")},
+        "blas_threads": layers.BLAS_THREADS, "workers": layers.WORKERS,
     }, indent=1) + "\n", encoding="utf-8")
 
     model = init_model(encoder_config, seed=train_config.seed)

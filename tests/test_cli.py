@@ -153,7 +153,9 @@ class TestTrainCommand:
         assert run_record["encoder"]["anchors"] == {"scales": [0.15, 0.4], "num_frames": 20}
         assert run_record["train"]["batch_size"] == 2 and run_record["train"]["mu"] == TrainConfig().mu
         assert run_record["inference"] == {"top_k": 5, "nms_iou": 0.5}
-        assert {"seed", "numpy", "blas_threads", "attention_workers"} < run_record.keys()
+        assert run_record.keys() == {"encoder", "train", "inference", "seed", "numpy", "blas",
+                                     "blas_threads", "workers"}
+        assert run_record["blas"].keys() == {"name", "version", "openblas configuration"}
         record = json.loads((out / "metrics.jsonl").read_text().splitlines()[0])
         assert {"epoch", "loss_align", "loss_box", "R1@0.3", "R1@0.5",
                 "R5@0.3", "R5@0.5", "short_R1@0.5", "short_R5@0.5"} == set(record)

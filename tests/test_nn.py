@@ -74,15 +74,18 @@ class CountingPool(ThreadPoolExecutor):
 
 
 @pytest.fixture
-def attention_workers(monkeypatch):
-    """set_workers(n) gives attention a pool of n workers (with n = 1, every
-    unit runs in the calling thread) and returns it."""
+def worker_pool(monkeypatch):
+    """set_workers(n, part_floor) gives the layers a pool of n workers (with
+    n = 1, every part and unit runs in the calling thread) and returns it;
+    a `part_floor` below _PART_FLOOR pools the row-independent blocks at
+    test sizes."""
     pools = []
 
-    def set_workers(n):
+    def set_workers(n, part_floor=layers._PART_FLOOR):
         pools.append(CountingPool(n))
-        monkeypatch.setattr(layers, "ATTENTION_WORKERS", n)
+        monkeypatch.setattr(layers, "WORKERS", n)
         monkeypatch.setattr(layers, "_POOL", pools[-1])
+        monkeypatch.setattr(layers, "_PART_FLOOR", part_floor)
         return pools[-1]
 
     yield set_workers
@@ -633,11 +636,15 @@ class TestAttentionMemory:
                         video_input_dim=5, text_input_dim=3, dropout_rate=0.2)
 
     # (3, 176, 16) pools the video and joint calls: whole items at T = 176,
-    # units of 2 heads at S = 192
-    @pytest.mark.parametrize("B, T, L", [(8, 72, 8), (3, 176, 16)])
-    def test_eval_forward_never_holds_a_whole_attention_tensor(self, monkeypatch, attention_workers,
-                                                               B, T, L):
-        attention_workers(2)
+    # units of 2 heads at S = 192; with a part floor of 2^10, the
+    # projections, layer norms and FFNs too
+    @pytest.mark.parametrize("B, T, L, part_floor", [
+        pytest.param(8, 72, 8, layers._PART_FLOOR, id="8-72-8"),
+        pytest.param(3, 176, 16, layers._PART_FLOOR, id="3-176-16"),
+        pytest.param(3, 176, 16, 1 << 10, id="3-176-16-parts")])
+    def test_eval_forward_never_holds_a_whole_attention_tensor(self, monkeypatch, worker_pool,
+                                                               B, T, L, part_floor):
+        pool = worker_pool(2, part_floor)
         nh = self.CFG.num_heads
         peaks = {}  # sequence length -> each attention call's peak bytes past its entry
 
@@ -667,6 +674,7 @@ class TestAttentionMemory:
         assert [len(peaks[S]) for S in (T, T + L)] == [1, 2]
         for S in (T, T + L):
             assert all(0 < peak < 3 * nh * S * S * 4 for peak in peaks[S]), (S, peaks[S])
+        assert (pool.submitted > 0) == (T > 72)
 
     def test_train_cache_keeps_no_float_attention_tensor(self):
         B, T, L = 3, 10, 4
@@ -702,15 +710,19 @@ class TestAttentionMemory:
         keep_mask_bytes = B * nh * S * S if rate else 0
         assert 0 < kept - keep_mask_bytes < B * nh * S * S * 4 // 2
 
-    # S = 192 pools units of 2 heads over 2 workers
-    @pytest.mark.parametrize("B, nh, S", [(4, 4, 96), (8, 4, 64), (2, 4, 192), (3, 4, 192)])
-    def test_train_forward_peaks_near_what_it_keeps(self, attention_workers, B, nh, S):
+    # S = 192 pools units of 2 heads over 2 workers; with a part floor of
+    # 2^10, the projections too
+    @pytest.mark.parametrize("B, nh, S, part_floor", [
+        pytest.param(B, nh, S, layers._PART_FLOOR, id=f"{B}-{nh}-{S}")
+        for B, nh, S in [(4, 4, 96), (8, 4, 64), (2, 4, 192), (3, 4, 192)]
+    ] + [pytest.param(3, 4, 192, 1 << 10, id="3-4-192-parts")])
+    def test_train_forward_peaks_near_what_it_keeps(self, worker_pool, B, nh, S, part_floor):
         """A train `mha_forward` draws its dropout one item at a time, into
         the keep mask, and gives each worker one unit's scratch: its
         tracemalloc peak exceeds the bytes it leaves allocated by at most 8
         bytes per element of one item's (heads, S, S) weights, whatever the
         batch size."""
-        attention_workers(2)
+        worker_pool(2, part_floor)
         x, mask, p, _ = TestKernelOracles._attention_inputs(B, nh, S, np.float32, padded=True)
         rng = np.random.default_rng(17)
         tracemalloc.start()
@@ -720,6 +732,24 @@ class TestAttentionMemory:
         finally:
             tracemalloc.stop()
         assert peak - kept <= 8 * nh * S * S, (peak - kept) / (nh * S * S)
+
+
+def _assert_leaves_bitwise_equal(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        if isinstance(a, np.ndarray) and a.dtype == bool:
+            assert np.array_equal(a, b)
+        else:
+            assert_bitwise_equal(a, b)
+
+
+def _with_short_switch_interval(fn):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        return fn()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestAttentionPool:
@@ -740,30 +770,20 @@ class TestAttentionPool:
     @pytest.mark.parametrize("B", [2, 3])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_pool_matches_one_worker_bitwise(self, attention_workers, B, dtype, workers):
+    def test_pool_matches_one_worker_bitwise(self, worker_pool, B, dtype, workers):
         """Train outputs, caches and gradients, eval outputs and the dropout
         generator's end state, with 2 workers and with more workers than
         this host has cores, under a short thread switch interval."""
-        attention_workers(1)
+        worker_pool(1)
         ref, ref_state = self._train_and_eval(B, dtype)
-        pool = attention_workers(workers)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got, state = self._train_and_eval(B, dtype)
-        finally:
-            sys.setswitchinterval(interval)
+        pool = worker_pool(workers)
+        got, state = _with_short_switch_interval(lambda: self._train_and_eval(B, dtype))
         assert pool.submitted > 0
         assert state == ref_state
-        assert len(got) == len(ref)
-        for a, b in zip(got, ref):
-            if isinstance(a, np.ndarray) and a.dtype == bool:
-                assert np.array_equal(a, b)
-            else:
-                assert_bitwise_equal(a, b)
+        _assert_leaves_bitwise_equal(got, ref)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_shared_prefix_ctx_pools_bitwise(self, attention_workers, dtype):
+    def test_shared_prefix_ctx_pools_bitwise(self, worker_pool, dtype):
         """`_shared_prefix_ctx` over three videos asked about 1, 2 and 3
         times, with padded text: the pool gives one worker's contexts."""
         rng = np.random.default_rng(19)
@@ -776,17 +796,17 @@ class TestAttentionPool:
         mask[3, -1:] = False
         contexts = []
         for workers in (1, 2):
-            pool = attention_workers(workers)
+            pool = worker_pool(workers)
             contexts.append(layers._shared_prefix_ctx(qh, kh, vh, mask, self.T, rows))
         assert pool.submitted > 0
         assert_bitwise_equal(contexts[1], contexts[0])
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_caller_errstate_reaches_the_workers(self, attention_workers, workers):
+    def test_caller_errstate_reaches_the_workers(self, worker_pool, workers):
         """Scores that overflow float32 raise FloatingPointError under the
         caller's np.errstate(over="raise"), in the pool as in the calling
         thread."""
-        pool = attention_workers(workers)
+        pool = worker_pool(workers)
         x, mask, p, _ = TestKernelOracles._attention_inputs(2, self.NH, self.S, np.float32, padded=False)
         p = {**p, "attn.wq": p["attn.wq"] * 1e20, "attn.wk": p["attn.wk"] * 1e20}
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -814,6 +834,75 @@ class TestAttentionPool:
                    for threads in ("1", "2")]
         assert len(digests[0]) == 65
         assert digests[0] == digests[1]
+
+
+class TestLayerPool:
+    """The encoder layer's row-independent blocks on the pool, under a part
+    floor of 2^10: at S = 24 attention's items stay under its own floor, so
+    every run the pool gets is a projection, layer norm, GELU or dropout
+    part; at S = 192 attention pools too.  The pool changes no bit, and the
+    dropout stream and the caller's errstate hold in it."""
+
+    CFG = EncoderConfig(hidden_dim=8, num_heads=4, intra_layers=1, cross_layers=2,
+                        video_input_dim=5, text_input_dim=3, dropout_rate=0.2)
+    PART_FLOOR = 1 << 10
+
+    def _layer(self, B, S, dtype):
+        model = init_model(self.CFG, seed=21, dtype=dtype)
+        p = {k[len("cross.0."):]: v for k, v in model.params.items() if k.startswith("cross.0.")}
+        rng = np.random.default_rng(22)
+        x, dy = (rng.normal(size=(B, S, self.CFG.hidden_dim)).astype(dtype) for _ in range(2))
+        mask = np.ones((B, S), bool)
+        mask[0, S - 3:] = False
+        mask[-1, S - 5:] = False
+        drop_rng = np.random.default_rng(23)
+        out, cache = layers.encoder_layer_forward(x, mask, p, self.CFG.num_heads, 0.2, drop_rng, True)
+        dx, grads = layers.encoder_layer_backward(dy, cache)
+        eval_out, _ = layers.encoder_layer_forward(x, mask, p, self.CFG.num_heads, 0.2, None, False)
+        return [out, *_leaves(cache), dx, *_leaves(grads), eval_out], drop_rng.bit_generator.state
+
+    def _model(self, B, S, dtype):
+        model = init_model(self.CFG, seed=24, dtype=dtype)
+        L = 8
+        video, rows, text, tmask = tiny_inputs(B=B, T=S - L, L=L)
+        tmask[-1, 5:] = False
+        conf, offs, cache = model.forward_batch(video, rows, text, tmask, train=True)
+        rng = np.random.default_rng(25)
+        grads, d_video, d_text = model.backward(cache, rng.normal(size=conf.shape), rng.normal(size=offs.shape))
+        eval_conf, eval_offs, _ = model.forward_batch(video, rows, text, tmask, train=False)
+        del cache["param_ids"]  # the model object's identity
+        return ([conf, offs, *_leaves(cache), *_leaves(grads), d_video, d_text, eval_conf, eval_offs],
+                model._dropout_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("S", [24, 192])
+    @pytest.mark.parametrize("run", ["_layer", "_model"])
+    @pytest.mark.parametrize("B", [2, 3])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pool_matches_one_worker_bitwise(self, worker_pool, run, S, B, dtype, workers):
+        """`encoder_layer_forward`/`encoder_layer_backward` and
+        `GroundingModel.forward_batch`/`backward`, train and eval: outputs,
+        every cache leaf, dx and gradients, and the dropout generator's end
+        state, with 2 workers and with more than this host has cores, under
+        a short thread switch interval."""
+        worker_pool(1, self.PART_FLOOR)
+        ref, ref_state = getattr(self, run)(B, S, dtype)
+        pool = worker_pool(workers, self.PART_FLOOR)
+        got, state = _with_short_switch_interval(lambda: getattr(self, run)(B, S, dtype))
+        assert pool.submitted > 0
+        assert state == ref_state
+        _assert_leaves_bitwise_equal(got, ref)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_caller_errstate_reaches_the_workers(self, worker_pool, workers):
+        """A GELU whose cube overflows float32, at _PART_FLOOR elements,
+        raises FloatingPointError under the caller's
+        np.errstate(over="raise"), in the pool as in the calling thread."""
+        pool = worker_pool(workers)
+        x = np.full((2, layers._PART_FLOOR // 2), 1e20, np.float32)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            gelu_forward(x)
+        assert (pool.submitted > 0) == (workers > 1)
 
 
 class TestBackward:

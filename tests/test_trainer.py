@@ -193,8 +193,12 @@ class TestTrainLoop:
         assert run_record["encoder"] == json.loads(json.dumps(dataclasses.asdict(ENC)))
         assert run_record["inference"] == {"top_k": 5, "nms_iou": 0.5}
         assert run_record["seed"] == 0 and run_record["numpy"] == np.__version__
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert run_record["blas"] == {k: blas.get(k) for k in ("name", "version", "openblas configuration")}
         assert run_record["blas_threads"] == layers.BLAS_THREADS
-        assert run_record["attention_workers"] == layers.ATTENTION_WORKERS >= 1
+        assert run_record["workers"] == layers.WORKERS >= 1
+        assert run_record.keys() == {"encoder", "train", "inference", "seed", "numpy", "blas",
+                                     "blas_threads", "workers"}
 
     def test_metric_log_epochs_contiguous(self, tmp_path):
         ds = tiny_dataset(videos=2)
